@@ -15,8 +15,8 @@ from .numerics import (EPS, QuadratureResult, ScalarFn, SmoothCumulative,
                        gauss_legendre, integrate)
 from .traceio import (CurveTrace, read_csv, read_json, read_trace, to_csv_text,
                     write_csv, write_json)
-from .frenet import (FrenetApparatus, Vec3, frenet_at, trace, trace_frames,
-                     unit_speed_residual, vec3)
+from .frenet import (Frames, FrenetApparatus, Vec3, frenet_at, trace, trace_frames,
+                     unit_speed_residual)
 from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,
                     intrinsic_residual_grid, proportionality_residual,
                     ratio_derivative, verify_whirl, whirl_axis)

@@ -18,6 +18,7 @@ from .frenet import trace_frames, unit_speed_residual
 from .synthesis import WhirlSpec, WhirlCurve, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
+MIN_SAMPLES = {"synth": 2, "rect": 3, "extend": 1, "figure1": 1}
 
 DEFAULT_TOLS = {
     "unit_speed": 1e-6,
@@ -37,6 +38,8 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI")
     if not lo < hi:
         raise argparse.ArgumentTypeError("range needs LO < HI")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError("range must be finite")
     return lo, hi
 
 
@@ -298,6 +301,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "samples", 0) < MIN_SAMPLES.get(args.command, 0):
+            parser.error(f"argument --samples: must be at least {MIN_SAMPLES[args.command]}")
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     handlers = {

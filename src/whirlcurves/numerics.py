@@ -142,30 +142,53 @@ def cumulative_integral(f, s0: float, grid, abs_tol: float = 1e-10,
     return out
 
 
-def derivative(f, s: float, order: int) -> np.ndarray:
+def sample(f, s, error=QuadratureError) -> np.ndarray:
+    """``f`` at each point of the 1-d array ``s``, one row per point.
+
+    Tries one vectorized call, else calls ``f`` per point.  A batch never has
+    exactly 3 points (a fourth is added and dropped): ``lambda s: R @ c(s)``
+    maps 3 points to a (3, 3) matrix that would pass for 3 rows.  Raises
+    ``error`` naming the first point where ``f`` is not finite.
+    """
+    s = np.asarray(s, dtype=float)
+    batch = np.append(s, s[:1]) if s.size == 3 else s
+    try:
+        vals = np.asarray(f(batch), dtype=float)
+        if vals.shape[:1] != batch.shape:
+            raise TypeError
+        vals = vals[:s.size]
+    except (TypeError, ValueError, IndexError):
+        vals = np.array([f(si) for si in s], dtype=float)
+    bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=tuple(range(1, vals.ndim))))
+    if bad.size:
+        raise error(f"non-finite sample at s={float(s[bad[0]])!r}")
+    return vals
+
+
+def derivative(f, s, order: int) -> np.ndarray:
     """Central-difference derivative of a (vector-valued) function of one real.
 
-    Error is O(step^2) with the step chosen per order to balance truncation
-    against roundoff.
+    ``s`` is a scalar or a 1-d array, all stencil points sampled in one call
+    (see :func:`sample`).  Error is O(step^2) with the step chosen per order
+    and element to balance truncation against roundoff.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    h = _REL_STEP[order] * max(1.0, abs(s))
+    x = np.atleast_1d(np.asarray(s, dtype=float))
+    h = _REL_STEP[order] * np.maximum(1.0, np.abs(x))
     # make the step exactly representable
-    h = (s + h) - s
-
-    def ev(x):
-        v = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise QuadratureError(f"non-finite sample at s={x!r}")
-        return v
-
+    h = (x + h) - x
+    offsets = {1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}[order]
+    vals = sample(f, np.concatenate([x + k * h for k in offsets]))
+    p = np.split(vals, len(offsets))
+    h = h.reshape(h.shape + (1,) * (vals.ndim - 1))
     if order == 1:
-        return (ev(s + h) - ev(s - h)) / (2.0 * h)
-    if order == 2:
-        return (ev(s + h) - 2.0 * ev(s) + ev(s - h)) / (h * h)
-    return (ev(s + 2 * h) - 2.0 * ev(s + h) + 2.0 * ev(s - h)
-            - ev(s - 2 * h)) / (2.0 * h ** 3)
+        d = (p[0] - p[1]) / (2.0 * h)
+    elif order == 2:
+        d = (p[0] - 2.0 * p[1] + p[2]) / (h * h)
+    else:
+        d = (p[0] - 2.0 * p[1] + 2.0 * p[2] - p[3]) / (2.0 * h ** 3)
+    return d if np.ndim(s) else d[0]
 
 
 def _gauss_nodes(n: int):

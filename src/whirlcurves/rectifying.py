@@ -13,13 +13,14 @@ ln(1+x) + ln(sqrt(G)/|h|).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, FrameError
-from .frenet import FrenetApparatus, Vec3, frenet_at
+from .frenet import Frames, Vec3, frenet_at
 from .numerics import derivative
+from .whirl import as_frames
 
 HALF_PI = 0.5 * np.pi
 
@@ -200,26 +201,19 @@ class ChenFit:
     note: str = ""
 
 
-def chen_ratio_fit(curve: Union[Callable, Sequence[FrenetApparatus]],
-                   s_grid=None, deriv: Optional[Callable] = None,
-                   rms_tol: float = 1e-3,
+def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
+                   deriv: Optional[Callable] = None, rms_tol: float = 1e-3,
                    slope_floor: float = 1e-3) -> ChenFit:
-    """Fit tau/kappa = c1*s + c2 over the grid.
+    """Fit tau/kappa = c1*s + c2 over Frames, or over a callable's grid.
 
     The rectifying-compatible verdict requires the fit to be tight
     (rms < rms_tol) and genuinely nonconstant (|c1| > slope_floor).
     """
-    if s_grid is None and isinstance(curve, (list, tuple)):
-        frames = list(curve)
-    else:
-        s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-        frames = [frenet_at(curve, float(si), deriv=deriv,
-                            strict_unit_speed=False) for si in s_grid]
+    frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 3:
         raise FrameError("need at least 3 frames for a line fit")
-    svals = np.array([f.s for f in frames])
-    ratios = np.array([f.tau / f.kappa for f in frames])
-    design = np.column_stack([svals, np.ones_like(svals)])
+    ratios = frames.tau / frames.kappa
+    design = np.column_stack([frames.s, np.ones_like(frames.s)])
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     resid = ratios - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))

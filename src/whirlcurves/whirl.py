@@ -1,6 +1,8 @@
 """Whirl-property primitives: intrinsic equation, axis vector, verification
 and the inverse fit.
 
+The checks run on the :class:`~whirlcurves.frenet.Frames` of a whole grid.
+
 A whirl curve has kappa > 0, tau != 0, and a fixed unit direction d with
 <n, d> = lam * <t, d> for a nonzero constant lam.  Its curvature and torsion
 then satisfy
@@ -13,12 +15,12 @@ and d is recovered, up to sign, from one frame as
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import FrameError
-from .frenet import FrenetApparatus, Vec3, frenet_at
+from .frenet import Frames, FrenetApparatus, Vec3, frenet_at
 
 LAMBDA_FLOOR = 1e-12
 LAMBDA_BRACKET = 1e4
@@ -68,25 +70,26 @@ def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
     return intrinsic_residual(kappas, taus, rp, lam)
 
 
-def whirl_axis(frame: FrenetApparatus, lam: float, sign: int = 1) -> Vec3:
-    """Candidate whirl axis from a single frame (unit by construction)."""
+def whirl_axis(frame: Union[FrenetApparatus, Frames], lam: float, sign: int = 1) -> Vec3:
+    """Candidate unit whirl axis from one frame, or (n, 3) axes from Frames."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if abs(lam) < LAMBDA_FLOOR:
         raise ValueError("lam must be nonzero")
-    if frame.tau == 0.0:
+    if np.any(frame.tau == 0.0):
         raise FrameError("axis undefined: zero torsion")
-    r = frame.kappa / frame.tau
+    r = np.asarray(frame.kappa / frame.tau)[..., None]
     num = frame.t + lam * frame.n + (1.0 + lam * lam) * r * frame.b
-    return sign * num / np.linalg.norm(num)
+    return sign * num / np.linalg.norm(num, axis=-1, keepdims=True)
 
 
-def proportionality_residual(frame: FrenetApparatus, d: Vec3, lam: float) -> float:
-    """Signed defect <n, d> - lam * <t, d> of the defining proportionality."""
+def proportionality_residual(frame: Union[FrenetApparatus, Frames], d: Vec3, lam: float):
+    """Signed defect <n, d> - lam * <t, d>: a float, or (n,) for Frames."""
     d = np.asarray(d, dtype=float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-6:
         raise ValueError("d must be a unit vector")
-    return float(frame.n @ d - lam * (frame.t @ d))
+    out = frame.n @ d - lam * (frame.t @ d)
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass
@@ -109,44 +112,38 @@ class AxisReport:
         return self.max_deviation < tol and self.max_residual < tol
 
 
-def _collect_frames(curve, s_grid, deriv, strict_unit_speed) -> List[FrenetApparatus]:
-    if s_grid is None and isinstance(curve, Sequence):
-        frames = list(curve)
-        if not all(isinstance(f, FrenetApparatus) for f in frames):
-            raise TypeError("expected a sequence of FrenetApparatus")
-        return frames
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    return [frenet_at(curve, float(si), deriv=deriv,
-                      strict_unit_speed=strict_unit_speed) for si in s_grid]
+def as_frames(curve: Union[Callable, Frames], s_grid=None,
+              deriv: Optional[Callable] = None) -> Frames:
+    """``curve`` itself when it is Frames, else the frames of the callable
+    on ``s_grid`` (``deriv``: its optional analytic first derivative)."""
+    if isinstance(curve, Frames):
+        return curve
+    return frenet_at(curve, np.atleast_1d(np.asarray(s_grid, dtype=float)),
+                     deriv=deriv, strict_unit_speed=False)
 
 
-def verify_whirl(curve: Union[Callable, Sequence[FrenetApparatus]],
-                 s_grid=None, lam: float = None,
-                 deriv: Optional[Callable] = None,
-                 strict_unit_speed: bool = False) -> AxisReport:
+def verify_whirl(curve: Union[Callable, Frames], s_grid=None, lam: float = None,
+                 deriv: Optional[Callable] = None) -> AxisReport:
     """Check axis constancy of a candidate whirl curve for a given ``lam``.
 
-    Accepts a position callable plus grid, or a pre-computed frame sequence.
+    Accepts a position callable plus grid, or pre-computed Frames.
     The curve passes at tolerance tol when ``report.passes(tol)``.
     """
     if lam is None:
         raise ValueError("lam is required")
-    frames = _collect_frames(curve, s_grid, deriv, strict_unit_speed)
-    if not frames:
+    frames = as_frames(curve, s_grid, deriv)
+    if not len(frames):
         raise ValueError("empty grid")
-    d0 = whirl_axis(frames[0], lam, 1)
-    sign = 1
-    t0d = float(frames[0].t @ d0)
-    if t0d < 0:
-        sign = -1
-    axes = np.array([whirl_axis(f, lam, sign) for f in frames])
+    axes = whirl_axis(frames, lam)
+    sign = -1 if frames.t[0] @ axes[0] < 0 else 1
+    axes = sign * axes
     dev = float(np.max(np.linalg.norm(axes - axes[0], axis=1)))
     d_mean = axes.mean(axis=0)
     nm = float(np.linalg.norm(d_mean))
     # axes of a decidedly non-whirl curve can average out; fall back to the
     # first sample so the report stays well-formed
     d_mean = axes[0] if nm < 1e-9 else d_mean / nm
-    resid = max(abs(proportionality_residual(f, d_mean, lam)) for f in frames)
+    resid = np.max(np.abs(proportionality_residual(frames, d_mean, lam)))
     return AxisReport(d=d_mean, sign=sign, per_sample_axes=axes,
                       max_deviation=dev, max_residual=float(resid))
 
@@ -173,11 +170,10 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     Ties break toward the smallest |lam|, then the positive sign; the axis
     sign makes its first nonzero component positive.
     """
-    frames = _collect_frames(curve, s_grid, deriv, strict_unit_speed=False)
+    frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 4:
         raise FrameError("no stable fit: need at least 4 frames")
-    T = np.array([f.t for f in frames])
-    N = np.array([f.n for f in frames])
+    T, N = frames.t, frames.n
     A = N.T @ N
     B = N.T @ T + T.T @ N
     C = T.T @ T
@@ -230,10 +226,9 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
                 d = -d
             break
     rms = float(np.sqrt(max(vals3[0], 0.0) / len(frames)))
-    taus = np.array([f.tau for f in frames])
     note = ""
     is_whirl = rms < rms_tol
-    if np.min(np.abs(taus)) < tau_floor:
+    if np.min(np.abs(frames.tau)) < tau_floor:
         is_whirl = False
         note = "not a whirl curve: torsion vanishes on the grid"
     elif abs(lam) <= 4.0 * LAMBDA_FLOOR:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import whirlcurves as wc
 from whirlcurves.cli import main
@@ -162,3 +163,26 @@ def test_tol_override_can_fail_verdict(tmp_path, capsys):
                 "--samples", 51, "--out", tmp_path, "--tol", "unit_speed=1e-15"])
     assert code == 1
     assert "verdict: FAIL" in capsys.readouterr().out
+
+
+def test_infinite_range_exit_3(tmp_path, capsys):
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:inf",
+                "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "--range" in err and "finite" in err
+
+
+@pytest.mark.parametrize("args, minimum", [
+    (["synth", "--lambda", -1, "--h0", 1, "--range", "0:1"], 2),
+    (["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2"], 3),
+    (["extend", "--kind", "curve", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7"], 1),
+    (["figure1"], 1),
+])
+def test_samples_below_minimum_exit_3(tmp_path, capsys, args, minimum):
+    code = run(args + ["--samples", minimum - 1, "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"--samples: must be at least {minimum}" in err
+    assert list(tmp_path.iterdir()) == []
+    assert run(args + ["--samples", minimum, "--out", tmp_path]) == 0

@@ -188,3 +188,92 @@ def test_trace_frames_insufficient_samples():
     tr = wc.CurveTrace([0.0, 1.0], [[0, 0, 0], [1, 0, 0]])
     with pytest.raises(ValueError, match="insufficient samples"):
         wc.trace_frames(tr)
+
+
+def _rotated_helix(rng):
+    # applies the rotation to one point at a time: at an array argument of
+    # exactly 3 points R @ helix(s) is a (3, 3) matrix, not the curve's rows
+    helix, rot = unit_speed_helix(1.0, 0.5), random_rotation(rng)
+    return lambda s: rot @ helix(s)
+
+
+def test_trace_at_three_points_matches_pointwise(rng):
+    curve = _rotated_helix(rng)
+    tr = wc.trace(curve, 0.0, 1.0, 3)
+    assert np.array_equal(tr.points, [curve(s) for s in (0.0, 0.5, 1.0)])
+
+
+def test_unit_speed_residual_at_three_points_matches_pointwise(rng):
+    curve = _rotated_helix(rng)
+    grid = np.array([0.1, 0.4, 0.9])
+    r = wc.unit_speed_residual(curve, grid)
+    assert r == max(wc.unit_speed_residual(curve, [s]) for s in grid)
+    assert r < 1e-9
+
+
+def test_frenet_at_three_points_matches_pointwise(rng):
+    curve = _rotated_helix(rng)
+    grid = np.array([0.1, 0.4, 0.9])
+    frames = wc.frenet_at(curve, grid)
+    assert len(frames) == 3
+    for i, s in enumerate(grid):
+        f = wc.frenet_at(curve, s)
+        assert frames[i].s == s
+        for name in ("t", "n", "b", "kappa", "tau"):
+            assert np.max(np.abs(getattr(frames[i], name) - getattr(f, name))) <= 1e-12
+
+
+def _assert_rows_match_pointwise(curve, grid, deriv=None):
+    frames = wc.frenet_at(curve, grid, deriv=deriv)
+    assert isinstance(frames, wc.Frames) and len(frames) == grid.size
+    assert frames.t.shape == (grid.size, 3) and frames.kappa.shape == (grid.size,)
+    for i, s in enumerate(grid):
+        f = wc.frenet_at(curve, s, deriv=deriv)
+        assert isinstance(f, wc.FrenetApparatus)
+        assert frames[i].s == f.s == s
+        for name in ("t", "n", "b", "kappa", "tau"):
+            assert np.max(np.abs(getattr(frames, name)[i] - getattr(f, name))) <= 1e-12
+
+
+def test_batched_frames_match_pointwise_rectifying():
+    spec = wc.RectifyingSpec(a=0.65, b=0.0, lam=-1.0)
+    _assert_rows_match_pointwise(lambda s: wc.curve_point(spec, s),
+                                 np.linspace(0.2, 1.2, 17),
+                                 deriv=lambda s: wc.curve_velocity(spec, s))
+
+
+def test_batched_frames_match_pointwise_synthesized():
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    curve = wc.WhirlCurve(spec, origin=0.0)
+    _assert_rows_match_pointwise(curve.position, np.linspace(0.1, 0.9, 17))
+
+
+def _frame_rows(n=5):
+    e = np.eye(3)
+    return dict(s=np.linspace(0.0, 1.0, n), t=np.tile(e[0], (n, 1)),
+                n=np.tile(e[1], (n, 1)), b=np.tile(e[2], (n, 1)),
+                kappa=np.ones(n), tau=np.full(n, 0.5))
+
+
+@pytest.mark.parametrize("field, row, match", [
+    ("t", [2.0, 0.0, 0.0], "t is not a unit vector"),
+    ("n", [0.6, 0.8, 0.0], "not orthogonal"),
+    ("b", [0.0, 0.0, -1.0], r"b != t x n"),
+    ("kappa", 0.0, "kappa must be positive"),
+])
+def test_frames_validator_names_first_bad_row(field, row, match):
+    rows = _frame_rows()
+    assert len(wc.Frames(**rows)) == 5
+    rows[field][2] = row
+    rows[field][4] = row
+    with pytest.raises(FrameError, match=match + " at s=0.5$"):
+        wc.Frames(**rows)
+
+
+def test_frames_indexing():
+    frames = wc.Frames(**_frame_rows())
+    assert isinstance(frames[1], wc.FrenetApparatus) and frames[1].s == 0.25
+    tail = frames[::2]
+    assert isinstance(tail, wc.Frames) and np.array_equal(tail.s, [0.0, 0.5, 1.0])
+    assert [f.s for f in frames] == list(frames.s)

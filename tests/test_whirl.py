@@ -135,7 +135,7 @@ def test_verify_whirl_equivariant_under_rotation(rng):
 def test_verify_whirl_accepts_frames():
     spec, curve = _synth_curve(lam=-1.0)
     grid = np.linspace(0.1, 0.9, 7)
-    frames = [wc.frenet_at(curve.position, float(s)) for s in grid]
+    frames = wc.frenet_at(curve.position, grid)
     report = wc.verify_whirl(frames, lam=spec.lam)
     assert report.max_deviation < 1e-6
 
