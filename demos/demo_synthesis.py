@@ -30,7 +30,7 @@ print("unit-speed residual:",
 for s in (0.5, 1.0, 1.5):
     f = wc.frenet_at(curve.position, s)
     print(f"s={s}: kappa={f.kappa:.8f} (input 1), "
-          f"tau={f.tau:.8f} (formula {wc.torsion_from_curvature(spec, s):.8f})")
+          f"tau={f.tau:.8f} (formula {curve.torsion(s):.8f})")
 
 # 3. the defining property: <n, d> = lam <t, d> with a constant unit axis
 report = wc.verify_whirl(curve.position, np.linspace(0.2, 1.8, 17),

@@ -11,8 +11,7 @@ hyperboloid/cone/sphere geometry and continuous extensions.
 
 from .errors import DomainError, FrameError, QuadratureError
 from .numerics import (EPS, QuadratureResult, ScalarFn, SmoothCumulative,
-                       as_scalar_fn, cumulative_integral, derivative,
-                       gauss_legendre, integrate)
+                       as_scalar_fn, derivative, integrate)
 from .traceio import (CurveTrace, read_csv, read_json, read_trace, to_csv_text,
                     write_csv, write_json)
 from .frenet import (Frames, FrenetApparatus, Vec3, frenet_at, trace, trace_frames,
@@ -21,11 +20,8 @@ from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,
                     intrinsic_residual_grid, proportionality_residual,
                     ratio_derivative, verify_whirl, whirl_axis)
 from .synthesis import (SphericalTangent, WhirlCurve, WhirlSpec, axis_bound,
-                        axis_component,
-                        azimuth, azimuth_rate, bound_from_ratio, cos_polar,
-                        exponent, intrinsic_residual_max, kappa_constant,
-                        kappa_linear_ratio, kappa_polynomial, ratio_rate, ratio_step,
-                        synthesize, torsion_from_curvature)
+                        bound_from_ratio, intrinsic_residual_max, kappa_constant,
+                        kappa_linear_ratio, kappa_polynomial, synthesize)
 from .rectifying import (ChenFit, ConePoint, RectifyingSpec, chen_ratio_fit,
                          cone_coords, cone_point, curve_point, curve_velocity,
                          extended_point, extended_sphere_point,

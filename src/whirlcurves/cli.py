@@ -43,6 +43,22 @@ def _parse_range(text):
     return lo, hi
 
 
+def _nonzero(text):
+    """--lambda and --a: finite, and nonzero as the library's specs require."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not (np.isfinite(val) and abs(val) >= whirl.LAMBDA_FLOOR):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least {whirl.LAMBDA_FLOOR:g} in magnitude, got {text!r}")
+    return val
+
+
+def _parse_lambdas(text):
+    return tuple(_nonzero(x) for x in text.split(","))
+
+
 def _parse_tol(items):
     tols = dict(DEFAULT_TOLS)
     for item in items or ():
@@ -73,7 +89,7 @@ def _build_parser():
     sp = sub.add_parser("synth", help="synthesize a whirl curve from a curvature function")
     sp.add_argument("--kappa", default="const:1.0",
                     help="const:VALUE | linear-ratio (ratio a*s+b, uses --a/--b) | poly:c0,c1,...")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
     sp.add_argument("--B", dest="bound", type=float, default=None,
                     help="exponent offset; exclusive with --h0")
     sp.add_argument("--h0", type=float, default=None,
@@ -88,9 +104,9 @@ def _build_parser():
     add_common(sp)
 
     sp = sub.add_parser("rect", help="sample a closed-form whirl-rectifying curve")
-    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--a", type=_nonzero, required=True)
     sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
     sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
     sp.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
     sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
@@ -99,9 +115,9 @@ def _build_parser():
     sp = sub.add_parser("extend", help="sample a continuous extension")
     sp.add_argument("--kind", choices=("curve", "sphere"), default="curve",
                     help="curve: whole-line extension; sphere: radial projection")
-    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--a", type=_nonzero, required=True)
     sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
     sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
     sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
     add_common(sp)
@@ -111,10 +127,10 @@ def _build_parser():
     sp.add_argument("--tol", action="append", metavar="NAME=VAL")
 
     sp = sub.add_parser("figure1", help="reproduce the reference parameter sweep (12 traces)")
-    sp.add_argument("--a", type=float, default=0.65)
+    sp.add_argument("--a", type=_nonzero, default=0.65)
     sp.add_argument("--b", type=float, default=0.0)
     sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
-    sp.add_argument("--lambdas", default=None,
+    sp.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
                     help="comma-separated overrides for the lambda sweep")
     sp.add_argument("--range", dest="srange", type=_parse_range,
                     default=(-np.pi / 4, np.pi / 4))
@@ -263,13 +279,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure1(args) -> int:
     tols = _parse_tol(args.tol)
-    lams = FIGURE1_LAMBDAS
-    if args.lambdas:
-        lams = tuple(float(x) for x in args.lambdas.split(","))
     lo, hi = args.srange
     grid = np.linspace(lo, hi, args.samples)
     worst_h = worst_s = 0.0
-    for lam in lams:
+    for lam in args.lambdas:
         spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam,
                                          d_shift=args.d_shift)
         pts = rectifying.extended_point(spec, grid)

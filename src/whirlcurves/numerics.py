@@ -1,26 +1,33 @@
 """Quadrature and finite-difference utilities shared by the geometry modules.
 
-All routines work in 64-bit floating point.  Integrands are expected to be
-smooth away from declared singular endpoints; the adaptive Simpson rule with
-interval bisection handles the steep exponential regions that show up in the
-curve constructions.
+All routines work in 64-bit floating point.  The curve constructions
+integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
+sum that is smooth in its upper limit; adaptive Simpson :func:`integrate`
+is the independent reference it is tested against.
 """
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 EPS = float(np.finfo(float).eps)
 
 # Central-difference steps: truncation/roundoff balance for orders 1..3.
 _REL_STEP = {1: EPS ** (1.0 / 3.0), 2: EPS ** 0.25, 3: EPS ** 0.2}
 
-_GAUSS_CACHE: dict = {}
+# SmoothCumulative: lattice panel width, 24-node Gauss-Legendre rule, the
+# number of intervals one call of the integrand covers (a power of two, so
+# blocks split the matrix-vector product where BLAS row groups do and the
+# sums match one unblocked call bit for bit), and the farthest a query may
+# lie from the anchor, in panels.
+PANEL = 0.125
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+BLOCK = 4096
+MAX_PANELS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -112,36 +119,6 @@ def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
     return QuadratureResult(sign * value, err_acc[0], counter[0], flag[0])
 
 
-def cumulative_integral(f, s0: float, grid, abs_tol: float = 1e-10,
-                        max_depth: int = 40) -> np.ndarray:
-    """``out[i] = integral of f from s0 to grid[i]`` for a sorted grid.
-
-    Warns (and returns the partial values) when any segment fails to
-    converge; non-finite samples raise as in :func:`integrate`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
-    f = as_scalar_fn(f)
-    out = np.empty(grid.shape)
-    running = integrate(f, s0, grid[0], abs_tol=abs_tol, max_depth=max_depth)
-    bad = not running.converged
-    out[0] = running.value
-    acc = running.value
-    for i in range(1, grid.size):
-        seg = integrate(f, grid[i - 1], grid[i], abs_tol=abs_tol,
-                        max_depth=max_depth)
-        bad = bad or not seg.converged
-        acc += seg.value
-        out[i] = acc
-    if bad:
-        warnings.warn("cumulative_integral: at least one segment did not "
-                      "converge; values are partial", RuntimeWarning)
-    return out
-
-
 def sample(f, s, error=QuadratureError) -> np.ndarray:
     """``f`` at each point of the 1-d array ``s``, one row per point.
 
@@ -191,107 +168,91 @@ def derivative(f, s, order: int) -> np.ndarray:
     return d if np.ndim(s) else d[0]
 
 
-def _gauss_nodes(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
-
-
-def gauss_legendre(f, lo: float, hi: float, nodes: int = 24):
-    """Fixed-node Gauss-Legendre panel. Smooth in the endpoints, so results
-    can be finite-differenced without adaptive-subdivision jitter."""
-    x, w = _gauss_nodes(nodes)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = np.asarray(f(mid + half * x), dtype=float)
-    if vals.ndim == 1:
-        return half * float(w @ vals)
-    return half * (w @ vals)
-
-
 class SmoothCumulative:
     """Cumulative integral ``F(s) = ∫_anchor^s f`` evaluated panel by panel.
 
-    Full panels on a fixed lattice are cached, the fractional panel uses the
-    same Gauss rule, hence F is smooth in s and safe to feed to difference
-    stencils.  ``f`` must accept numpy arrays; it may return scalars or rows
-    of a fixed vector shape.  Cache growth is serialized by a lock, so
-    instances can be shared across threads once warm.
+    F(s) is a prefix sum over whole panels of width ``PANEL`` on a lattice
+    through ``anchor``, plus one fractional panel from the lattice edge
+    toward the anchor up to s, all by the same 24-node Gauss rule; hence F is
+    smooth in s and safe to feed to difference stencils.  ``f`` must accept
+    numpy arrays; it may return scalars or rows of one fixed length, and is
+    called on at most ``BLOCK`` intervals (24 points each) at a time.
+
+    The prefix is one array over a contiguous range of lattice indices,
+    grown on demand by a cumulative sum seeded with its current end value.
+    A query that is not finite or lies more than ``MAX_PANELS`` panels from
+    the anchor raises :class:`DomainError` before the table grows.  A lock
+    serializes growth, so an instance can be shared across threads.
     """
 
-    def __init__(self, f, anchor: float, panel: float = 0.125, nodes: int = 24):
-        if panel <= 0:
-            raise ValueError("panel width must be positive")
+    def __init__(self, f, anchor: float):
         self.f = f
         self.anchor = float(anchor)
-        self.panel = float(panel)
-        self.nodes = nodes
-        self._lo = 0          # cached prefix covers lattice indices [_lo, _hi]
-        self._hi = 0
-        self._prefix = {0: None}   # filled lazily; None means "zero of f's shape"
+        self._lo = 0          # lattice index of the table's first row
+        self._table = None    # F at lattice points; None while only F(anchor) = 0
         self._lock = threading.Lock()
 
-    def _panel_values(self, k_from: int, k_to: int):
-        """Integrals of f over consecutive panels [k, k+1) for k in range."""
-        x, w = _gauss_nodes(self.nodes)
-        edges = self.anchor + self.panel * np.arange(k_from, k_to + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * self.panel
-        pts = mids[:, None] + half * x[None, :]
-        vals = np.asarray(self.f(pts.ravel()), dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(pts.shape)
-            return half * (vals @ w)
-        vals = vals.reshape(pts.shape + vals.shape[1:])
-        return half * np.einsum("pn...,n->p...", vals, w)
+    def _gauss(self, mids, halves):
+        """Integrals of f over [mids - halves, mids + halves], one per interval."""
+        halves = np.broadcast_to(halves, mids.shape)
+        out = []
+        for i in range(0, mids.size, BLOCK):
+            m, h = mids[i:i + BLOCK], halves[i:i + BLOCK]
+            pts = m[:, None] + h[:, None] * _GAUSS_X
+            vals = np.asarray(self.f(pts.ravel()), dtype=float)
+            if vals.ndim == 1:
+                out.append(h * (vals.reshape(pts.shape) @ _GAUSS_W))
+            else:
+                vals = vals.reshape(pts.shape + vals.shape[1:])
+                out.append(h[:, None] * np.einsum("pn...,n->p...", vals, _GAUSS_W))
+        return np.concatenate(out)
 
-    def _zero_like(self):
-        probe = np.asarray(self.f(np.array([self.anchor])), dtype=float)
-        return 0.0 if probe.ndim == 1 else np.zeros(probe.shape[1:])
+    def _panels(self, k_from: int, k_to: int):
+        """Integrals of f over the lattice panels [k, k+1), k_from <= k < k_to."""
+        edges = self.anchor + PANEL * np.arange(k_from, k_to + 1)
+        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL)
 
     def _extend(self, k_min: int, k_max: int):
-        if self._lo <= k_min and k_max <= self._hi and self._prefix[0] is not None:
-            return
+        """Grow the table over lattice indices [k_min, k_max]; return it with
+        the lattice index of its first row."""
         with self._lock:
-            if self._prefix[0] is None:
-                self._prefix[0] = self._zero_like()
-            if k_max > self._hi:
-                inc = self._panel_values(self._hi, k_max)
-                acc = self._prefix[self._hi]
-                for j, k in enumerate(range(self._hi + 1, k_max + 1)):
-                    acc = acc + inc[j]
-                    self._prefix[k] = acc
-                self._hi = k_max
-            if k_min < self._lo:
-                dec = self._panel_values(k_min, self._lo)
-                acc = self._prefix[self._lo]
-                for j, k in enumerate(range(self._lo - 1, k_min - 1, -1)):
-                    acc = acc - dec[len(dec) - 1 - j]
-                    self._prefix[k] = acc
-                self._lo = k_min
+            lo, table = self._lo, self._table
+            hi = lo if table is None else lo + len(table) - 1
+            if k_max > hi:
+                inc = self._panels(hi, k_max)
+                table = _zero_row(inc) if table is None else table
+                table = np.concatenate([table, _running_sum(table[-1:], inc)])
+            if k_min < lo:
+                dec = -self._panels(k_min, lo)[::-1]
+                table = _zero_row(dec) if table is None else table
+                table = np.concatenate([_running_sum(table[:1], dec)[::-1], table])
+                lo = k_min
+            self._lo, self._table = lo, table
+            return lo, table
 
     def __call__(self, s):
-        scalar = np.isscalar(s) or np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        d = (s_arr - self.anchor) / self.panel
+        d = (s_arr - self.anchor) / PANEL
+        far = ~(np.abs(d) <= MAX_PANELS)
+        if far.any():
+            raise DomainError(
+                f"s={float(s_arr[far][0])!r} is not finite or lies farther than "
+                f"{MAX_PANELS * PANEL:g} from the integration anchor {self.anchor!r}")
         # base the fractional panel on the lattice edge TOWARD the anchor, so
         # every sample of f stays inside the hull of (anchor, s); a floor on
         # both sides would step up to one panel outside the caller's domain
         k = np.where(s_arr >= self.anchor, np.floor(d), np.ceil(d)).astype(int)
-        k_min, k_max = int(k.min()), int(k.max())
-        self._extend(k_min, k_max)
-        table = np.stack([np.asarray(self._prefix[i], dtype=float)
-                          for i in range(k_min, k_max + 1)])
-        base = table[k - k_min]
-        edges = self.anchor + self.panel * k
-        x, w = _gauss_nodes(self.nodes)
-        mids = 0.5 * (edges + s_arr)
-        halves = 0.5 * (s_arr - edges)
-        pts = mids[:, None] + halves[:, None] * x[None, :]
-        vals = np.asarray(self.f(pts.ravel()), dtype=float)
-        if vals.ndim == 1:
-            part = halves * (vals.reshape(pts.shape) @ w)
-        else:
-            vals = vals.reshape(pts.shape + vals.shape[1:])
-            part = halves[:, None] * np.einsum("pn...,n->p...", vals, w)
-        out = base + part
-        return out[0] if scalar else out
+        lo, table = self._extend(int(k.min()), int(k.max()))
+        edges = self.anchor + PANEL * k
+        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges))
+        out = (0.0 if table is None else table[k - lo]) + part
+        return out if np.ndim(s) else out[0]
+
+
+def _zero_row(rows):
+    return np.zeros((1,) + rows.shape[1:])
+
+
+def _running_sum(start, steps):
+    """start + steps[0], start + steps[0] + steps[1], ..., summed in order."""
+    return np.cumsum(np.concatenate([start, steps]), axis=0)[1:]

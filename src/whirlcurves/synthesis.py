@@ -12,7 +12,6 @@ closed-form tangent (no Frenet-system integration, hence no frame drift).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,18 +87,14 @@ def axis_bound(bound: float, lam: float) -> float:
     return bound + 0.5 * np.log(1.0 + lam * lam)
 
 
-@lru_cache(maxsize=256)
-def _kappa_cumulative(spec: WhirlSpec) -> SmoothCumulative:
-    return SmoothCumulative(spec.kappa, anchor=spec.s0)
-
-
 class WhirlCurve:
     """Evaluator for one synthesized whirl curve.
 
     Callable for positions; all methods accept floats or numpy arrays.
     Positions integrate the closed-form tangent from ``origin`` (where the
-    position is the zero vector) on cached fixed-node panels, so they are
-    smooth enough for difference stencils.
+    position is the zero vector) on fixed-node panels, so they are smooth
+    enough for difference stencils.  The curve owns its panel tables: the
+    cumulative curvature from ``spec.s0`` and the position from ``origin``.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
@@ -109,7 +104,7 @@ class WhirlCurve:
         self.spec = spec
         self.form = form
         self.origin = spec.s0 if origin is None else float(origin)
-        self._kcum = _kappa_cumulative(spec)
+        self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
         self._pos = SmoothCumulative(self.tangent, anchor=self.origin)
 
     # -- scalar machinery -------------------------------------------------
@@ -198,36 +193,39 @@ class WhirlCurve:
 
     __call__ = position
 
+    # -- torsion-to-curvature ratio -----------------------------------------
 
-# -- module-level operations over a spec ----------------------------------
+    def ratio_step(self, s):
+        """Difference step for the torsion-to-curvature ratio at s.
 
-@lru_cache(maxsize=256)
-def _curve(spec: WhirlSpec) -> WhirlCurve:
-    return WhirlCurve(spec)
+        The ratio h grows at the local rate |lam|*kappa*(1+lam^2+h^2)/(1+lam^2),
+        which steepens sharply toward the domain edge where the torsion blows
+        up; the usual step is shrunk by that rate so a fourth-order stencil
+        resolves the ratio derivative to ~1e-9 across the whole valid window,
+        even at |lam| = 20.
+        """
+        s = np.asarray(s, dtype=float)
+        kap = np.abs(np.asarray(self.spec.kappa(s), dtype=float))
+        h = np.asarray(self.torsion(s), dtype=float) / kap
+        lam2 = self.spec.lam * self.spec.lam
+        rate = np.maximum(1.0, np.abs(self.spec.lam) * kap
+                          * (1.0 + lam2 + 3.0 * h * h) / (1.0 + lam2))
+        return np.finfo(float).eps ** 0.2 * np.maximum(1.0, np.abs(s)) / rate
 
+    def ratio_rate(self, s):
+        """Fourth-order central-difference d(tau/kappa)/ds, per-point step.
 
-def exponent(spec: WhirlSpec, s):
-    return _curve(spec).exponent(s)
+        The probes extend 2 steps either side of s; keep s that far inside the
+        valid exponent window.
+        """
+        s = np.asarray(s, dtype=float)
+        h = self.ratio_step(s)
 
+        def ratio(x):
+            return np.asarray(self.torsion(x)) / np.asarray(self.spec.kappa(x))
 
-def torsion_from_curvature(spec: WhirlSpec, s):
-    return _curve(spec).torsion(s)
-
-
-def cos_polar(spec: WhirlSpec, s):
-    return _curve(spec).cos_polar(s)
-
-
-def axis_component(spec: WhirlSpec, s):
-    return _curve(spec).axis_component(s)
-
-
-def azimuth(spec: WhirlSpec, s):
-    return _curve(spec).azimuth(s)
-
-
-def azimuth_rate(spec: WhirlSpec, s):
-    return _curve(spec).azimuth_rate(s)
+        return (ratio(s - 2 * h) - 8.0 * ratio(s - h)
+                + 8.0 * ratio(s + h) - ratio(s + 2 * h)) / (12.0 * h)
 
 
 def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
@@ -332,42 +330,6 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
 
 # -- intrinsic-equation residual ---------------------------------------------
 
-def ratio_step(spec: WhirlSpec, s):
-    """Difference step for the torsion-to-curvature ratio at s.
-
-    The ratio h grows at the local rate |lam|*kappa*(1+lam^2+h^2)/(1+lam^2),
-    which steepens sharply toward the domain edge where the torsion blows
-    up; the usual step is shrunk by that rate so a fourth-order stencil
-    resolves the ratio derivative to ~1e-9 across the whole valid window,
-    even at |lam| = 20.
-    """
-    curve = _curve(spec)
-    s = np.asarray(s, dtype=float)
-    kap = np.abs(np.asarray(spec.kappa(s), dtype=float))
-    h = np.asarray(curve.torsion(s), dtype=float) / kap
-    lam2 = spec.lam * spec.lam
-    rate = np.maximum(1.0, np.abs(spec.lam) * kap
-                      * (1.0 + lam2 + 3.0 * h * h) / (1.0 + lam2))
-    return np.finfo(float).eps ** 0.2 * np.maximum(1.0, np.abs(s)) / rate
-
-
-def ratio_rate(spec: WhirlSpec, s):
-    """Fourth-order central-difference d(tau/kappa)/ds, per-point step.
-
-    The probes extend 2 steps either side of s; keep s that far inside the
-    valid exponent window.
-    """
-    curve = _curve(spec)
-    s = np.asarray(s, dtype=float)
-    h = ratio_step(spec, s)
-
-    def ratio(x):
-        return np.asarray(curve.torsion(x)) / np.asarray(spec.kappa(x))
-
-    return (ratio(s - 2 * h) - 8.0 * ratio(s - h)
-            + 8.0 * ratio(s + h) - ratio(s + 2 * h)) / (12.0 * h)
-
-
 def intrinsic_residual_max(spec: WhirlSpec, s_lo: float, s_hi: float,
                            n: int = 2049) -> float:
     """Max |intrinsic residual| over an n-node grid spanning [s_lo, s_hi].
@@ -376,10 +338,10 @@ def intrinsic_residual_max(spec: WhirlSpec, s_lo: float, s_hi: float,
     ratio-derivative probes never leave the validated window.
     """
     from .whirl import intrinsic_residual
-    margin = 2.0 * float(np.max(ratio_step(spec, np.array([s_lo, s_hi]))))
+    curve = WhirlCurve(spec)
+    margin = 2.0 * float(np.max(curve.ratio_step(np.array([s_lo, s_hi]))))
     grid = np.linspace(s_lo + margin, s_hi - margin, n)
-    curve = _curve(spec)
     kv = np.asarray(spec.kappa(grid), dtype=float)
     tv = np.asarray(curve.torsion(grid), dtype=float)
-    resid = intrinsic_residual(kv, tv, ratio_rate(spec, grid), spec.lam)
+    resid = intrinsic_residual(kv, tv, curve.ratio_rate(grid), spec.lam)
     return float(np.max(np.abs(resid)))

@@ -168,7 +168,8 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     fixed 3x3 blocks, and d is its bottom eigenvector; lam itself is found by
     a deterministic scan of +-[1e-12, 1e4] refined by golden-section search.
     Ties break toward the smallest |lam|, then the positive sign; the axis
-    sign makes its first nonzero component positive.
+    sign makes its largest-magnitude component positive, so noise in the
+    small components cannot flip an axis near a coordinate direction.
     """
     frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 4:
@@ -220,11 +221,8 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     if vals3[1] <= 1e-12 * scale:
         raise FrameError("no stable fit: degenerate normal system")
     d = vecs[:, 0]
-    for c in d:
-        if c != 0.0:
-            if c < 0:
-                d = -d
-            break
+    if d[np.argmax(np.abs(d))] < 0:
+        d = -d
     rms = float(np.sqrt(max(vals3[0], 0.0) / len(frames)))
     note = ""
     is_whirl = rms < rms_tol

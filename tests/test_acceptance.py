@@ -63,7 +63,7 @@ def test_criterion_2_synthesis_fidelity(models):
         for idx in (32, 96, 128, 160, 224):
             s = float(tr.s[idx])
             kap_ref = float(spec.kappa(s))
-            tau_ref = float(wc.torsion_from_curvature(spec, s))
+            tau_ref = float(curve.torsion(s))
             # position-only difference stencils
             f = wc.frenet_at(curve.position, s)
             worst_kap = max(worst_kap, abs(f.kappa - kap_ref) / kap_ref)
@@ -85,8 +85,8 @@ def test_criterion_3_intrinsic_equation(models):
     for spec, lo, hi, family, tr, curve in models:
         nodes = tr.s[1:-1]
         kv = np.asarray(spec.kappa(nodes), dtype=float)
-        tv = np.asarray(wc.torsion_from_curvature(spec, nodes), dtype=float)
-        resid = wc.intrinsic_residual(kv, tv, wc.ratio_rate(spec, nodes), spec.lam)
+        tv = np.asarray(curve.torsion(nodes), dtype=float)
+        resid = wc.intrinsic_residual(kv, tv, curve.ratio_rate(nodes), spec.lam)
         worst = max(worst, float(np.max(np.abs(resid))))
     # control: a circular helix violates the equation by at least
     # |tau * lam * (1 + lam^2)| everywhere
@@ -190,8 +190,9 @@ def test_criterion_8_azimuth_closed_form():
     worst = 0.0
     for _ in range(20):
         spec, lo, hi, family = random_whirl_model(rng)
-        got = wc.azimuth(spec, hi) - wc.azimuth(spec, lo)
-        ref = wc.integrate(lambda s: wc.azimuth_rate(spec, s), lo, hi,
+        curve = wc.WhirlCurve(spec)
+        got = curve.azimuth(hi) - curve.azimuth(lo)
+        ref = wc.integrate(curve.azimuth_rate, lo, hi,
                            abs_tol=1e-11).value
         worst = max(worst, abs(got - ref))
     ok = worst < 1e-8
@@ -205,9 +206,10 @@ def test_criterion_9_oracle_identities():
     for _ in range(10):
         spec, lo, hi, family = random_whirl_model(rng, family="linear-ratio")
         grid = np.linspace(lo, hi, 9)
-        q = np.exp(np.asarray(wc.exponent(spec, grid)))
+        curve = wc.WhirlCurve(spec)
+        q = np.exp(np.asarray(curve.exponent(grid)))
         lam = spec.lam
-        h = (np.asarray(wc.torsion_from_curvature(spec, grid))
+        h = (np.asarray(curve.torsion(grid))
              / np.asarray(spec.kappa(grid)) * spec.tau_sign)
         rhs = (np.abs(h) / np.sqrt(1 + lam * lam)) / np.sqrt(1 + h * h / (1 + lam * lam))
         worst_exp = max(worst_exp, float(np.max(np.abs(q - rhs))))

@@ -186,3 +186,31 @@ def test_samples_below_minimum_exit_3(tmp_path, capsys, args, minimum):
     assert f"--samples: must be at least {minimum}" in err
     assert list(tmp_path.iterdir()) == []
     assert run(args + ["--samples", minimum, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["synth", "--lambda", 0, "--h0", 1, "--range", "0:1"], "--lambda"),
+    (["rect", "--a", 0.65, "--lambda", 0, "--range", "0.2:1.2"], "--lambda"),
+    (["extend", "--a", 0.65, "--lambda", 0, "--range=-0.7:0.7"], "--lambda"),
+    (["rect", "--a", 0, "--lambda", -1, "--range", "0.2:1.2"], "--a"),
+    (["extend", "--a", 0, "--lambda", -1, "--range=-0.7:0.7"], "--a"),
+    (["figure1", "--a", 0], "--a"),
+    (["figure1", "--lambdas=0,-1"], "--lambdas"),
+    (["figure1", "--lambdas=-1,-4,0"], "--lambdas"),
+])
+def test_zero_lambda_or_a_exit_3(tmp_path, capsys, args, flag):
+    code = run(args + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"argument {flag}: must be finite and at least 1e-12 in magnitude" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hi", ["1e300", "1e7"])
+def test_synth_far_range_exit_2(tmp_path, capsys, hi):
+    # rejected before any panel table grows, not after allocating it
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", f"0:{hi}",
+                "--samples", 5, "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"s={float(hi)!r}" in err

@@ -1,10 +1,14 @@
 """Quadrature and difference-stencil unit tests."""
 
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import whirlcurves as wc
-from whirlcurves.errors import QuadratureError
+from whirlcurves.errors import DomainError, QuadratureError
 
 
 def test_integrate_constant():
@@ -83,50 +87,6 @@ def test_integrate_nonconvergence_flag():
     assert np.isfinite(r.value)
 
 
-def test_cumulative_constant():
-    out = wc.cumulative_integral(lambda s: np.ones_like(np.asarray(s, float)),
-                                 0.0, [0.0, 1.0, 2.0])
-    assert np.allclose(out, [0.0, 1.0, 2.0], atol=1e-12)
-
-
-def test_cumulative_constant_kappa_offset():
-    c, s0 = 1.7, 0.4
-    grid = np.array([0.5, 1.25, 3.0])
-    out = wc.cumulative_integral(lambda s: c * np.ones_like(np.asarray(s, float)),
-                                 s0, grid)
-    assert np.allclose(out, c * (grid - s0), atol=1e-11)
-
-
-def test_cumulative_linear_integrand():
-    out = wc.cumulative_integral(lambda s: np.asarray(s, float), 0.0, [0.0, 1.0, 2.0])
-    assert np.allclose(out, [0.0, 0.5, 2.0], atol=1e-11)
-
-
-def test_cumulative_matches_segment_integrals(rng):
-    f = lambda s: np.exp(np.sin(3.0 * np.asarray(s, float)))
-    grid = np.sort(rng.uniform(-1.0, 2.0, size=9))
-    out = wc.cumulative_integral(f, -1.5, grid, abs_tol=1e-11)
-    for i in range(1, grid.size):
-        seg = wc.integrate(f, grid[i - 1], grid[i], abs_tol=1e-11)
-        assert abs((out[i] - out[i - 1]) - seg.value) <= 2e-11
-
-
-def test_cumulative_nondecreasing_for_nonnegative():
-    f = lambda s: np.cos(np.asarray(s, float)) ** 2
-    out = wc.cumulative_integral(f, 0.0, np.linspace(0.0, 4.0, 33))
-    assert np.all(np.diff(out) >= 0.0)
-
-
-def test_cumulative_rejects_unsorted():
-    with pytest.raises(ValueError):
-        wc.cumulative_integral(np.sin, 0.0, [1.0, 0.5])
-
-
-def test_cumulative_warns_on_nonconvergence():
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        wc.cumulative_integral(np.cos, 0.0, [3.0], abs_tol=1e-18, max_depth=3)
-
-
 def test_derivative_order1_line():
     d = wc.derivative(lambda s: np.array([s, 0.0, 0.0]), 0.7, 1)
     assert np.allclose(d, [1.0, 0.0, 0.0], atol=1e-9)
@@ -159,13 +119,6 @@ def test_derivative_nonfinite():
         wc.derivative(lambda s: np.array([np.nan, 0.0, 0.0]), 1.0, 1)
 
 
-def test_gauss_legendre_polynomial_exactness(rng):
-    coeffs = rng.normal(size=8)
-    f = lambda s: np.polyval(coeffs, np.asarray(s, float))
-    exact = wc.integrate(f, -0.5, 1.5, abs_tol=1e-13).value
-    assert abs(wc.gauss_legendre(f, -0.5, 1.5) - exact) <= 1e-12
-
-
 def test_smooth_cumulative_matches_adaptive():
     f = lambda s: np.exp(-np.asarray(s, float) ** 2)
     F = wc.SmoothCumulative(f, anchor=0.0)
@@ -193,3 +146,77 @@ def test_smooth_cumulative_vector_valued():
     ref = np.array([[np.sin(0.5), 1.0 - np.cos(0.5), 0.5],
                     [np.sin(2.0), 1.0 - np.cos(2.0), 2.0]])
     assert np.allclose(got, ref, atol=1e-12)
+
+
+def test_smooth_cumulative_blocks_match_per_point_calls():
+    # more query points and more lattice panels than one block of intervals
+    def f(s):
+        s = np.asarray(s, float)
+        return np.stack([np.cos(s), np.sin(3.0 * s), np.exp(-s * s)], axis=-1)
+
+    grid = np.linspace(-600.0, 600.0, wc.numerics.BLOCK + 905)
+    assert 2 * 600.0 / wc.numerics.PANEL > wc.numerics.BLOCK
+    got = wc.SmoothCumulative(f, anchor=0.3)(grid)
+    single = wc.SmoothCumulative(f, anchor=0.3)
+    ref = np.array([single(s) for s in grid])
+    assert got.shape == (grid.size, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e300,
+                                 0.5 + 1.001 * wc.numerics.MAX_PANELS * wc.numerics.PANEL])
+def test_smooth_cumulative_rejects_far_queries_before_growing(bad):
+    calls = []
+
+    def f(s):
+        calls.append(np.size(s))
+        return np.cos(s)
+
+    F = wc.SmoothCumulative(f, anchor=0.5)
+    before = F(np.array([-1.0, 2.0]))
+    n_calls = len(calls)
+    with pytest.raises(DomainError, match=re.escape(f"s={float(bad)!r}")):
+        F(np.array([1.0, bad, 3.0]))
+    assert len(calls) == n_calls
+    assert np.array_equal(F(np.array([-1.0, 2.0])), before)
+
+
+def test_smooth_cumulative_shared_across_threads():
+    # six threads (more than cores) grow one table up and down at once; a
+    # lost update would show as panels integrated twice
+    def run(parallel):
+        points = []
+
+        def f(s):
+            points.append(np.size(s))
+            return np.exp(-np.asarray(s, float) ** 2 / 50.0)
+
+        F = wc.SmoothCumulative(f, anchor=0.2)
+        # thread i queries ever wider windows, alternately below and above
+        grids = [[np.linspace(-(i % 2) * j, (1 - i % 2) * j + 0.1 * i, 65)
+                  for j in range(1, 41)] for i in range(6)]
+        if not parallel:
+            return [[F(g) for g in gs] for gs in grids], sum(points)
+        out = [None] * len(grids)
+
+        def work(i):
+            out[i] = [F(g) for g in grids[i]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        return out, sum(points)
+
+    ref, ref_points = run(parallel=False)
+    for _ in range(5):
+        got, got_points = run(parallel=True)
+        assert got_points == ref_points
+        assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-12

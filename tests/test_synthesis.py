@@ -1,5 +1,8 @@
 """Whirl-curve synthesis tests: scalar machinery, tangent/position, branches."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,18 +44,18 @@ def test_axis_bound_values(rng):
 
 def test_exponent_at_base_point():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(2.0), lam=-1.0, bound=0.8, s0=0.3)
-    assert wc.exponent(spec, 0.3) == pytest.approx(-0.8, abs=1e-13)
+    assert wc.WhirlCurve(spec).exponent(0.3) == pytest.approx(-0.8, abs=1e-13)
 
 
 def test_exponent_linear_case():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.0, s0=0.0)
-    assert wc.exponent(spec, 1.0) == pytest.approx(-1.0, abs=1e-12)
+    assert wc.WhirlCurve(spec).exponent(1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_exponent_domain_guard():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=1.0, bound=0.5, s0=0.0)
     with pytest.raises(DomainError, match="domain bound"):
-        wc.exponent(spec, 1.0)   # lam * int kappa = 1.0 > 0.5
+        wc.WhirlCurve(spec).exponent(1.0)   # lam * int kappa = 1.0 > 0.5
 
 
 def test_exponent_identity_for_linear_ratio_family(rng):
@@ -61,10 +64,11 @@ def test_exponent_identity_for_linear_ratio_family(rng):
     for _ in range(8):
         spec, lo, hi, fam = random_whirl_model(rng, family="linear-ratio")
         grid = np.linspace(lo, hi, 7)
-        q = np.exp(wc.exponent(spec, grid))
+        curve = wc.WhirlCurve(spec)
+        q = np.exp(curve.exponent(grid))
         lam = spec.lam
         # reconstruct h(s) = a*s + b from the curvature family metadata
-        h = wc.torsion_from_curvature(spec, grid) / spec.kappa(grid) * spec.tau_sign
+        h = curve.torsion(grid) / spec.kappa(grid) * spec.tau_sign
         rhs = (np.abs(h) / np.sqrt(1 + lam * lam)) / np.sqrt(1 + h * h / (1 + lam * lam))
         assert np.max(np.abs(q - rhs)) <= 1e-9
 
@@ -77,7 +81,7 @@ def test_torsion_collapses_at_base_point(rng):
         tau_sign = int(rng.choice([1, -1]))
         spec = wc.WhirlSpec(kappa=wc.kappa_constant(kap0), lam=lam,
                             bound=wc.bound_from_ratio(h0, lam), tau_sign=tau_sign)
-        tau0 = wc.torsion_from_curvature(spec, 0.0)
+        tau0 = wc.WhirlCurve(spec).torsion(0.0)
         assert tau0 == pytest.approx(tau_sign * abs(h0) * kap0, rel=1e-12)
 
 
@@ -86,7 +90,7 @@ def test_torsion_hand_value():
     # tau = sqrt(2) e^{-1/2} / sqrt(1 - e^{-1}) = 1.0788667...
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5)
     expected = np.sqrt(2.0) * np.exp(-0.5) / np.sqrt(-np.expm1(-1.0))
-    assert wc.torsion_from_curvature(spec, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert wc.WhirlCurve(spec).torsion(0.0) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.0788667265879752, abs=1e-12)
 
 
@@ -98,7 +102,7 @@ def test_torsion_satisfies_intrinsic_equation():
 
 def test_cos_polar_decays():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.2)
-    vals = np.abs(wc.cos_polar(spec, np.array([0.5, 2.0, 6.0, 12.0])))
+    vals = np.abs(wc.WhirlCurve(spec).cos_polar(np.array([0.5, 2.0, 6.0, 12.0])))
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 1e-5
 
@@ -107,14 +111,15 @@ def test_azimuth_series_cancellation():
     # tiny w: arctan(w) - arctanh(w) cancels to O(w^3)
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=1.0,
                         bound=wc.bound_from_ratio(1e3, 1.0), s0=0.0)
-    assert abs(wc.azimuth(spec, 0.0)) < 1e-8
+    assert abs(wc.WhirlCurve(spec).azimuth(0.0)) < 1e-8
 
 
 def test_azimuth_closed_form_vs_quadrature(rng):
     for _ in range(5):
         spec, lo, hi, fam = random_whirl_model(rng)
-        got = wc.azimuth(spec, hi) - wc.azimuth(spec, lo)
-        ref = wc.integrate(lambda s: wc.azimuth_rate(spec, s), lo, hi,
+        curve = wc.WhirlCurve(spec)
+        got = curve.azimuth(hi) - curve.azimuth(lo)
+        ref = wc.integrate(curve.azimuth_rate, lo, hi,
                            abs_tol=1e-11).value
         assert abs(got - ref) <= 1e-8
 
@@ -123,32 +128,36 @@ def test_axis_component_matches_cos_polar(rng):
     for _ in range(5):
         spec, lo, hi, fam = random_whirl_model(rng)
         grid = np.linspace(lo, hi, 9)
-        assert np.allclose(wc.axis_component(spec, grid),
-                           wc.cos_polar(spec, grid), rtol=1e-12, atol=1e-15)
+        curve = wc.WhirlCurve(spec)
+        assert np.allclose(curve.axis_component(grid),
+                           curve.cos_polar(grid), rtol=1e-12, atol=1e-15)
 
 
 def test_axis_component_base_value_and_bound():
     lam = -1.0
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=lam, bound=0.4)
-    xi0 = wc.axis_component(spec, 0.0)
+    curve = wc.WhirlCurve(spec)
+    xi0 = curve.axis_component(0.0)
     assert xi0 == pytest.approx(np.exp(-0.4) / np.sqrt(2.0), rel=1e-13)
     grid = np.linspace(0.0, 3.0, 31)
-    assert np.all(np.abs(wc.axis_component(spec, grid)) < 1.0 / np.sqrt(1 + lam * lam))
+    assert np.all(np.abs(curve.axis_component(grid)) < 1.0 / np.sqrt(1 + lam * lam))
 
 
 def test_axis_component_linear_growth_law():
     # (1/kappa) d(xi)/ds = lam * xi
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(0.7), lam=-0.9,
                         bound=wc.bound_from_ratio(1.2, -0.9))
+    curve = wc.WhirlCurve(spec)
     for s in (0.2, 0.8, 1.5):
-        lhs = wc.derivative(lambda u: wc.axis_component(spec, u), s, 1) / 0.7
-        assert abs(float(lhs) - spec.lam * wc.axis_component(spec, s)) <= 1e-7
+        lhs = wc.derivative(curve.axis_component, s, 1) / 0.7
+        assert abs(float(lhs) - spec.lam * curve.axis_component(s)) <= 1e-7
 
 
 def test_domain_guard_on_grid(rng):
     for _ in range(5):
         spec, lo, hi, fam = random_whirl_model(rng)
-        assert np.all(np.exp(2.0 * np.asarray(wc.exponent(spec, np.linspace(lo, hi, 33)))) < 1.0)
+        grid = np.linspace(lo, hi, 33)
+        assert np.all(np.exp(2.0 * np.asarray(wc.WhirlCurve(spec).exponent(grid))) < 1.0)
 
 
 def test_synthesize_unit_speed_and_frenet_recovery():
@@ -162,7 +171,7 @@ def test_synthesize_unit_speed_and_frenet_recovery():
     for s in (0.25, 0.5, 0.75):
         f = wc.frenet_at(curve.position, s)
         assert abs(f.kappa - 1.0) <= 1e-5
-        tau_ref = wc.torsion_from_curvature(spec, s)
+        tau_ref = curve.torsion(s)
         assert abs(f.tau - tau_ref) <= 1e-4 * abs(tau_ref)
 
 
@@ -172,7 +181,7 @@ def test_synthesize_z_rate():
     curve = wc.WhirlCurve(spec, origin=0.0)
     for s in (0.3, 0.9):
         zp = wc.derivative(curve.position, s, 1)[2]
-        ref = -np.exp(wc.exponent(spec, s)) / np.sqrt(2.0)
+        ref = -np.exp(curve.exponent(s)) / np.sqrt(2.0)
         assert abs(zp - ref) <= 1e-8
 
 
@@ -199,6 +208,26 @@ def test_synthesize_rejects_bad_requests():
                           lam=-1.0, bound=0.5)
     with pytest.raises(ValueError, match="domain"):
         wc.synthesize(narrow, 0.0, 1.0, 17)
+
+
+def test_synthesize_long_window():
+    # 80k lattice panels: z saturates at e^-B / sqrt(1 + lam^2) as e^E -> 0
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    tr = wc.synthesize(spec, 0.0, 1e4, 5)
+    assert np.all(np.isfinite(tr.points))
+    assert abs(tr.points[-1, 2] - np.exp(-spec.bound) / np.sqrt(2.0)) <= 1e-12
+
+
+def test_spec_is_released_after_synthesis():
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    wc.synthesize(spec, 0.0, 1.0, 17)
+    wc.intrinsic_residual_max(spec, 0.0, 1.0, 17)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_forms_produce_congruent_traces():
@@ -232,7 +261,7 @@ def test_realized_torsion_sign_follows_tau_sign():
         curve = wc.WhirlCurve(spec, origin=0.0)
         f = wc.frenet_at(curve.position, 0.5, deriv=curve.tangent)
         assert np.sign(f.tau) == tau_sign
-        assert f.tau == pytest.approx(wc.torsion_from_curvature(spec, 0.5), rel=1e-6)
+        assert f.tau == pytest.approx(curve.torsion(0.5), rel=1e-6)
 
 
 def _frenet_system_positions(kappas, taus, s_lo, s_hi, n_out):
@@ -280,7 +309,7 @@ def test_positions_match_frenet_system_integration(rng):
         half_grid = np.linspace(lo, hi, 2 * n_steps + 1)
         kappas = np.broadcast_to(np.asarray(spec.kappa(half_grid), dtype=float),
                                  half_grid.shape)
-        taus = np.asarray(wc.torsion_from_curvature(spec, half_grid), dtype=float)
+        taus = np.asarray(wc.WhirlCurve(spec).torsion(half_grid), dtype=float)
         ode_pts = _frenet_system_positions(kappas, taus, lo, hi, n_out)
         tr = wc.synthesize(spec, lo, hi, n_out)
         assert congruent_distances(tr.points, ode_pts, 1e-8)

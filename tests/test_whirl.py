@@ -162,6 +162,22 @@ def test_fit_round_trip_lambda():
     assert np.allclose(np.abs(fit.axis), [0.0, 0.0, 1.0], atol=1e-5)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("angle", [1e-8, -1e-8])
+def test_fit_axis_sign_ignores_tiny_tilts(axis, angle):
+    # a (0, 0, 1) axis tilted by 1e-8 rad keeps z > 0 whatever the sign of
+    # its (tiny) x and y components
+    spec, curve = _synth_curve(lam=-0.5)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = (np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) if axis == 0
+           else np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]))
+    fit = wc.fit_lambda_axis(lambda u: curve.position(u) @ rot.T,
+                             np.linspace(0.05, 1.4, 15),
+                             deriv=lambda u: curve.tangent(u) @ rot.T)
+    assert fit.axis[2] > 0
+    assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-6
+
+
 def test_fit_flags_planar_circle():
     circle = lambda s: np.array([np.cos(s), np.sin(s), 0.0])
     fit = wc.fit_lambda_axis(circle, np.linspace(0.0, 3.0, 9))
