@@ -3,7 +3,8 @@ curve traces.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 domain error (the exponent bound or a branch/interval constraint), 3 I/O
-or parse error.
+or parse error.  Every flag is validated by the parser, so a bad value exits
+3 with a message naming the flag before any file is written.
 """
 
 import argparse
@@ -18,7 +19,6 @@ from .frenet import trace_frames, unit_speed_residual
 from .synthesis import WhirlSpec, WhirlCurve, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
-MIN_SAMPLES = {"synth": 2, "rect": 3, "extend": 1, "figure1": 1}
 
 DEFAULT_TOLS = {
     "unit_speed": 1e-6,
@@ -31,45 +31,67 @@ DEFAULT_TOLS = {
 }
 
 
+def _number(test, want, convert=float):
+    """argparse type: a ``convert``-ed number for which ``test`` holds;
+    ``want`` says what it must be."""
+    def parse(text):
+        try:
+            val = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+        if not test(val):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return val
+    return parse
+
+
+_finite = _number(np.isfinite, "finite")
+_positive = _number(lambda v: v > 0, "positive")
+_nonzero_h0 = _number(lambda v: np.isfinite(v) and v != 0.0, "finite and nonzero")
+# --lambda and --a: nonzero as the library's specs require
+_nonzero = _number(lambda v: np.isfinite(v) and abs(v) >= whirl.LAMBDA_FLOOR,
+                   f"finite and at least {whirl.LAMBDA_FLOOR:g} in magnitude")
+
+
+def _at_least(minimum):
+    """argparse type for --samples: an int of at least ``minimum``."""
+    return _number(lambda n: n >= minimum, f"at least {minimum}", int)
+
+
 def _parse_range(text):
     try:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("range needs LO < HI")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise argparse.ArgumentTypeError("range must be finite")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError("range needs finite LO < HI")
     return lo, hi
 
 
-def _nonzero(text):
-    """--lambda and --a: finite, and nonzero as the library's specs require."""
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}")
-    if not (np.isfinite(val) and abs(val) >= whirl.LAMBDA_FLOOR):
+def _parse_tol(item):
+    """--tol NAME=VAL -> (name, value), the name known and the value positive."""
+    name, eq, val = item.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected NAME=VAL, got {item!r}")
+    if name not in DEFAULT_TOLS:
         raise argparse.ArgumentTypeError(
-            f"must be finite and at least {whirl.LAMBDA_FLOOR:g} in magnitude, got {text!r}")
-    return val
+            f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLS)}")
+    return name, _positive(val)
 
 
-def _parse_lambdas(text):
-    return tuple(_nonzero(x) for x in text.split(","))
-
-
-def _parse_tol(items):
-    tols = dict(DEFAULT_TOLS)
-    for item in items or ():
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(f"bad --tol {item!r}, expected NAME=VAL")
-        name, val = item.split("=", 1)
-        if name not in tols:
-            raise argparse.ArgumentTypeError(
-                f"unknown tolerance {name!r}; known: {sorted(tols)}")
-        tols[name] = float(val)
-    return tols
+def _parse_kappa(text):
+    """--kappa -> (text, kind, values): const:V with V finite and > 0,
+    poly:c0,c1,... with finite coefficients, or linear-ratio."""
+    kind, _, rest = text.partition(":")
+    try:
+        values = tuple(float(c) for c in rest.split(","))
+    except ValueError:
+        values = ()
+    if (text == "linear-ratio" or kind == "poly" and values and np.all(np.isfinite(values))
+            or kind == "const" and len(values) == 1 and 0 < values[0] < np.inf):
+        return text, kind, values
+    raise argparse.ArgumentTypeError(
+        f"expected const:V (V > 0), poly:c0,c1,... or linear-ratio, got {text!r}")
 
 
 def _build_parser():
@@ -78,102 +100,106 @@ def _build_parser():
         description="Synthesize, verify and export whirl and whirl-rectifying curves.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--samples", type=int, default=513,
-                        help="grid size (default 513)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", action="append", metavar="NAME=VAL",
+    def command(name, func, about, min_samples=None):
+        """A subcommand run by ``func``; one that writes a trace takes
+        --samples (at least ``min_samples``), --format and --out."""
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(func=func)
+        sp.add_argument("--tol", type=_parse_tol, action="append", metavar="NAME=VAL",
                         help="override a verification tolerance")
+        if min_samples is not None:
+            sp.add_argument("--samples", type=_at_least(min_samples), default=513,
+                            help=f"grid size, at least {min_samples} (default 513)")
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+            sp.add_argument("--out", default=".", help="output directory")
+        return sp
 
-    sp = sub.add_parser("synth", help="synthesize a whirl curve from a curvature function")
-    sp.add_argument("--kappa", default="const:1.0",
+    sp = command("synth", _cmd_synth, "synthesize a whirl curve from a curvature function", 2)
+    sp.add_argument("--kappa", type=_parse_kappa, default="const:1.0",
                     help="const:VALUE | linear-ratio (ratio a*s+b, uses --a/--b) | poly:c0,c1,...")
     sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
-    sp.add_argument("--B", dest="bound", type=float, default=None,
-                    help="exponent offset; exclusive with --h0")
-    sp.add_argument("--h0", type=float, default=None,
-                    help="initial torsion/curvature ratio at s0")
-    sp.add_argument("--s0", type=float, default=0.0)
-    sp.add_argument("--a", type=float, default=1.0, help="slope of the linear-ratio family")
-    sp.add_argument("--b", type=float, default=0.0, help="intercept of the linear-ratio family")
+    start = sp.add_mutually_exclusive_group(required=True)
+    start.add_argument("--B", dest="bound", type=_finite, help="exponent offset")
+    start.add_argument("--h0", type=_nonzero_h0,
+                       help="initial torsion/curvature ratio at s0")
+    sp.add_argument("--s0", type=_finite, default=0.0)
+    sp.add_argument("--a", type=_finite, default=1.0, help="slope of the linear-ratio family")
+    sp.add_argument("--b", type=_finite, default=0.0,
+                    help="intercept of the linear-ratio family")
     sp.add_argument("--sign-z", dest="z_sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--sign-tau", dest="tau_sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--form", choices=("spherical", "combined"), default="spherical")
     sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
-    add_common(sp)
 
-    sp = sub.add_parser("rect", help="sample a closed-form whirl-rectifying curve")
-    sp.add_argument("--a", type=_nonzero, required=True)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
-    sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
-    sp.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
-    sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
-    add_common(sp)
+    rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve", 3)
+    rect.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
+    extend = command("extend", _cmd_extend, "sample a continuous extension", 1)
+    extend.add_argument("--kind", choices=("curve", "sphere"), default="curve",
+                        help="curve: whole-line extension; sphere: radial projection")
+    for sp in (rect, extend):
+        sp.add_argument("--a", type=_nonzero, required=True)
+        sp.add_argument("--b", type=_finite, default=0.0)
+        sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
+        sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
+        sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
 
-    sp = sub.add_parser("extend", help="sample a continuous extension")
-    sp.add_argument("--kind", choices=("curve", "sphere"), default="curve",
-                    help="curve: whole-line extension; sphere: radial projection")
-    sp.add_argument("--a", type=_nonzero, required=True)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
-    sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
-    sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("verify", help="verify the whirl/rectifying properties of a trace file")
+    sp = command("verify", _cmd_verify,
+                 "verify the whirl/rectifying properties of a trace file")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--tol", action="append", metavar="NAME=VAL")
 
-    sp = sub.add_parser("figure1", help="reproduce the reference parameter sweep (12 traces)")
+    sp = command("figure1", _cmd_figure1,
+                 "reproduce the reference parameter sweep (12 traces)", 1)
     sp.add_argument("--a", type=_nonzero, default=0.65)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--d", dest="d_shift", type=float, default=0.0)
-    sp.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
+    sp.add_argument("--b", type=_finite, default=0.0)
+    sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
+    sp.add_argument("--lambdas", type=lambda text: tuple(map(_nonzero, text.split(","))),
+                    default=FIGURE1_LAMBDAS,
                     help="comma-separated overrides for the lambda sweep")
     sp.add_argument("--range", dest="srange", type=_parse_range,
                     default=(-np.pi / 4, np.pi / 4))
-    add_common(sp)
     return p
 
 
 def _write(tr, out_dir, stem, fmt):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.{fmt}")
-    if fmt == "json":
-        traceio.write_json(tr, path)
-    else:
-        traceio.write_csv(tr, path)
+    getattr(traceio, f"write_{fmt}")(tr, path)
     return path
 
 
+def _verdict(checks, notes=(), ok=True, one_line=False) -> int:
+    """Print the (label, value, tol) checks, the ``notes`` lines and the verdict;
+    return the exit code, 0 when ``ok`` and every value < tol (a nan fails).
+    With ``one_line`` the checks share one line and omit their tolerances."""
+    if one_line:
+        print(", ".join(f"{label} {value:.3e}" for label, value, _ in checks))
+    else:
+        for label, value, tol in checks:
+            print(f"{label:<21} {value:.3e}  (tol {tol:g})")
+    for line in notes:
+        print(line)
+    ok = ok and all(value < tol for _, value, tol in checks)
+    print("verdict: PASS" if ok else "verdict: FAIL")
+    return 0 if ok else 1
+
+
 def _make_kappa(args, lo, hi):
-    spec = args.kappa
-    hull = (min(lo, args.s0) - 1.0, max(hi, args.s0) + 1.0)
-    if spec.startswith("const:"):
-        return synthesis.kappa_constant(float(spec.split(":", 1)[1]))
-    if spec == "linear-ratio":
-        return synthesis.kappa_linear_ratio(args.lam, args.a, args.b,
-                                            (min(lo, args.s0), max(hi, args.s0)))
-    if spec.startswith("poly:"):
-        coeffs = [float(c) for c in spec.split(":", 1)[1].split(",")]
-        return synthesis.kappa_polynomial(coeffs, hull)
-    raise ValueError(f"bad --kappa {spec!r}")
+    _, kind, values = args.kappa
+    lo, hi = min(lo, args.s0), max(hi, args.s0)
+    if kind == "const":
+        return synthesis.kappa_constant(values[0])
+    if kind == "poly":
+        return synthesis.kappa_polynomial(values, (lo - 1.0, hi + 1.0))
+    return synthesis.kappa_linear_ratio(args.lam, args.a, args.b, (lo, hi))
 
 
 def _cmd_synth(args) -> int:
-    tols = _parse_tol(args.tol)
     lo, hi = args.srange
-    kappa = _make_kappa(args, lo, hi)
-    if (args.bound is None) == (args.h0 is None):
-        print("error: exactly one of --B / --h0 is required", file=sys.stderr)
-        return 3
     bound = args.bound if args.bound is not None else bound_from_ratio(args.h0, args.lam)
-    spec = WhirlSpec(kappa=kappa, lam=args.lam, bound=float(bound), s0=args.s0,
-                     z_sign=args.z_sign, tau_sign=args.tau_sign)
+    spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
+                     s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
     tr = synthesis.synthesize(spec, lo, hi, args.samples, form=args.form)
-    tr.meta.update({"command": "synth", "kappa": args.kappa,
+    tr.meta.update({"command": "synth", "kappa": args.kappa[0],
                     "samples": args.samples, "range": [lo, hi]})
     path = _write(tr, args.out, "synth", args.format)
 
@@ -184,21 +210,20 @@ def _cmd_synth(args) -> int:
     usr = unit_speed_residual(curve.position, sub)
     ires = synthesis.intrinsic_residual_max(spec, lo + pad, hi - pad)
     inner = np.linspace(lo + pad, hi - pad, min(args.samples, 33))
-    report = whirl.verify_whirl(curve.position, inner, lam=spec.lam,
-                                deriv=curve.tangent)
+    try:
+        report = whirl.verify_whirl(curve.position, inner, lam=spec.lam,
+                                    deriv=curve.tangent)
+        axis, why = (report.max_deviation, report.max_residual), []
+    except FrameError as exc:  # e.g. the torsion underflows to zero far out
+        axis, why = (np.nan, np.nan), [f"axis check failed: {exc}"]
     print(f"wrote {path} ({len(tr)} samples)")
-    print(f"unit-speed residual   {usr:.3e}  (tol {tols['unit_speed']:g})")
-    print(f"intrinsic residual    {ires:.3e}  (tol {tols['intrinsic']:g})")
-    print(f"axis max deviation    {report.max_deviation:.3e}  (tol {tols['axis']:g})")
-    print(f"proportionality max   {report.max_residual:.3e}  (tol {tols['axis']:g})")
-    ok = (usr < tols["unit_speed"] and ires < tols["intrinsic"]
-          and report.passes(tols["axis"]))
-    print("verdict: PASS" if ok else "verdict: FAIL")
-    return 0 if ok else 1
+    return _verdict([("unit-speed residual", usr, args.tol["unit_speed"]),
+                     ("intrinsic residual", ires, args.tol["intrinsic"]),
+                     ("axis max deviation", axis[0], args.tol["axis"]),
+                     ("proportionality max", axis[1], args.tol["axis"])], why)
 
 
 def _cmd_rect(args) -> int:
-    tols = _parse_tol(args.tol)
     lo, hi = args.srange
     branch = {"plus": 1, "minus": -1}.get(args.branch)
     if branch is None:
@@ -218,48 +243,47 @@ def _cmd_rect(args) -> int:
     chen = rectifying.chen_ratio_fit(
         lambda s: rectifying.curve_point(spec, s), grid,
         deriv=lambda s: rectifying.curve_velocity(spec, s),
-        rms_tol=tols["chen_rms"])
+        rms_tol=args.tol["chen_rms"])
     print(f"wrote {path} ({len(tr)} samples)")
-    print(f"unit-speed residual   {usr:.3e}  (tol {tols['unit_speed']:g})")
-    print(f"hyperboloid residual  {hres:.3e}  (tol {tols['hyperboloid']:g})")
-    print(f"chen fit              c1={chen.c1:.6f} c2={chen.c2:.6f} rms={chen.rms:.3e} "
-          f"({'rectifying' if chen.is_rectifying else 'not rectifying'})")
-    ok = usr < tols["unit_speed"] and hres < tols["hyperboloid"] and chen.is_rectifying
-    print("verdict: PASS" if ok else "verdict: FAIL")
-    return 0 if ok else 1
+    return _verdict(
+        [("unit-speed residual", usr, args.tol["unit_speed"]),
+         ("hyperboloid residual", hres, args.tol["hyperboloid"])],
+        notes=[f"chen fit              c1={chen.c1:.6f} c2={chen.c2:.6f} rms={chen.rms:.3e} "
+               f"({'rectifying' if chen.is_rectifying else 'not rectifying'})"],
+        ok=chen.is_rectifying)
+
+
+def _extension(args, spec, kind, grid):
+    """Sample, write and score one continuous extension: (path, max residual).
+    The "curve" kind is scored on the hyperboloid, the "sphere" kind on |p| = 1."""
+    if kind == "curve":
+        pts = rectifying.extended_point(spec, grid)
+        stem, param = "omega", "s"
+        resid = rectifying.hyperboloid_residual(pts, spec.lam, spec.a)
+    else:
+        pts = rectifying.extended_sphere_point(spec, grid)
+        stem, param = "upsilon", "t"
+        resid = np.linalg.norm(pts, axis=1) - 1.0
+    tr = traceio.CurveTrace(grid, pts, meta={
+        "param": param, "command": args.command, "kind": kind, "a": spec.a,
+        "b": spec.b, "lam": spec.lam, "d": spec.d_shift,
+        "samples": args.samples, "range": list(args.srange)})
+    path = _write(tr, args.out, f"{stem}_lambda{spec.lam:g}", args.format)
+    return path, float(np.max(np.abs(resid)))
 
 
 def _cmd_extend(args) -> int:
-    tols = _parse_tol(args.tol)
-    lo, hi = args.srange
     spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam,
                                      d_shift=args.d_shift)
-    grid = np.linspace(lo, hi, args.samples)
-    if args.kind == "curve":
-        pts = rectifying.extended_point(spec, grid)
-        stem, param = f"omega_lambda{args.lam:g}", "s"
-        resid = float(np.max(np.abs(
-            rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
-        label, tol = "hyperboloid residual", tols["hyperboloid"]
-    else:
-        pts = rectifying.extended_sphere_point(spec, grid)
-        stem, param = f"upsilon_lambda{args.lam:g}", "t"
-        resid = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)))
-        label, tol = "sphere residual", tols["sphere"]
-    tr = traceio.CurveTrace(grid, pts, meta={
-        "param": param, "command": "extend", "kind": args.kind, "a": args.a,
-        "b": args.b, "lam": args.lam, "d": args.d_shift,
-        "samples": args.samples, "range": [lo, hi]})
-    path = _write(tr, args.out, stem, args.format)
-    print(f"wrote {path} ({len(tr)} samples)")
-    print(f"{label:<21} {resid:.3e}  (tol {tol:g})")
-    ok = resid < tol
-    print("verdict: PASS" if ok else "verdict: FAIL")
-    return 0 if ok else 1
+    grid = np.linspace(*args.srange, args.samples)
+    path, resid = _extension(args, spec, args.kind, grid)
+    name = "hyperboloid" if args.kind == "curve" else "sphere"
+    print(f"wrote {path} ({len(grid)} samples)")
+    return _verdict([(f"{name} residual", resid, args.tol[name])])
 
 
 def _cmd_verify(args) -> int:
-    tols = _parse_tol(args.tol)
+    tols = args.tol
     tr = traceio.read_trace(args.infile)
     frames = trace_frames(tr)
     fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
@@ -278,55 +302,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    tols = _parse_tol(args.tol)
-    lo, hi = args.srange
-    grid = np.linspace(lo, hi, args.samples)
+    grid = np.linspace(*args.srange, args.samples)
     worst_h = worst_s = 0.0
     for lam in args.lambdas:
         spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam,
                                          d_shift=args.d_shift)
-        pts = rectifying.extended_point(spec, grid)
-        tr = traceio.CurveTrace(grid, pts, meta={
-            "param": "s", "command": "figure1", "kind": "curve", "a": args.a,
-            "b": args.b, "lam": lam, "d": args.d_shift,
-            "samples": args.samples, "range": [lo, hi]})
-        path = _write(tr, args.out, f"omega_lambda{lam:g}", args.format)
-        hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, lam, args.a))))
-        worst_h = max(worst_h, hres)
-
-        spts = rectifying.extended_sphere_point(spec, grid)
-        tr = traceio.CurveTrace(grid, spts, meta={
-            "param": "t", "command": "figure1", "kind": "sphere", "a": args.a,
-            "b": args.b, "lam": lam, "d": args.d_shift,
-            "samples": args.samples, "range": [lo, hi]})
-        spath = _write(tr, args.out, f"upsilon_lambda{lam:g}", args.format)
-        sres = float(np.max(np.abs(np.linalg.norm(spts, axis=1) - 1.0)))
-        worst_s = max(worst_s, sres)
+        path, hres = _extension(args, spec, "curve", grid)
+        spath, sres = _extension(args, spec, "sphere", grid)
+        worst_h, worst_s = max(worst_h, hres), max(worst_s, sres)
         print(f"lambda={lam:<6g} {os.path.basename(path)} (hyperboloid {hres:.2e})  "
               f"{os.path.basename(spath)} (sphere {sres:.2e})")
-    ok = worst_h < tols["hyperboloid"] and worst_s < tols["sphere"]
-    print(f"worst hyperboloid residual {worst_h:.3e}, worst sphere residual {worst_s:.3e}")
-    print("verdict: PASS" if ok else "verdict: FAIL")
-    return 0 if ok else 1
+    return _verdict([("worst hyperboloid residual", worst_h, args.tol["hyperboloid"]),
+                     ("worst sphere residual", worst_s, args.tol["sphere"])],
+                    one_line=True)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "samples", 0) < MIN_SAMPLES.get(args.command, 0):
-            parser.error(f"argument --samples: must be at least {MIN_SAMPLES[args.command]}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    handlers = {
-        "synth": _cmd_synth,
-        "rect": _cmd_rect,
-        "extend": _cmd_extend,
-        "verify": _cmd_verify,
-        "figure1": _cmd_figure1,
-    }
+    args.tol = {**DEFAULT_TOLS, **dict(args.tol or ())}
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -67,11 +67,13 @@ class ConePoint:
             raise ValueError("u must be positive")
 
 
-def _arctanh_term(h2, lam: float):
-    """arctanh(sqrt((1+lam^2)/(1+h^2+lam^2))) via the stable log form."""
-    G = 1.0 + h2 + lam * lam
+def _phase(h, lam: float):
+    """(sqrt(1+lam^2), G, A) with G = 1+h^2+lam^2 and the azimuth
+    A = arctanh(sqrt((1+lam^2)/G)) / lam, arctanh in the stable log form."""
+    G = 1.0 + h * h + lam * lam
     x = np.sqrt((1.0 + lam * lam) / G)
-    return np.log1p(x) + 0.5 * np.log(G) - 0.5 * np.log(h2)
+    A = (np.log1p(x) + 0.5 * np.log(G) - 0.5 * np.log(h * h)) / lam
+    return np.sqrt(1.0 + lam * lam), G, A
 
 
 def _check_branch(spec: RectifyingSpec, h, what: str):
@@ -84,19 +86,21 @@ def _check_branch(spec: RectifyingSpec, h, what: str):
             f"branch mismatch: a*s+b = {bad} has the wrong sign for branch {spec.branch:+d}")
 
 
-def curve_point(spec: RectifyingSpec, s) -> Vec3:
-    """Position of the whirl-rectifying curve (unit-speed parameter s)."""
-    s = np.asarray(s, dtype=float)
-    h = spec.a * s + spec.b
-    _check_branch(spec, h, "curve")
+def _omega(spec: RectifyingSpec, h):
+    """Closed-form position at ratio h = a*s + b != 0, for either sign of h."""
     lam = spec.lam
-    root = np.sqrt(1.0 + lam * lam)
-    A = _arctanh_term(h * h, lam) / lam
-    G = 1.0 + h * h + lam * lam
+    root, G, A = _phase(h, lam)
     x = (h / spec.a) * (lam / root) * np.cos(A)
     y = -(h / spec.a) * (lam / root) * np.sin(A)
     z = np.sqrt(G) / (spec.a * root)
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def curve_point(spec: RectifyingSpec, s) -> Vec3:
+    """Position of the whirl-rectifying curve (unit-speed parameter s)."""
+    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    _check_branch(spec, h, "curve")
+    return _omega(spec, h)
 
 
 def curve_velocity(spec: RectifyingSpec, s) -> Vec3:
@@ -105,9 +109,8 @@ def curve_velocity(spec: RectifyingSpec, s) -> Vec3:
     h = spec.a * s + spec.b
     _check_branch(spec, h, "curve")
     lam = spec.lam
-    root = np.sqrt(1.0 + lam * lam)
-    A = _arctanh_term(h * h, lam) / lam
-    sg = np.sqrt(1.0 + h * h + lam * lam)
+    root, G, A = _phase(h, lam)
+    sg = np.sqrt(G)
     x = (lam / root) * np.cos(A) + np.sin(A) / sg
     y = -(lam / root) * np.sin(A) + np.cos(A) / sg
     z = h / (sg * root)
@@ -143,10 +146,7 @@ def sphere_point(spec: RectifyingSpec, t) -> Vec3:
 def _sphere_formula(spec: RectifyingSpec, t):
     lam = spec.lam
     ang = spec.d_shift + t
-    tn = np.tan(ang)
-    root = np.sqrt(1.0 + lam * lam)
-    G = 1.0 + tn * tn + lam * lam
-    A = _arctanh_term(tn * tn, lam) / lam
+    root, G, A = _phase(np.tan(ang), lam)
     sa = 1.0 if spec.a > 0 else -1.0
     x = sa * (lam / root) * np.sin(ang) * np.cos(A)
     y = -sa * (lam / root) * np.sin(ang) * np.sin(A)
@@ -154,11 +154,14 @@ def _sphere_formula(spec: RectifyingSpec, t):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
+def _cone_tu(spec: RectifyingSpec, s):
+    h = spec.a * s + spec.b
+    return -spec.d_shift + np.arctan(h), np.sqrt(1.0 + h * h) / abs(spec.a)
+
+
 def cone_coords(spec: RectifyingSpec, s) -> ConePoint:
     """Change of variables s -> (t, u) with u * w(t) = curve_point(s)."""
-    h = spec.a * float(s) + spec.b
-    t = -spec.d_shift + np.arctan(h)
-    u = np.sqrt(1.0 + h * h) / abs(spec.a)
+    t, u = _cone_tu(spec, float(s))
     return ConePoint(t=float(t), u=float(u))
 
 
@@ -169,25 +172,28 @@ def cone_point(spec: RectifyingSpec, cp: ConePoint) -> Vec3:
     return cp.u * sphere_point(spec, cp.t)
 
 
-def geodesic_residual(spec: RectifyingSpec, s) -> float:
+def geodesic_residual(spec: RectifyingSpec, s):
     """Norm of N x n, the unit cone normal against the unit curve normal.
 
     Zero exactly when the curve normal is parallel to the surface normal,
-    i.e. when the curve runs along a geodesic of the cone.
+    i.e. when the curve runs along a geodesic of the cone.  A scalar ``s``
+    gives a float; a 1-d grid gives one residual per point, from one frame
+    computation over the whole grid.
     """
-    cp = cone_coords(spec, s)
-    if cp.u < 1e-12:
+    grid = np.atleast_1d(np.asarray(s, dtype=float))
+    t, u = _cone_tu(spec, grid)
+    if np.any(u < 1e-12):
         raise DomainError("degenerate surface normal: u -> 0")
-    w = sphere_point(spec, cp.t)
-    wp = derivative(lambda q: _sphere_formula(spec, np.asarray(q)), cp.t, 1)
+    w = sphere_point(spec, t)
+    wp = derivative(lambda q: _sphere_formula(spec, np.asarray(q)), t, 1)
     normal = np.cross(wp, w)
-    nn = np.linalg.norm(normal)
-    if nn < 1e-12:
+    nn = np.linalg.norm(normal, axis=1, keepdims=True)
+    if np.any(nn < 1e-12):
         raise DomainError("degenerate surface normal")
-    normal /= nn
-    frame = frenet_at(lambda u: curve_point(spec, u), float(s),
-                      deriv=lambda u: curve_velocity(spec, u))
-    return float(np.linalg.norm(np.cross(normal, frame.n)))
+    frames = frenet_at(lambda q: curve_point(spec, q), grid,
+                       deriv=lambda q: curve_velocity(spec, q))
+    out = np.linalg.norm(np.cross(normal / nn, frames.n), axis=1)
+    return out if np.ndim(s) else float(out[0])
 
 
 @dataclass
@@ -239,14 +245,7 @@ def extended_point(spec: RectifyingSpec, s) -> Vec3:
     seam = h == 0.0
     out[seam] = np.array([0.0, 0.0, 1.0 / spec.a])
     if np.any(~seam):
-        hh = h[~seam]
-        lam = spec.lam
-        root = np.sqrt(1.0 + lam * lam)
-        A = _arctanh_term(hh * hh, lam) / lam
-        G = 1.0 + hh * hh + lam * lam
-        out[~seam, 0] = (hh / spec.a) * (lam / root) * np.cos(A)
-        out[~seam, 1] = -(hh / spec.a) * (lam / root) * np.sin(A)
-        out[~seam, 2] = np.sqrt(G) / (spec.a * root)
+        out[~seam] = _omega(spec, h[~seam])
     return out[0] if scalar else out
 
 

@@ -214,3 +214,99 @@ def test_synth_far_range_exit_2(tmp_path, capsys, hi):
     err = capsys.readouterr().err
     assert code == 2
     assert f"s={float(hi)!r}" in err
+
+
+RECT = ["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2"]
+SYNTH = ["synth", "--lambda", -1, "--range", "0:1", "--samples", 5]
+
+
+@pytest.mark.parametrize("args", [
+    RECT + ["--tol", "foo"],
+    RECT + ["--tol", "bogus=1"],
+    RECT + ["--tol", "axis=abc"],
+    RECT + ["--tol", "axis=nan"],
+    RECT + ["--tol", "axis=0"],
+    RECT + ["--tol", "axis=-1"],
+    ["verify", "--in", "missing.csv", "--tol", "fit_rms=0"],
+])
+def test_bad_tol_exit_3(tmp_path, capsys, args):
+    code = run(args + ([] if args[0] == "verify" else ["--out", tmp_path]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "argument --tol:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, flag", [
+    (SYNTH + ["--B", "nan"], "--B"),
+    (SYNTH + ["--h0", "inf"], "--h0"),
+    (SYNTH + ["--h0", 0], "--h0"),
+    (SYNTH + ["--h0", 1, "--s0", "nan"], "--s0"),
+    (SYNTH + ["--h0", 1, "--a", "nan"], "--a"),
+    (SYNTH + ["--h0", 1, "--b=-inf"], "--b"),
+    (RECT + ["--b", "nan"], "--b"),
+    (RECT + ["--d", "inf"], "--d"),
+    (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--b", "nan"], "--b"),
+    (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--d", "nan"], "--d"),
+    (["figure1", "--b", "nan"], "--b"),
+    (["figure1", "--d", "nan"], "--d"),
+])
+def test_non_finite_flag_exit_3(tmp_path, capsys, args, flag):
+    code = run(args + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"argument {flag}: must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kappa", [
+    "poly:", "poly:1,", "poly:1,nan", "const:", "const:0", "const:-1",
+    "const:nan", "const:inf", "const:1,2", "linear", "cubic:1",
+])
+def test_bad_kappa_exit_3(tmp_path, capsys, kappa):
+    code = run(SYNTH + ["--h0", 1, "--kappa", kappa, "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "argument --kappa:" in err and "could not convert" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("start", [[], ["--B", 1, "--h0", 1]])
+def test_synth_needs_exactly_one_of_b_and_h0(tmp_path, capsys, start):
+    code = run(SYNTH + start + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "--B" in err and "--h0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_zero_torsion_fails_verification(tmp_path, capsys):
+    # far out on [0, 1e4] the torsion underflows to zero: the trace is
+    # written, and the axis check reports why it could not run
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1e4",
+                "--samples", 5, "--out", tmp_path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert (tmp_path / "synth.csv").exists()
+    assert "axis max deviation    nan  (tol 1e-06)" in out
+    assert out.endswith("axis check failed: axis undefined: zero torsion\nverdict: FAIL\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure1_and_extend_write_the_same_traces(tmp_path, fmt):
+    common = ["--a", 0.8, "--b", 0.1, "--d", 0.05, "--range=-0.6:0.7",
+              "--samples", 41, "--format", fmt]
+    assert run(["figure1", "--lambdas=-1.5"] + common + ["--out", tmp_path / "f"]) == 0
+    for kind in ("curve", "sphere"):
+        assert run(["extend", "--kind", kind, "--lambda", -1.5] + common
+                   + ["--out", tmp_path / "e"]) == 0
+    names = sorted(p.name for p in (tmp_path / "f").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "e").iterdir())
+    assert len(names) == 2
+    for name in names:
+        f, e = (tmp_path / "f" / name).read_text(), (tmp_path / "e" / name).read_text()
+        if fmt == "json":   # the meta names the command that wrote the file
+            f, e = json.loads(f), json.loads(e)
+            assert f["meta"].pop("command") == "figure1"
+            assert e["meta"].pop("command") == "extend"
+        assert f == e

@@ -190,6 +190,14 @@ def test_geodesic_residual_small_on_curve():
         assert wc.geodesic_residual(REF, s) < 1e-6
 
 
+def test_geodesic_residual_grid_matches_points():
+    grid = np.linspace(0.2, 1.4, 37)
+    batch = wc.geodesic_residual(REF, grid)
+    assert batch.shape == grid.shape
+    assert np.array_equal(batch, [wc.geodesic_residual(REF, float(s)) for s in grid])
+    assert isinstance(wc.geodesic_residual(REF, 0.3), float)
+
+
 def test_geodesic_residual_flags_cone_circle():
     # control: a u = const circle on the same cone is not a geodesic
     spec = REF
