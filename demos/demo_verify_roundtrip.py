@@ -13,7 +13,8 @@ wc.write_json(tr, "roundtrip.json")
 back = wc.read_json("roundtrip.json")
 print("read", len(back), "samples; meta:", back.meta)
 
-# frames from the discrete samples (fourth-order stencils at interior nodes)
+# frames from the discrete samples (local least-squares polynomials; the
+# three outermost samples on each side carry no frame)
 frames = wc.trace_frames(back)
 print("frames at", len(frames), "interior nodes")
 

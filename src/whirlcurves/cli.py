@@ -16,7 +16,7 @@ import numpy as np
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
 from .frenet import trace_frames, unit_speed_residual
-from .synthesis import WhirlSpec, WhirlCurve, bound_from_ratio
+from .synthesis import REACH, WhirlSpec, WhirlCurve, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
@@ -58,13 +58,14 @@ def _at_least(minimum):
     return _number(lambda n: n >= minimum, f"at least {minimum}", int)
 
 
-def _parse_range(text):
+def _parse_range(text, inset=0.0):
     try:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI")
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError("range needs finite LO < HI")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo + inset < hi - inset):
+        raise argparse.ArgumentTypeError(
+            f"range needs finite LO < HI, more than {2 * inset:.3g} apart")
     return lo, hi
 
 
@@ -129,7 +130,8 @@ def _build_parser():
     sp.add_argument("--sign-z", dest="z_sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--sign-tau", dest="tau_sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--form", choices=("spherical", "combined"), default="spherical")
-    sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
+    # the verification stencils need REACH on both sides of their nodes
+    sp.add_argument("--range", dest="srange", type=lambda t: _parse_range(t, REACH), required=True)
 
     rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve", 3)
     rect.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
@@ -204,12 +206,11 @@ def _cmd_synth(args) -> int:
     path = _write(tr, args.out, "synth", args.format)
 
     curve = WhirlCurve(spec, origin=lo, form=args.form)
-    # inset so the difference probes cannot step over the validated window
-    pad = 0.02 * (hi - lo)
-    sub = np.linspace(lo + pad, hi - pad, min(args.samples, 65))
-    usr = unit_speed_residual(curve.position, sub)
-    ires = synthesis.intrinsic_residual_max(spec, lo + pad, hi - pad)
-    inner = np.linspace(lo + pad, hi - pad, min(args.samples, 33))
+    # nodes REACH inside the validated window keep every stencil probe in it
+    usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
+                                                          min(args.samples, 65)))
+    ires = synthesis.intrinsic_residual_max(spec, lo, hi)
+    inner = np.linspace(lo + REACH, hi - REACH, min(args.samples, 33))
     try:
         report = whirl.verify_whirl(curve.position, inner, lam=spec.lam,
                                     deriv=curve.tangent)

@@ -1,10 +1,10 @@
 """Frenet-Serret apparatus of a parametric space curve, as :class:`Frames`.
 
-:func:`frenet_at` frames a callable curve on a whole grid with one call of the
-difference stencils in :mod:`whirlcurves.numerics` (or of an analytic first
-derivative); :func:`trace_frames` frames a uniform trace.  Strict unit-speed
-mode (the default of ``frenet_at``) refuses curves that are not arc-length
-parametrized, since every closed form in this library assumes arc length.
+:func:`frenet_at` frames a callable curve from one stencil per node
+(:func:`whirlcurves.numerics.derivative`); :func:`trace_frames` frames a
+uniform trace (:func:`whirlcurves.numerics.grid_derivatives`).  Strict
+unit-speed mode (the default of ``frenet_at``) refuses curves that are not
+arc-length parametrized, since every closed form here assumes arc length.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FrameError
-from .numerics import derivative, sample
+from .numerics import derivative, grid_derivatives, sample
 from .traceio import CurveTrace
 
 Vec3 = np.ndarray
@@ -118,23 +118,20 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
               strict_unit_speed: bool = True):
     """Frenet frame, curvature and torsion of ``curve`` at arc length ``s``.
 
-    A scalar ``s`` gives one :class:`FrenetApparatus`; a 1-d grid gives
-    :class:`Frames`, with the stencils of the whole grid sampled in one call
-    of the curve.  Curvature and torsion come from the general-speed
-    formulas |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2.
-
-    Parameters
-    ----------
-    curve : callable s -> (3,) position (and, ideally, (m,) -> (m, 3)).
-    deriv : optional callable s -> (3,) analytic first derivative; when given,
-        higher derivatives are taken from it instead of from positions.
-    strict_unit_speed : reject curves with | |curve'| - 1 | > 1e-6.
+    A scalar ``s`` gives one :class:`FrenetApparatus`, a 1-d grid
+    :class:`Frames`.  ``curve`` maps s -> (3,), ideally (m,) -> (m, 3).  Each
+    node takes its first three derivatives from one seven-point stencil of
+    positions or, given the analytic first derivative ``deriv``, from
+    ``deriv`` and a five-point stencil of it; a grid is sampled in one call.
+    Curvature and torsion come from the general-speed formulas
+    |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2.
+    ``strict_unit_speed`` rejects curves with | |curve'| - 1 | > 1e-6.
     """
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     if deriv is not None:
-        d1, d2, d3 = sample(deriv, grid), derivative(deriv, grid, 1), derivative(deriv, grid, 2)
+        d1, (d2, d3) = sample(deriv, grid), derivative(deriv, grid, (1, 2))
     else:
-        d1, d2, d3 = (derivative(curve, grid, k) for k in (1, 2, 3))
+        d1, d2, d3 = derivative(curve, grid, (1, 2, 3))
     dev = np.abs(np.linalg.norm(d1, axis=1) - 1.0)
     if strict_unit_speed and np.any(dev > UNIT_SPEED_TOL):
         i = int(np.argmax(dev > UNIT_SPEED_TOL))
@@ -162,20 +159,10 @@ def trace(curve: Callable, s_lo: float, s_hi: float, n: int,
 
 
 def trace_frames(tr: CurveTrace) -> Frames:
-    """Frenet frames at the interior nodes of a uniformly sampled trace.
-
-    Uses fourth-order central stencils, so the three outermost samples on
-    each side carry no frame.  Needs at least 8 samples.
-    """
-    s, f = tr.s, tr.points
+    """Frenet frames, from :func:`whirlcurves.numerics.grid_derivatives`, at
+    all but the three outermost samples on each side of a uniform trace of at
+    least 8 samples; raises ValueError on a non-uniform grid."""
     if len(tr) < 8:
         raise ValueError("insufficient samples: need at least 8 to frame a trace")
-    dx = np.diff(s)
-    if np.max(dx) - np.min(dx) > 1e-9 * np.max(dx):
-        raise ValueError("trace_frames requires a uniform parameter grid")
-    h = float(np.mean(dx))
-    # fourth-order stencils on index i (3 <= i <= n-4)
-    d1 = (f[1:-5] - 8 * f[2:-4] + 8 * f[4:-2] - f[5:-1]) / (12 * h)
-    d2 = (-f[1:-5] + 16 * f[2:-4] - 30 * f[3:-3] + 16 * f[4:-2] - f[5:-1]) / (12 * h * h)
-    d3 = (f[:-6] - 8 * f[1:-5] + 13 * f[2:-4] - 13 * f[4:-2] + 8 * f[5:-1] - f[6:]) / (8 * h ** 3)
-    return _frames(s[3:-3], d1, d2, d3)
+    d1, d2, d3 = grid_derivatives(tr.s, tr.points)[:, 3:-3]
+    return _frames(tr.s[3:-3], d1, d2, d3)

@@ -1,9 +1,10 @@
-"""Quadrature and finite-difference utilities shared by the geometry modules.
+"""Quadrature and differentiation utilities shared by the geometry modules.
 
 All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
 sum that is smooth in its upper limit; adaptive Simpson :func:`integrate`
-is the independent reference it is tested against.
+is the independent reference.  Every derivative comes from :func:`diff_weights`,
+applied to a callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
 """
 
 import threading
@@ -16,8 +17,8 @@ from .errors import DomainError, QuadratureError
 
 EPS = float(np.finfo(float).eps)
 
-# Central-difference steps: truncation/roundoff balance for orders 1..3.
-_REL_STEP = {1: EPS ** (1.0 / 3.0), 2: EPS ** 0.25, 3: EPS ** 0.2}
+# grid_derivatives: least-squares degree and the bounds of the window width
+DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
 
 # SmoothCumulative: lattice panel width, 24-node Gauss-Legendre rule, the
 # number of intervals one call of the integrand covers (a power of two, so
@@ -63,13 +64,6 @@ class QuadratureResult:
     converged: bool = True
 
 
-def _finite(x, where) -> float:
-    x = float(x)
-    if not np.isfinite(x):
-        raise QuadratureError(f"non-finite integrand sample at s={where!r}")
-    return x
-
-
 def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
               max_depth: int = 40) -> QuadratureResult:
     """Adaptive Simpson quadrature of ``f`` over ``[lo, hi]``.
@@ -91,7 +85,10 @@ def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
 
     def ev(x):
         counter[0] += 1
-        return _finite(f(x), x)
+        val = float(f(x))
+        if not np.isfinite(val):
+            raise QuadratureError(f"non-finite integrand sample at s={x!r}")
+        return val
 
     def simpson(a, fa, b, fb):
         m = 0.5 * (a + b)
@@ -142,30 +139,69 @@ def sample(f, s, error=QuadratureError) -> np.ndarray:
     return vals
 
 
-def derivative(f, s, order: int) -> np.ndarray:
-    """Central-difference derivative of a (vector-valued) function of one real.
-
-    ``s`` is a scalar or a 1-d array, all stencil points sampled in one call
-    (see :func:`sample`).  Error is O(step^2) with the step chosen per order
-    and element to balance truncation against roundoff.
+def diff_weights(width: int, degree: int, at=None) -> np.ndarray:
+    """Savitzky-Golay (1964) weights: the first three derivatives, at position
+    ``at`` (default: the centre), of the least-squares polynomial of ``degree``
+    through samples at positions 0..width-1 (degree ``width - 1``
+    interpolates).  Row k-1, dotted with the samples and divided by h**k for
+    spacing h, is the k-th derivative; shape (3, width), or (m, 3, width).
     """
-    if order not in (1, 2, 3):
+    half = 0.5 * (width - 1)
+    coef = np.linalg.pinv(np.vander(np.arange(width) / half - 1.0, degree + 1,
+                                    increasing=True))
+    x0 = (np.asarray(half if at is None else at, dtype=float)[..., None, None] - half) / half
+    m, k = np.arange(degree + 1), np.arange(1, 4)[:, None]
+    # k-th derivative of x**m: m (m-1) ... (m-k+1) x**(m-k), zero for m < k
+    dpow = np.cumprod([m, m - 1, m - 2], axis=0) * x0 ** np.maximum(m - k, 0)
+    return (dpow @ coef) / half ** k
+
+
+def derivative(f, s, order) -> np.ndarray:
+    """Derivatives of a (vector-valued) function of one real at ``s``, a
+    scalar or a 1-d grid sampled in one call (see :func:`sample`).
+
+    ``order`` is 1, 2 or 3, or a tuple of them (one array per order, stacked
+    on a new first axis), all from one stencil: W = 2*max(order)+1 samples
+    EPS**(1/W) apart on a unit length scale, whatever ``s`` is, less the
+    centre when every order is odd (its weight is zero)."""
+    orders = np.atleast_1d(order)
+    if not np.all(np.isin(orders, (1, 2, 3))):
         raise ValueError("order must be 1, 2 or 3")
+    width = 2 * int(orders.max()) + 1
+    offsets = np.arange(width) - width // 2
+    used = (offsets != 0) | np.any(orders % 2 == 0)
     x = np.atleast_1d(np.asarray(s, dtype=float))
-    h = _REL_STEP[order] * np.maximum(1.0, np.abs(x))
-    # make the step exactly representable
-    h = (x + h) - x
-    offsets = {1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}[order]
-    vals = sample(f, np.concatenate([x + k * h for k in offsets]))
-    p = np.split(vals, len(offsets))
-    h = h.reshape(h.shape + (1,) * (vals.ndim - 1))
-    if order == 1:
-        d = (p[0] - p[1]) / (2.0 * h)
-    elif order == 2:
-        d = (p[0] - 2.0 * p[1] + p[2]) / (h * h)
-    else:
-        d = (p[0] - 2.0 * p[1] + 2.0 * p[2] - p[3]) / (2.0 * h ** 3)
-    return d if np.ndim(s) else d[0]
+    h = (x + EPS ** (1.0 / width)) - x   # an exactly representable step
+    rows = np.split(sample(f, np.concatenate([x + k * h for k in offsets[used]])), used.sum())
+    h = h.reshape(h.shape + (1,) * (rows[0].ndim - 1))
+    d = np.stack([sum(w * row for w, row in zip(ws[used], rows)) / h ** k for ws, k
+                  in zip(diff_weights(width, width - 1)[orders - 1], orders)])
+    d = d if np.ndim(s) else d[:, 0]
+    return d if np.ndim(order) else d[0]
+
+
+def grid_derivatives(s, y) -> np.ndarray:
+    """First three derivatives, shape (3,) + y.shape, of samples ``y`` (one
+    row per node) at every node of the uniform grid ``s``.
+
+    Each node takes the least-squares polynomial of degree min(8, W-1) on its
+    centred window of W nodes, or near an end on the first or last window.
+    W = 2*round(r/h) + 1, clamped to [7, 201] and to the node count, for
+    spacing h and half-width r = (EPS*M)**(1/9), M = max |y|: this r balances
+    third-derivative roundoff, ~EPS*M/r**3, against truncation, ~r**6.
+    """
+    dx, y = np.diff(np.asarray(s, dtype=float)), np.asarray(y, dtype=float)
+    if np.ptp(dx) > 1e-9 * np.max(np.abs(dx)):
+        raise ValueError("derivatives of samples need a uniform grid")
+    h = float(np.mean(dx))
+    r = (EPS * np.max(np.abs(y))) ** (1.0 / (DEGREE + 1))
+    width = min(len(y), int(np.clip(2 * np.round(r / abs(h)) + 1, MIN_WIDTH, MAX_WIDTH)))
+    w, c = diff_weights(width, min(DEGREE, width - 1), np.arange(width)), width // 2
+    cols = y.reshape(len(y), -1)
+    mid = [[np.correlate(col, wk, "valid") for col in cols.T] for wk in w[c]]
+    d = np.concatenate([np.moveaxis(w[:c] @ cols[:width], 0, 1), np.transpose(mid, (0, 2, 1)),
+                        np.moveaxis(w[c + 1:] @ cols[-width:], 0, 1)], axis=1)
+    return (d / h ** np.arange(1, 4)[:, None, None]).reshape((3,) + y.shape)
 
 
 class SmoothCumulative:

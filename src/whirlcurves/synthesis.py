@@ -16,10 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import ScalarFn, SmoothCumulative, as_scalar_fn
+from .numerics import EPS, ScalarFn, SmoothCumulative, as_scalar_fn, diff_weights
 from .traceio import CurveTrace
 
 EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
+
+# How far a verification stencil of a synthesized curve probes from its node:
+# two steps of at most EPS**0.2 (ratio_rate; frenet_at given the tangent).
+REACH = 2.0 * EPS ** 0.2
 
 # Two congruent tangent arrangements: "spherical" keeps the explicit
 # (polar, azimuth) angles; "combined" folds the arctan phase into the
@@ -121,16 +125,16 @@ class WhirlCurve:
 
     def _qw(self, s):
         e = self.exponent(s)
-        q = np.exp(e)
-        w = np.sqrt(-np.expm1(2.0 * e))
-        return e, q, w
+        return e, np.exp(e), np.sqrt(-np.expm1(2.0 * e))
+
+    def _ratio(self, s):
+        """tau/kappa = tau_sign * sqrt(1+lam^2) * e^E / w."""
+        _, q, w = self._qw(s)
+        return self.spec.tau_sign * np.sqrt(1.0 + self.spec.lam ** 2) * q / w
 
     def torsion(self, s):
         """Torsion of the synthesized curve (sign = tau_sign)."""
-        _, q, w = self._qw(s)
-        lam = self.spec.lam
-        return (self.spec.tau_sign * np.sqrt(1.0 + lam * lam)
-                * self.spec.kappa(s) * q / w)
+        return self.spec.kappa(s) * self._ratio(s)
 
     def cos_polar(self, s):
         """z-component of the unit tangent, z_sign * e^E / sqrt(1+lam^2)."""
@@ -193,39 +197,20 @@ class WhirlCurve:
 
     __call__ = position
 
-    # -- torsion-to-curvature ratio -----------------------------------------
-
-    def ratio_step(self, s):
-        """Difference step for the torsion-to-curvature ratio at s.
-
-        The ratio h grows at the local rate |lam|*kappa*(1+lam^2+h^2)/(1+lam^2),
-        which steepens sharply toward the domain edge where the torsion blows
-        up; the usual step is shrunk by that rate so a fourth-order stencil
-        resolves the ratio derivative to ~1e-9 across the whole valid window,
-        even at |lam| = 20.
-        """
-        s = np.asarray(s, dtype=float)
-        kap = np.abs(np.asarray(self.spec.kappa(s), dtype=float))
-        h = np.asarray(self.torsion(s), dtype=float) / kap
-        lam2 = self.spec.lam * self.spec.lam
-        rate = np.maximum(1.0, np.abs(self.spec.lam) * kap
-                          * (1.0 + lam2 + 3.0 * h * h) / (1.0 + lam2))
-        return np.finfo(float).eps ** 0.2 * np.maximum(1.0, np.abs(s)) / rate
-
     def ratio_rate(self, s):
-        """Fourth-order central-difference d(tau/kappa)/ds, per-point step.
-
-        The probes extend 2 steps either side of s; keep s that far inside the
-        valid exponent window.
-        """
+        """d(tau/kappa)/ds from a five-point (fourth-order) stencil whose step,
+        EPS**0.2 over the ratio's growth rate |lam|*kappa*(1+lam^2+3h^2)/(1+lam^2)
+        when above 1, is the curve's own length scale whatever s is: it resolves
+        the derivative to ~1e-9 across the valid window, even at |lam| = 20 near
+        the domain edge, and keeps every probe within REACH of s."""
         s = np.asarray(s, dtype=float)
-        h = self.ratio_step(s)
-
-        def ratio(x):
-            return np.asarray(self.torsion(x)) / np.asarray(self.spec.kappa(x))
-
-        return (ratio(s - 2 * h) - 8.0 * ratio(s - h)
-                + 8.0 * ratio(s + h) - ratio(s + 2 * h)) / (12.0 * h)
+        lam2 = self.spec.lam ** 2
+        ratio = self._ratio(s)
+        rate = np.maximum(1.0, np.abs(self.spec.lam * np.asarray(self.spec.kappa(s)))
+                          * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
+        step = (s + 0.5 * REACH / rate) - s   # exactly representable
+        w = diff_weights(5, 4)[0]   # offsets -2..2; the centre's weight is zero
+        return sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
 
 def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
@@ -334,14 +319,12 @@ def intrinsic_residual_max(spec: WhirlSpec, s_lo: float, s_hi: float,
                            n: int = 2049) -> float:
     """Max |intrinsic residual| over an n-node grid spanning [s_lo, s_hi].
 
-    Nodes are kept two difference steps clear of the window ends so the
-    ratio-derivative probes never leave the validated window.
+    Nodes are kept REACH clear of the window ends so the ratio-derivative
+    probes never leave the validated window.
     """
     from .whirl import intrinsic_residual
     curve = WhirlCurve(spec)
-    margin = 2.0 * float(np.max(curve.ratio_step(np.array([s_lo, s_hi]))))
-    grid = np.linspace(s_lo + margin, s_hi - margin, n)
+    grid = np.linspace(s_lo + REACH, s_hi - REACH, n)
     kv = np.asarray(spec.kappa(grid), dtype=float)
-    tv = np.asarray(curve.torsion(grid), dtype=float)
-    resid = intrinsic_residual(kv, tv, curve.ratio_rate(grid), spec.lam)
+    resid = intrinsic_residual(kv, kv * curve._ratio(grid), curve.ratio_rate(grid), spec.lam)
     return float(np.max(np.abs(resid)))

@@ -68,17 +68,17 @@ def write_csv(trace: CurveTrace, path) -> None:
 
 def read_csv(path) -> CurveTrace:
     with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty trace file: {path}")
+        lines = [ln for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"no samples in trace file: {path}")
     header = [c.strip() for c in lines[0].split(",")]
     if len(header) != 4 or header[1:] != ["x", "y", "z"]:
-        raise ValueError(f"bad CSV header {lines[0]!r} in {path}")
+        raise ValueError(f"bad CSV header {lines[0].strip()!r} in {path}")
     try:
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"malformed CSV row in {path}: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 4:
+    if data.shape[1] != 4:
         raise ValueError(f"malformed CSV body in {path}")
     return CurveTrace(data[:, 0], data[:, 1:], meta={"param": header[0]})
 

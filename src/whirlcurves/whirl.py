@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import FrameError
 from .frenet import Frames, FrenetApparatus, Vec3, frenet_at
+from .numerics import grid_derivatives
 
 LAMBDA_FLOOR = 1e-12
 LAMBDA_BRACKET = 1e4
@@ -45,29 +46,20 @@ def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
 
 
 def ratio_derivative(s_grid, ratios) -> np.ndarray:
-    """d(ratio)/ds on a sample grid.
-
-    Central differences in the interior (fourth order where two neighbours
-    are available on a uniform grid), one-sided stencils at the endpoints.
+    """d(ratio)/ds at every node of a uniform grid: the first row of
+    :func:`~whirlcurves.numerics.grid_derivatives`.  Raises ValueError on a
+    non-uniform grid.
     """
-    s = np.asarray(s_grid, dtype=float)
-    r = np.asarray(ratios, dtype=float)
+    s, r = np.asarray(s_grid, dtype=float), np.asarray(ratios, dtype=float)
     if s.size != r.size or s.size < 3:
         raise ValueError("need at least 3 grid points")
-    d = np.gradient(r, s, edge_order=2)
-    dx = np.diff(s)
-    if s.size >= 5 and np.max(dx) - np.min(dx) <= 1e-9 * np.max(dx):
-        h = float(np.mean(dx))
-        d[2:-2] = (r[:-4] - 8 * r[1:-3] + 8 * r[3:-1] - r[4:]) / (12.0 * h)
-    return d
+    return grid_derivatives(s, r)[0]
 
 
 def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
     """Intrinsic residual at every grid node, ratio derivative from the grid."""
-    kappas = np.asarray(kappas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    rp = ratio_derivative(s_grid, taus / kappas)
-    return intrinsic_residual(kappas, taus, rp, lam)
+    kappas, taus = np.asarray(kappas, dtype=float), np.asarray(taus, dtype=float)
+    return intrinsic_residual(kappas, taus, ratio_derivative(s_grid, taus / kappas), lam)
 
 
 def whirl_axis(frame: Union[FrenetApparatus, Frames], lam: float, sign: int = 1) -> Vec3:

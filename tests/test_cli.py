@@ -310,3 +310,52 @@ def test_figure1_and_extend_write_the_same_traces(tmp_path, fmt):
             assert f["meta"].pop("command") == "figure1"
             assert e["meta"].pop("command") == "extend"
         assert f == e
+
+
+def test_synth_far_from_zero_passes(tmp_path, capsys):
+    # the same curve as on --s0 0 --range 0:1; difference steps that grew
+    # with |s| probed past the exponent bound here and exited 2
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--s0", 1000, "--range", "1000:1001",
+                "--samples", 33, "--out", tmp_path])
+    assert code == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_synth_range_too_narrow_for_the_stencils_exit_3(tmp_path, capsys):
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:0.002",
+                "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "argument --range: range needs finite LO < HI, more than 0.00296 apart" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _verify_line(out, label):
+    return next(ln for ln in out.splitlines() if ln.startswith(label))
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_verify_dense_rectifying_trace_positive(tmp_path, capsys, branch):
+    # 20000 samples 1e-4 apart: third differences on a 7-node stencil made
+    # the chen fit rms ~1e-2 (NEGATIVE); the wide least-squares window fits
+    a, b, lam = 0.8, 0.5, -1.3
+    spec = wc.RectifyingSpec(a=a, b=b, lam=lam, branch=branch)
+    h = branch * np.array([0.3, 2.2])
+    grid = np.linspace(*sorted((h - b) / a), 20000)
+    traceio.write_csv(wc.CurveTrace(grid, wc.curve_point(spec, grid)), tmp_path / "rect.csv")
+    assert run(["verify", "--in", tmp_path / "rect.csv"]) == 0
+    out = capsys.readouterr().out
+    assert _verify_line(out, "rectifying verdict:").split()[2] == "POSITIVE"
+    c1 = float(_verify_line(out, "chen fit").split()[2].partition("=")[2])
+    expected = a if branch == spec.consistent_branch() else -a
+    assert abs(c1 - expected) < 1e-3
+
+
+def test_verify_dense_constant_kappa_trace_negative(tmp_path, capsys):
+    assert run(["synth", "--lambda", -0.5, "--h0", 1, "--range", "0:1.5",
+                "--samples", 20000, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--in", tmp_path / "synth.csv"]) == 0
+    out = capsys.readouterr().out
+    assert "whirl verdict:        POSITIVE" in out
+    assert _verify_line(out, "rectifying verdict:").split()[2] == "NEGATIVE"

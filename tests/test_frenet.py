@@ -161,8 +161,8 @@ def test_trace_reports_failing_node():
 
 
 def test_trace_frames_stencils_exact_on_polynomial():
-    # position components are degree <= 4 polynomials: the fourth-order
-    # stencils must reproduce all three derivatives to roundoff
+    # position components are degree <= 4 polynomials: the least-squares
+    # windows (degree 6 or more) must reproduce all three derivatives to roundoff
     s = np.linspace(-1.0, 1.0, 41)
     pts = np.column_stack([s, 0.5 * s ** 2 + 0.1 * s ** 4, s ** 3])
     tr = wc.CurveTrace(s, pts)

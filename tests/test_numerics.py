@@ -1,4 +1,4 @@
-"""Quadrature and difference-stencil unit tests."""
+"""Quadrature and differentiation unit tests."""
 
 import re
 import sys
@@ -117,6 +117,83 @@ def test_derivative_rejects_order():
 def test_derivative_nonfinite():
     with pytest.raises(QuadratureError):
         wc.derivative(lambda s: np.array([np.nan, 0.0, 0.0]), 1.0, 1)
+
+
+def _wave(s):
+    s = np.asarray(s, dtype=float)
+    return np.stack(np.broadcast_arrays(np.sin(s), np.cos(0.7 * s), 0.2 * s ** 3), axis=-1)
+
+
+def _wave_derivative(s, k):
+    c = 0.7 ** k
+    poly = [0.6 * s ** 2, 1.2 * s, 1.2][k - 1]
+    return np.array([np.sin(s + k * np.pi / 2), c * np.cos(0.7 * s + k * np.pi / 2), poly])
+
+
+def test_diff_weights_exact_on_polynomials_at_every_position():
+    # least squares of degree 5 on 9 nodes reproduces a quintic exactly,
+    # centred or off-centre, and the interpolating weights do too
+    x = np.arange(9.0)
+    p = np.polynomial.Polynomial([0.3, -1.1, 0.7, 0.25, -0.05, 0.01])
+    for degree in (5, 8):
+        w = wc.diff_weights(9, degree, x)
+        assert w.shape == (9, 3, 9)
+        for k in (1, 2, 3):
+            assert np.allclose(w[:, k - 1] @ p(x), p.deriv(k)(x), atol=1e-10)
+    assert np.allclose(wc.diff_weights(5, 4)[0], [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12])
+
+
+def test_derivative_orders_share_one_stencil():
+    sizes = []
+
+    def f(s):
+        sizes.append(np.size(s))
+        return _wave(s)
+
+    grid = np.array([0.2, 0.9])
+    d = wc.derivative(f, grid, (1, 2, 3))
+    assert d.shape == (3, 2, 3) and sizes == [14]   # 7 samples per node
+    for k, tol in ((1, 1e-12), (2, 1e-10), (3, 1e-7)):
+        for i, s in enumerate(grid):
+            assert np.allclose(d[k - 1, i], _wave_derivative(s, k), atol=tol)
+    sizes.clear()
+    wc.derivative(f, grid, 1)                       # the centre has zero weight
+    wc.derivative(f, grid, (1, 2))
+    assert sizes == [4, 10]
+
+
+def test_derivative_step_does_not_grow_with_s():
+    # the same function 1e3 further out: every order keeps its accuracy
+    shifted = lambda s: _wave(np.asarray(s, dtype=float) - 1000.0)
+    for k, tol in ((1, 1e-9), (2, 1e-7), (3, 1e-5)):
+        d = wc.derivative(shifted, 1000.4, k)
+        assert np.allclose(d, _wave_derivative(1000.4 - 1000.0, k), atol=tol)
+
+
+def test_grid_derivatives_exact_on_polynomial_at_every_node():
+    # a degree-6 fit (the 7-node minimum window) is exact on sextics,
+    # including the off-centre windows at both ends
+    s = np.linspace(-1.0, 1.0, 41)
+    p = [np.polynomial.Polynomial(c) for c in ([0, 1, 0.5, 0, 0.1], [1, 0, 0, 1],
+                                                [0.2, -0.3, 0, 0, 0, 0.05, 0.01])]
+    d = wc.grid_derivatives(s, np.column_stack([q(s) for q in p]))
+    for k in (1, 2, 3):
+        assert np.allclose(d[k - 1], np.column_stack([q.deriv(k)(s) for q in p]), atol=1e-9)
+
+
+def test_grid_derivatives_dense_helix_third_derivative():
+    # 20001 samples 1e-4 apart: a 7-node stencil leaves ~1e-3 roundoff in
+    # d3; the wide least-squares window holds it below 1e-5 at every node
+    s = np.linspace(0.0, 2.0, 20001)
+    u = s / np.sqrt(2.0)
+    pts = np.column_stack([np.cos(u), np.sin(u), u])
+    d3 = wc.grid_derivatives(s, pts)[2]
+    assert np.max(np.abs(d3 - np.column_stack([np.sin(u), -np.cos(u), 0 * u]) / 2 ** 1.5)) < 1e-5
+
+
+def test_grid_derivatives_rejects_non_uniform_grid():
+    with pytest.raises(ValueError, match="uniform grid"):
+        wc.grid_derivatives([0.0, 0.1, 0.3, 0.4], np.zeros(4))
 
 
 def test_smooth_cumulative_matches_adaptive():

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import whirlcurves as wc
 from whirlcurves.errors import DomainError
@@ -345,3 +346,41 @@ def test_whirlspec_validation():
         wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=0.0, bound=1.0)
     with pytest.raises(ValueError):
         wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=1.0, bound=1.0, z_sign=2)
+
+
+def _shifted(spec, c):
+    """The same curve with arc length measured from c further along."""
+    kappa = spec.kappa
+    return wc.WhirlSpec(
+        kappa=wc.ScalarFn(lambda s: kappa(np.asarray(s, dtype=float) - c),
+                          (kappa.domain[0] + c, kappa.domain[1] + c)),
+        lam=spec.lam, bound=spec.bound, s0=spec.s0 + c,
+        z_sign=spec.z_sign, tau_sign=spec.tau_sign)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(-1e3, 1e3))
+def test_verification_is_shift_invariant(seed, c):
+    # s -> s + c with s0 and the window moved along: frames, the unit-speed
+    # residual and the intrinsic residual agree to the roundoff of s itself
+    # (ulp(1e3) ~ 1e-13); difference steps that grew with |s| broke this
+    spec, lo, hi, _ = random_whirl_model(np.random.default_rng(seed))
+    moved = _shifted(spec, c)
+    grid = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 9)
+    a, b = wc.WhirlCurve(spec, origin=lo), wc.WhirlCurve(moved, origin=lo + c)
+    fa, fb = wc.frenet_at(a.position, grid), wc.frenet_at(b.position, grid + c)
+    for name in ("t", "n", "b"):
+        assert np.max(np.abs(getattr(fa, name) - getattr(fb, name))) <= 1e-8
+    assert np.max(np.abs(fb.kappa / fa.kappa - 1.0)) <= 1e-7
+    assert np.max(np.abs(fb.tau / fa.tau - 1.0)) <= 1e-5
+    assert abs(wc.unit_speed_residual(a.position, grid)
+               - wc.unit_speed_residual(b.position, grid + c)) <= 1e-8
+    assert abs(wc.intrinsic_residual_max(spec, lo, hi, 65)
+               - wc.intrinsic_residual_max(moved, lo + c, hi + c, 65)) <= 1e-7
+
+
+def test_unit_speed_residual_far_along_the_curve():
+    # 1e3 from the start of a const-kappa curve: 6.1e-6 when the step grew with |s|
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    assert wc.unit_speed_residual(wc.WhirlCurve(spec).position, [1000.0]) < 1e-6

@@ -1,10 +1,15 @@
 """CurveTrace container and CSV/JSON wire-format tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import whirlcurves as wc
 from whirlcurves import traceio
+from whirlcurves.cli import main
 
 
 def _sample_trace():
@@ -84,3 +89,37 @@ def test_read_csv_rejects_garbage(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError):
         traceio.read_csv(bad)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_finite, _finite, _finite, _finite), min_size=1,
+                     max_size=12, unique_by=lambda row: row[0]))
+@example(rows=[(-1.7976931348623157e308, -0.0, 5e-324, 1.7976931348623157e308),
+               (0.0, 0.1, -5e-324, -0.0)])
+def test_csv_round_trip_arbitrary_finite_floats(rows):
+    # every finite double survives write + read bit for bit
+    data = np.array(sorted(rows))
+    tr = wc.CurveTrace(data[:, 0], data[:, 1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        traceio.write_csv(tr, path)
+        back = traceio.read_csv(path)
+    assert back.s.tobytes() == tr.s.tobytes()
+    assert back.points.tobytes() == tr.points.tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "s,x,y,z\n0,1,2,3\n0.5,1,two,3\n",    # malformed row
+    "s,x,y,z\n0,1,2,3\n0.5,1,2\n",        # ragged body
+    "s,x,y,z\n0,1,2\n0.5,1,2\n",          # too few columns
+    "s,x,y,z\n",                          # header only
+])
+def test_read_csv_errors_name_the_file(tmp_path, body):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    with pytest.raises(ValueError, match="bad.csv"):
+        traceio.read_csv(bad)
+    assert main(["verify", "--in", str(bad)]) == 3

@@ -207,3 +207,11 @@ def test_ratio_derivative_matches_polynomial():
     d = wc.ratio_derivative(s, vals)
     assert np.allclose(d[2:-2], 0.9 * s[2:-2] ** 2 - 1.0, atol=1e-12)
     assert np.allclose(d, 0.9 * s ** 2 - 1.0, atol=5e-3)
+
+
+def test_ratio_derivative_needs_a_uniform_grid():
+    s = np.linspace(1.0, 0.0, 11)            # uniform but decreasing: fine
+    assert np.allclose(wc.ratio_derivative(s, s ** 3), 3 * s ** 2, atol=1e-12)
+    s = np.array([0.0, 0.1, 0.3, 0.4, 0.5])
+    with pytest.raises(ValueError, match="uniform grid"):
+        wc.ratio_derivative(s, s ** 2)
