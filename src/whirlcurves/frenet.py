@@ -121,15 +121,16 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
     A scalar ``s`` gives one :class:`FrenetApparatus`, a 1-d grid
     :class:`Frames`.  ``curve`` maps s -> (3,), ideally (m,) -> (m, 3).  Each
     node takes its first three derivatives from one seven-point stencil of
-    positions or, given the analytic first derivative ``deriv``, from
-    ``deriv`` and a five-point stencil of it; a grid is sampled in one call.
+    positions or, given the analytic first derivative ``deriv``, from one
+    five-point stencil of ``deriv`` (its centre sample and two difference
+    orders); a grid is sampled in one call.
     Curvature and torsion come from the general-speed formulas
     |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2.
     ``strict_unit_speed`` rejects curves with | |curve'| - 1 | > 1e-6.
     """
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     if deriv is not None:
-        d1, (d2, d3) = sample(deriv, grid), derivative(deriv, grid, (1, 2))
+        d1, d2, d3 = derivative(deriv, grid, (0, 1, 2))
     else:
         d1, d2, d3 = derivative(curve, grid, (1, 2, 3))
     dev = np.abs(np.linalg.norm(d1, axis=1) - 1.0)

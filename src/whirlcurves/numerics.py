@@ -2,7 +2,8 @@
 
 All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
-sum that is smooth in its upper limit; adaptive Simpson :func:`integrate`
+sum that is smooth in its upper limit and nests one cumulative in another
+by spectral integration on the same nodes; adaptive Simpson :func:`integrate`
 is the independent reference.  Every derivative comes from :func:`diff_weights`,
 applied to a callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
 """
@@ -26,7 +27,13 @@ DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
 # sums match one unblocked call bit for bit), and the farthest a query may
 # lie from the anchor, in panels.
 PANEL = 0.125
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_LEG = np.polynomial.legendre
+_GAUSS_X, _GAUSS_W = _LEG.leggauss(24)
+# Spectral integration on those nodes (Greengard, SIAM J. Numer. Anal. 1991):
+# S[j, i] is the integral from -1 to x_j of the i-th Lagrange polynomial
+# through them, from the Legendre coefficients the Gauss rule gives exactly.
+_SPECTRAL = (_LEG.legval(_GAUSS_X, _LEG.legint(np.eye(24), lbnd=-1)).T
+             @ ((np.arange(24) + 0.5)[:, None] * _LEG.legvander(_GAUSS_X, 23).T * _GAUSS_W))
 BLOCK = 4096
 MAX_PANELS = 2 ** 20
 
@@ -163,10 +170,11 @@ def derivative(f, s, order) -> np.ndarray:
     ``order`` is 1, 2 or 3, or a tuple of them (one array per order, stacked
     on a new first axis), all from one stencil: W = 2*max(order)+1 samples
     EPS**(1/W) apart on a unit length scale, whatever ``s`` is, less the
-    centre when every order is odd (its weight is zero)."""
+    centre when every order is odd (its weight is zero).  Order 0 in a tuple
+    returns the centre sample itself."""
     orders = np.atleast_1d(order)
-    if not np.all(np.isin(orders, (1, 2, 3))):
-        raise ValueError("order must be 1, 2 or 3")
+    if not np.all(np.isin(orders, (0, 1, 2, 3))) or orders.max() == 0:
+        raise ValueError("order must be 1, 2 or 3 (0 only alongside them)")
     width = 2 * int(orders.max()) + 1
     offsets = np.arange(width) - width // 2
     used = (offsets != 0) | np.any(orders % 2 == 0)
@@ -174,8 +182,9 @@ def derivative(f, s, order) -> np.ndarray:
     h = (x + EPS ** (1.0 / width)) - x   # an exactly representable step
     rows = np.split(sample(f, np.concatenate([x + k * h for k in offsets[used]])), used.sum())
     h = h.reshape(h.shape + (1,) * (rows[0].ndim - 1))
+    weights = np.vstack([offsets == 0, diff_weights(width, width - 1)])
     d = np.stack([sum(w * row for w, row in zip(ws[used], rows)) / h ** k for ws, k
-                  in zip(diff_weights(width, width - 1)[orders - 1], orders)])
+                  in zip(weights[orders], orders)])
     d = d if np.ndim(s) else d[:, 0]
     return d if np.ndim(order) else d[0]
 
@@ -219,23 +228,36 @@ class SmoothCumulative:
     A query that is not finite or lies more than ``MAX_PANELS`` panels from
     the anchor raises :class:`DomainError` before the table grows.  A lock
     serializes growth, so an instance can be shared across threads.
+
+    With ``inner``, an instance with a scalar integrand, ``f`` is called as
+    ``f(s, inner(s))``; at the nodes of a panel from a of half-width h,
+    inner(s) = inner(a) + h * _SPECTRAL @ inner.f(nodes): inner's integrand
+    is sampled where f is, plus one query of inner per distinct panel start.
     """
 
-    def __init__(self, f, anchor: float):
+    def __init__(self, f, anchor: float, inner: "SmoothCumulative" = None):
         self.f = f
         self.anchor = float(anchor)
+        self.inner = inner
         self._lo = 0          # lattice index of the table's first row
         self._table = None    # F at lattice points; None while only F(anchor) = 0
         self._lock = threading.Lock()
 
-    def _gauss(self, mids, halves):
-        """Integrals of f over [mids - halves, mids + halves], one per interval."""
+    def _gauss(self, mids, halves, starts):
+        """Integrals of f over [mids - halves, mids + halves], one per interval;
+        ``starts`` (= mids - halves up to rounding) is where inner is queried."""
         halves = np.broadcast_to(halves, mids.shape)
         out = []
         for i in range(0, mids.size, BLOCK):
             m, h = mids[i:i + BLOCK], halves[i:i + BLOCK]
             pts = m[:, None] + h[:, None] * _GAUSS_X
-            vals = np.asarray(self.f(pts.ravel()), dtype=float)
+            if self.inner is None:
+                vals = np.asarray(self.f(pts.ravel()), dtype=float)
+            else:
+                a, where = np.unique(starts[i:i + BLOCK], return_inverse=True)
+                g = np.asarray(self.inner.f(pts.ravel()), dtype=float).reshape(pts.shape)
+                at = self.inner(a)[where][:, None] + h[:, None] * (g @ _SPECTRAL.T)
+                vals = np.asarray(self.f(pts.ravel(), at.ravel()), dtype=float)
             if vals.ndim == 1:
                 out.append(h * (vals.reshape(pts.shape) @ _GAUSS_W))
             else:
@@ -246,7 +268,7 @@ class SmoothCumulative:
     def _panels(self, k_from: int, k_to: int):
         """Integrals of f over the lattice panels [k, k+1), k_from <= k < k_to."""
         edges = self.anchor + PANEL * np.arange(k_from, k_to + 1)
-        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL)
+        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL, edges[:-1])
 
     def _extend(self, k_min: int, k_max: int):
         """Grow the table over lattice indices [k_min, k_max]; return it with
@@ -280,7 +302,7 @@ class SmoothCumulative:
         k = np.where(s_arr >= self.anchor, np.floor(d), np.ceil(d)).astype(int)
         lo, table = self._extend(int(k.min()), int(k.max()))
         edges = self.anchor + PANEL * k
-        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges))
+        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges), edges)
         out = (0.0 if table is None else table[k - lo]) + part
         return out if np.ndim(s) else out[0]
 

@@ -9,6 +9,8 @@ point s0, the construction produces a unit-speed curve whose whirl axis is
 valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
+At the Gauss nodes of a position panel, int kappa comes from kappa at those
+same nodes (spectral integration), so a position costs 24 kappa samples.
 """
 
 from dataclasses import dataclass
@@ -98,7 +100,8 @@ class WhirlCurve:
     Positions integrate the closed-form tangent from ``origin`` (where the
     position is the zero vector) on fixed-node panels, so they are smooth
     enough for difference stencils.  The curve owns its panel tables: the
-    cumulative curvature from ``spec.s0`` and the position from ``origin``.
+    cumulative curvature from ``spec.s0`` and the position from ``origin``,
+    which nests the former as the ``inner`` of its tangent integrand.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
@@ -109,13 +112,17 @@ class WhirlCurve:
         self.form = form
         self.origin = spec.s0 if origin is None else float(origin)
         self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
-        self._pos = SmoothCumulative(self.tangent, anchor=self.origin)
+        self._pos = SmoothCumulative(self._tangent, anchor=self.origin, inner=self._kcum)
 
     # -- scalar machinery -------------------------------------------------
 
     def exponent(self, s):
         """lam * int_{s0}^{s} kappa - bound; must stay below zero."""
-        val = self.spec.lam * self._kcum(s) - self.spec.bound
+        return self._exponent(s, self._kcum(s))
+
+    def _exponent(self, s, kcum):
+        """The exponent at ``s`` from ``kcum`` = int_{s0}^{s} kappa there."""
+        val = self.spec.lam * kcum - self.spec.bound
         if np.any(np.asarray(val) > EXPONENT_CEIL):
             bad = np.atleast_1d(np.asarray(s))[
                 np.atleast_1d(np.asarray(val) > EXPONENT_CEIL)][0]
@@ -123,13 +130,14 @@ class WhirlCurve:
                 f"domain bound lam*int(kappa) < bound violated at s={bad}")
         return val
 
-    def _qw(self, s):
-        e = self.exponent(s)
+    @staticmethod
+    def _qw(e):
+        """E, e^E and w = sqrt(1 - e^(2E)) from the exponent E."""
         return e, np.exp(e), np.sqrt(-np.expm1(2.0 * e))
 
     def _ratio(self, s):
         """tau/kappa = tau_sign * sqrt(1+lam^2) * e^E / w."""
-        _, q, w = self._qw(s)
+        _, q, w = self._qw(self.exponent(s))
         return self.spec.tau_sign * np.sqrt(1.0 + self.spec.lam ** 2) * q / w
 
     def torsion(self, s):
@@ -138,7 +146,7 @@ class WhirlCurve:
 
     def cos_polar(self, s):
         """z-component of the unit tangent, z_sign * e^E / sqrt(1+lam^2)."""
-        _, q, _ = self._qw(s)
+        _, q, _ = self._qw(self.exponent(s))
         return self.spec.z_sign * q / np.sqrt(1.0 + self.spec.lam ** 2)
 
     def axis_component(self, s):
@@ -153,13 +161,13 @@ class WhirlCurve:
         arctanh(w) is evaluated as log1p(w) - E, which is exact in the
         w -> 1 limit where the naive form loses all precision.
         """
-        e, _, w = self._qw(s)
+        e, _, w = self._qw(self.exponent(s))
         lam = self.spec.lam
         return np.arctan(w / lam) - (np.log1p(w) - e) / lam
 
     def azimuth_rate(self, s):
         """Derivative of the closed azimuth form (positive for kappa > 0)."""
-        e, _, w = self._qw(s)
+        e, _, w = self._qw(self.exponent(s))
         lam2 = self.spec.lam ** 2
         return (1.0 + lam2) * self.spec.kappa(s) * w / (1.0 + lam2 - np.exp(2.0 * e))
 
@@ -174,7 +182,11 @@ class WhirlCurve:
 
     def tangent(self, s):
         """Closed-form unit tangent; rows of shape (3,) for array input."""
-        e, q, w = self._qw(s)
+        return self._tangent(s, self._kcum(s))
+
+    def _tangent(self, s, kcum):
+        """The tangent formula at ``s`` from ``kcum`` = int_{s0}^{s} kappa there."""
+        e, q, w = self._qw(self._exponent(s, kcum))
         lam = self.spec.lam
         root = np.sqrt(1.0 + lam * lam)
         cphi = self.spec.z_sign * q / root

@@ -50,15 +50,12 @@ class CurveTrace:
         return np.column_stack([self.s, self.points])
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def to_csv_text(trace: CurveTrace) -> str:
-    lines = [f"{trace.param},x,y,z"]
-    for row in trace.rows():
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # 4096 rows per format call: few float objects are alive at any time
+    rows = trace.rows()
+    text = [("%r,%r,%r,%r\n" * len(b)) % tuple(b.ravel().tolist())
+            for b in np.split(rows, range(4096, len(rows), 4096))]
+    return f"{trace.param},x,y,z\n" + "".join(text)
 
 
 def write_csv(trace: CurveTrace, path) -> None:
@@ -86,7 +83,7 @@ def read_csv(path) -> CurveTrace:
 def to_json_obj(trace: CurveTrace) -> dict:
     meta = dict(trace.meta)
     meta.setdefault("param", "s")
-    return {"meta": meta, "samples": [[float(v) for v in row] for row in trace.rows()]}
+    return {"meta": meta, "samples": trace.rows().tolist()}
 
 
 def write_json(trace: CurveTrace, path) -> None:

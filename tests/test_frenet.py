@@ -242,6 +242,21 @@ def test_batched_frames_match_pointwise_rectifying():
                                  deriv=lambda s: wc.curve_velocity(spec, s))
 
 
+def test_frenet_at_samples_deriv_five_times_per_node():
+    # d1 is the centre sample of the five-point stencil that gives d2 and d3
+    helix = unit_speed_helix(1.0, 0.5)
+    sizes = []
+
+    def velocity(s):
+        sizes.append(np.size(s))
+        return wc.derivative(helix, s, 1)
+
+    grid = np.linspace(0.1, 0.9, 7)
+    frames = wc.frenet_at(helix, grid, deriv=velocity)
+    assert sizes == [5 * grid.size]
+    assert np.array_equal(frames.t, velocity(grid) / np.linalg.norm(velocity(grid), axis=1)[:, None])
+
+
 def test_batched_frames_match_pointwise_synthesized():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))

@@ -160,6 +160,11 @@ def test_derivative_orders_share_one_stencil():
     wc.derivative(f, grid, 1)                       # the centre has zero weight
     wc.derivative(f, grid, (1, 2))
     assert sizes == [4, 10]
+    sizes.clear()
+    d = wc.derivative(f, grid, (0, 1, 2))           # order 0 is the centre sample
+    assert sizes == [10] and np.array_equal(d[0], _wave(grid))
+    with pytest.raises(ValueError):
+        wc.derivative(f, grid, 0)
 
 
 def test_derivative_step_does_not_grow_with_s():
@@ -212,6 +217,32 @@ def test_smooth_cumulative_stays_inside_evaluation_hull():
     for s in (0.02, 0.011, 0.17):
         ref = np.log(s / 0.5)
         assert abs(F(s) - ref) <= 1e-12
+
+
+def test_smooth_cumulative_nested_takes_inner_from_the_same_nodes():
+    # F(s) = int_0.5^s cos(G) with G(u) = int_0.5^u 1/v: g has a pole at 0, so
+    # every sample of g must stay inside the hull of (anchor, s); the result
+    # matches nesting by plain calls, at far fewer samples of g
+    seen = []
+
+    def g(s):
+        seen.append(np.asarray(s, dtype=float).copy())
+        return 1.0 / np.asarray(s, dtype=float)
+
+    def nested():
+        return wc.SmoothCumulative(lambda s, k: np.cos(k), anchor=0.5,
+                                   inner=wc.SmoothCumulative(g, anchor=0.5))
+
+    grid = np.linspace(0.011, 1.7, 400)
+    got = nested()(grid)
+    pts = np.concatenate(seen)
+    assert pts.min() >= grid[0] and pts.max() <= grid[-1]
+    assert pts.size <= 2 * 24 * grid.size          # the plain nesting takes 576 per query
+    ref = wc.SmoothCumulative(lambda s: np.cos(wc.SmoothCumulative(g, anchor=0.5)(s)), 0.5)
+    assert np.max(np.abs(got - ref(grid))) <= 1e-14
+    for s in (0.011, 1.7):
+        oracle = wc.integrate(lambda u: np.cos(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
+        assert abs(nested()(s) - oracle.value) <= 1e-12
 
 
 def test_smooth_cumulative_vector_valued():

@@ -220,6 +220,55 @@ def test_synthesize_long_window():
     assert abs(tr.points[-1, 2] - np.exp(-spec.bound) / np.sqrt(2.0)) <= 1e-12
 
 
+def _window_to_bound(coeffs, lam, bound, gap):
+    """The s on the lam side of s0 = 0 where lam * int_0^s kappa = bound - gap,
+    for the polynomial kappa with ``coeffs``."""
+    roots = (lam * np.polynomial.Polynomial(coeffs).integ() - (bound - gap)).roots()
+    real = roots[np.abs(roots.imag) < 1e-12].real
+    real = real[np.sign(real) == np.sign(lam)]
+    return float(real[np.argmin(np.abs(real))])
+
+
+@pytest.mark.parametrize("coeffs", [[0.8], [0.8, 0.1, 0.03]])
+@pytest.mark.parametrize("lam", [1.3, -0.6])
+@pytest.mark.parametrize("form", ["spherical", "combined"])
+def test_positions_near_the_exponent_bound_match_adaptive_quadrature(coeffs, lam, form):
+    # windows ending where E = -1e-3: x and y carry w = sqrt(-expm1(2E)),
+    # whose derivative grows like |E|^(-1/2) there; adaptive Simpson of the
+    # tangent (through the plain kappa cumulative) is the independent oracle
+    bound = wc.bound_from_ratio(1.2, lam)
+    lo, hi = sorted((0.0, _window_to_bound(coeffs, lam, bound, 1e-3)))
+    kappa = (wc.kappa_constant(coeffs[0]) if len(coeffs) == 1
+             else wc.kappa_polynomial(coeffs, (lo - 1.0, hi + 1.0)))
+    spec = wc.WhirlSpec(kappa=kappa, lam=lam, bound=bound)
+    curve = wc.WhirlCurve(spec, origin=lo, form=form)
+    assert np.max(curve.exponent(np.array([lo, hi]))) == pytest.approx(-1e-3, abs=1e-12)
+    tr = wc.synthesize(spec, lo, hi, 65, form=form)
+    for i in (32, 64):
+        ref = [wc.integrate(lambda u: curve.tangent(u)[c], lo, tr.s[i], abs_tol=1e-13).value
+               for c in range(3)]
+        assert np.max(np.abs(tr.points[i] - ref)) <= 1e-10
+
+
+def test_synthesis_samples_kappa_once_per_position_node():
+    # the kappa cumulative at a position panel's nodes comes from kappa at
+    # those same nodes: about 24 samples of kappa per position, where a
+    # kappa panel per tangent node would take 24 * 24 = 576
+    base = wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0))
+    points = [0]
+
+    def counted(s):
+        points[0] += np.size(s)
+        return base(s)
+
+    spec = wc.WhirlSpec(kappa=wc.ScalarFn(counted, base.domain), lam=-0.7,
+                        bound=wc.bound_from_ratio(1.1, -0.7))
+    n = 20001
+    tr = wc.synthesize(spec, 0.0, 2.0, n)
+    assert points[0] <= 48 * n
+    assert np.array_equal(tr.points[0], [0.0, 0.0, 0.0])
+
+
 def test_spec_is_released_after_synthesis():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))

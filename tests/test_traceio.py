@@ -111,6 +111,39 @@ def test_csv_round_trip_arbitrary_finite_floats(rows):
     assert back.points.tobytes() == tr.points.tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_finite, _finite, _finite, _finite), max_size=12,
+                     unique_by=lambda row: row[0]))
+@example(rows=[(-1.7976931348623157e308, -0.0, 5e-324, 1.7976931348623157e308),
+               (0.0, 0.1, -5e-324, -0.0)])
+def test_writers_print_every_float_as_its_repr(rows):
+    _assert_written_as_repr(np.array(sorted(rows)).reshape(-1, 4))
+
+
+def test_writers_print_every_float_as_its_repr_across_chunks():
+    # more rows than one formatting chunk, with the extremes at its seams
+    data = np.random.default_rng(5).normal(size=(9001, 4)) * 10.0 ** np.arange(-3, 5, 2)
+    data[:, 0] = np.linspace(-1.0, 1.0, 9001)
+    data[4095:4098, 1:] = [[-0.0, 5e-324, 1.7976931348623157e308]] * 3
+    _assert_written_as_repr(data)
+
+
+def _assert_written_as_repr(data):
+    # the reference is built one float at a time, as the shortest round-trip text
+    tr = wc.CurveTrace(data[:, 0], data[:, 1:], meta={"param": "s", "lam": 0.5})
+    cells = [[repr(float(v)) for v in row] for row in data]
+    csv_ref = "s,x,y,z\n" + "".join(",".join(row) + "\n" for row in cells)
+    json_ref = ('{"meta": {"param": "s", "lam": 0.5}, "samples": ['
+                + ", ".join("[" + ", ".join(row) + "]" for row in cells) + "]}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        traceio.write_csv(tr, os.path.join(tmp, "t.csv"))
+        traceio.write_json(tr, os.path.join(tmp, "t.json"))
+        with open(os.path.join(tmp, "t.csv"), "rb") as fh:
+            assert fh.read() == csv_ref.encode("ascii")
+        with open(os.path.join(tmp, "t.json"), "rb") as fh:
+            assert fh.read() == json_ref.encode("ascii")
+
+
 @pytest.mark.parametrize("body", [
     "s,x,y,z\n0,1,2,3\n0.5,1,two,3\n",    # malformed row
     "s,x,y,z\n0,1,2,3\n0.5,1,2\n",        # ragged body
