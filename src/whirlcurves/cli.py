@@ -8,6 +8,7 @@ or parse error.  Every flag is validated by the parser, so a bad value exits
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -95,7 +96,9 @@ def _parse_kappa(text):
         f"expected const:V (V > 0), poly:c0,c1,... or linear-ratio, got {text!r}")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: it holds no state between parses."""
     p = argparse.ArgumentParser(
         prog="whirlcurves",
         description="Synthesize, verify and export whirl and whirl-rectifying curves.")
@@ -205,7 +208,8 @@ def _cmd_synth(args) -> int:
                     "samples": args.samples, "range": [lo, hi]})
     path = _write(tr, args.out, "synth", args.format)
 
-    curve = WhirlCurve(spec, origin=lo, form=args.form)
+    # the positions of the written trace: the same window, the same series
+    curve = WhirlCurve(spec, origin=lo, form=args.form, window=(lo, hi))
     # nodes REACH inside the validated window keep every stencil probe in it
     usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
                                                           min(args.samples, 65)))

@@ -3,8 +3,9 @@
 All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
 sum that is smooth in its upper limit and nests one cumulative in another
-by spectral integration on the same nodes; adaptive Simpson :func:`integrate`
-is the independent reference.  Every derivative comes from :func:`diff_weights`,
+by spectral integration on the same nodes; given a validated window, it
+reads F off one adaptively split Legendre series per panel instead.
+Adaptive Simpson :func:`integrate` is the independent reference.  Every derivative comes from :func:`diff_weights`,
 applied to a callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
 """
 
@@ -36,6 +37,16 @@ _SPECTRAL = (_LEG.legval(_GAUSS_X, _LEG.legint(np.eye(24), lbnd=-1)).T
              @ ((np.arange(24) + 0.5)[:, None] * _LEG.legvander(_GAUSS_X, 23).T * _GAUSS_W))
 BLOCK = 4096
 MAX_PANELS = 2 ** 20
+# Windowed series: coefficients from the samples by the inverse
+# Legendre-Vandermonde matrix (a Gauss-weight transform leaves a ~2e-14
+# floor in the even coefficients) whose first row, the mean, is the Gauss
+# rule itself (the inverse's row is off by up to 7e-16, a bias every panel
+# integral would share), antiderivative coefficients 1..24 (the constant is
+# fixed by F(-1) = 0 and never formed), and the chopping bounds.
+_VINV = np.vstack([0.5 * _GAUSS_W, np.linalg.inv(_LEG.legvander(_GAUSS_X, 23))[1:]])
+_INTEG = _LEG.legint(np.eye(24), lbnd=-1)[1:]
+CHOP_TOL, MAX_SPLITS = 1e-14, 40
+_LEFT = (-1.0) ** np.arange(1, 25)[None]   # P_j(-1), j = 1..24
 
 
 @dataclass(frozen=True)
@@ -216,18 +227,38 @@ def grid_derivatives(s, y) -> np.ndarray:
 class SmoothCumulative:
     """Cumulative integral ``F(s) = ∫_anchor^s f`` evaluated panel by panel.
 
-    F(s) is a prefix sum over whole panels of width ``PANEL`` on a lattice
-    through ``anchor``, plus one fractional panel from the lattice edge
-    toward the anchor up to s, all by the same 24-node Gauss rule; hence F is
-    smooth in s and safe to feed to difference stencils.  ``f`` must accept
-    numpy arrays; it may return scalars or rows of one fixed length, and is
-    called on at most ``BLOCK`` intervals (24 points each) at a time.
+    ``f`` must accept numpy arrays; it may return scalars or rows of one fixed
+    length, and is called on at most ``BLOCK`` intervals (24 points each) at a
+    time.  Panels of width ``PANEL`` lie on a lattice through ``anchor``.
 
-    The prefix is one array over a contiguous range of lattice indices,
-    grown on demand by a cumulative sum seeded with its current end value.
-    A query that is not finite or lies more than ``MAX_PANELS`` panels from
-    the anchor raises :class:`DomainError` before the table grows.  A lock
-    serializes growth, so an instance can be shared across threads.
+    Without a ``window``, F(s) is a prefix sum over whole lattice panels plus
+    one fractional panel from the lattice edge toward the anchor up to s, all
+    by the same 24-node Gauss rule, so every sample of f stays inside the hull
+    of (anchor, s).  The prefix is one array over a contiguous range of
+    lattice indices, grown on demand by a cumulative sum seeded with its
+    current end value; a lock serializes growth, so an instance can be shared
+    across threads.  A query that is not finite or lies more than
+    ``MAX_PANELS`` panels from the anchor raises :class:`DomainError` before
+    the table grows.
+
+    With ``window=(lo, hi)`` (holding the anchor; an end more than
+    ``MAX_PANELS`` panels from it raises :class:`DomainError` at once), the
+    lattice panels are clipped to the window and F is read off one Legendre
+    series per panel (Greengard 1991): the 24 Gauss samples become
+    coefficients c_j by the inverse Legendre-Vandermonde matrix, and F(s) is
+    the prefix at the panel's left edge plus the antiderivative series at s.
+    A panel is bisected until its series is resolved (chopping as in Aurentz
+    & Trefethen, 2017): its last three |c_j| are at most ``CHOP_TOL`` *
+    max(scale, 1), scale = max |c_j|, or they are at most EPS**(2/3) * scale
+    and no longer decay (at least a tenth of |c_15..17|).  A child whose tail
+    is not below 0.9 of its parent's, or ``MAX_SPLITS`` bisections down, is
+    kept as it is.  The table holds the prefix only and is built on the first
+    call, ``BLOCK`` lattice panels at a time; a later call rebuilds the series
+    of the blocks its queries fall in, so F(s) depends on s and the window
+    alone, never on the batch.  Threads whose first calls race each build the
+    same table, and it is set in one assignment, so no lock is needed.  A
+    query outside the window raises :class:`DomainError`.  Only a caller that
+    knows its hull has a window; the others keep the windowless path.
 
     With ``inner``, an instance with a scalar integrand, ``f`` is called as
     ``f(s, inner(s))``; at the nodes of a panel from a of half-width h,
@@ -235,33 +266,56 @@ class SmoothCumulative:
     is sampled where f is, plus one query of inner per distinct panel start.
     """
 
-    def __init__(self, f, anchor: float, inner: "SmoothCumulative" = None):
+    def __init__(self, f, anchor: float, inner: "SmoothCumulative" = None, window=None):
         self.f = f
         self.anchor = float(anchor)
         self.inner = inner
         self._lo = 0          # lattice index of the table's first row
         self._table = None    # F at lattice points; None while only F(anchor) = 0
         self._lock = threading.Lock()
+        self._series_table = None   # the windowed table: lattice, prefix, first panels
+        self.window = None if window is None else (float(window[0]), float(window[1]))
+        if window is not None:
+            self._check_far(np.array(self.window))
+            if not self.window[0] <= self.anchor <= self.window[1]:
+                raise ValueError(f"anchor {self.anchor!r} lies outside the window {self.window}")
+
+    @property
+    def panels(self) -> int:
+        """Panels of the windowed series table; 0 until it is built."""
+        return 0 if self._series_table is None else len(self._series_table[1])
+
+    def _check_far(self, s_arr):
+        far = ~(np.abs((s_arr - self.anchor) / PANEL) <= MAX_PANELS)
+        if far.any():
+            raise DomainError(
+                f"s={float(s_arr[far][0])!r} is not finite or lies farther than "
+                f"{MAX_PANELS * PANEL:g} from the integration anchor {self.anchor!r}")
+
+    def _samples(self, mids, halves, starts):
+        """f at the 24 Gauss nodes of each of at most BLOCK intervals
+        [mids - halves, mids + halves], shape (intervals, 24, ...); ``starts``
+        (= mids - halves up to rounding) is where inner is queried."""
+        pts = mids[:, None] + halves[:, None] * _GAUSS_X
+        if self.inner is None:
+            vals = np.asarray(self.f(pts.ravel()), dtype=float)
+        else:
+            a, where = np.unique(starts, return_inverse=True)
+            g = np.asarray(self.inner.f(pts.ravel()), dtype=float).reshape(pts.shape)
+            at = self.inner(a)[where][:, None] + halves[:, None] * (g @ _SPECTRAL.T)
+            vals = np.asarray(self.f(pts.ravel(), at.ravel()), dtype=float)
+        return vals.reshape(pts.shape + vals.shape[1:])
 
     def _gauss(self, mids, halves, starts):
-        """Integrals of f over [mids - halves, mids + halves], one per interval;
-        ``starts`` (= mids - halves up to rounding) is where inner is queried."""
+        """Integrals of f over [mids - halves, mids + halves], one per interval."""
         halves = np.broadcast_to(halves, mids.shape)
         out = []
         for i in range(0, mids.size, BLOCK):
-            m, h = mids[i:i + BLOCK], halves[i:i + BLOCK]
-            pts = m[:, None] + h[:, None] * _GAUSS_X
-            if self.inner is None:
-                vals = np.asarray(self.f(pts.ravel()), dtype=float)
+            h = halves[i:i + BLOCK]
+            vals = self._samples(mids[i:i + BLOCK], h, starts[i:i + BLOCK])
+            if vals.ndim == 2:
+                out.append(h * (vals @ _GAUSS_W))
             else:
-                a, where = np.unique(starts[i:i + BLOCK], return_inverse=True)
-                g = np.asarray(self.inner.f(pts.ravel()), dtype=float).reshape(pts.shape)
-                at = self.inner(a)[where][:, None] + h[:, None] * (g @ _SPECTRAL.T)
-                vals = np.asarray(self.f(pts.ravel(), at.ravel()), dtype=float)
-            if vals.ndim == 1:
-                out.append(h * (vals.reshape(pts.shape) @ _GAUSS_W))
-            else:
-                vals = vals.reshape(pts.shape + vals.shape[1:])
                 out.append(h[:, None] * np.einsum("pn...,n->p...", vals, _GAUSS_W))
         return np.concatenate(out)
 
@@ -288,14 +342,94 @@ class SmoothCumulative:
             self._lo, self._table = lo, table
             return lo, table
 
+    def _series(self, lattice):
+        """Resolved panels covering the lattice panels between the sorted
+        ``lattice`` edges: (left edges, right edges, Legendre coefficients of
+        f on the last axis), sorted by left edge."""
+        todo = [(lattice[:-1], lattice[1:], np.full(lattice.size - 1, np.inf), 0)]
+        done = []
+        while todo:
+            a, z, parent_tail, depth = todo.pop()
+            mid = 0.5 * (a + z)
+            c = _transform(_VINV, np.moveaxis(self._samples(mid, 0.5 * (z - a), a), 1, -1))
+            mag = np.abs(c).reshape(a.size, -1, 24).max(axis=1)
+            scale, tail = mag.max(axis=1), mag[:, -3:].max(axis=1)
+            ok = ((tail <= CHOP_TOL * np.maximum(scale, 1.0))
+                  | (tail <= EPS ** (2.0 / 3.0) * scale) & (tail >= 0.1 * mag[:, 15:18].max(axis=1))
+                  | (tail >= 0.9 * parent_tail) | (depth >= MAX_SPLITS)
+                  | ~((a < mid) & (mid < z)))   # no representable midpoint
+            done.append((a[ok], z[ok], c[ok]))
+            a, z = np.concatenate([a[~ok], mid[~ok]]), np.concatenate([mid[~ok], z[~ok]])
+            tail = np.tile(tail[~ok], 2)
+            todo += [(a[i:i + BLOCK], z[i:i + BLOCK], tail[i:i + BLOCK], depth + 1)
+                     for i in range(0, a.size, BLOCK)]
+        if len(done) == 1:
+            return done[0]
+        a, z, c = (np.concatenate(part) for part in zip(*done))
+        order = np.argsort(a)
+        return a[order], z[order], c[order]
+
+    def _windowed(self, s_arr):
+        """F at points of the window.  The first call builds the table, block
+        by block, and reads its own queries off each block's series as it
+        goes; a later call rebuilds the series of the blocks it falls in."""
+        lo, hi = self.window
+        outside = ~((s_arr >= lo) & (s_arr <= hi))
+        if outside.any():
+            raise DomainError(f"s={float(s_arr[outside][0])!r} is not finite or lies "
+                              f"outside the integration window [{lo!r}, {hi!r}]")
+        table = self._series_table
+        if table is None:
+            k = np.arange(np.floor((lo - self.anchor) / PANEL),
+                          np.ceil((hi - self.anchor) / PANEL) + 1)
+            inside = self.anchor + PANEL * k
+            lattice = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
+            edges, integrals, first = [], [], [0]
+        else:
+            lattice, prefix, first = table
+        # a query's block of lattice panels is known before the table is
+        blocks = np.minimum(np.searchsorted(lattice, s_arr, side="right") - 1,
+                            lattice.size - 2) // BLOCK
+        todo = (range(-(-(lattice.size - 1) // BLOCK)) if table is None
+                else np.flatnonzero(np.bincount(blocks)))
+        out, panel = None, np.empty(s_arr.size, dtype=int)   # each query's panel
+        for b in todo:
+            a, z, c = self._series(lattice[b * BLOCK:(b + 1) * BLOCK + 1])
+            if table is None:
+                edges.append(a)
+                # the integral over [-1, 1] of sum c_j P_j is 2 c_0
+                integrals.append((z - a).reshape((-1,) + (1,) * (c.ndim - 2)) * c[..., 0])
+                first.append(first[-1] + a.size)
+            ours = np.flatnonzero(blocks == b)
+            if not ours.size:
+                continue
+            i = np.searchsorted(a, s_arr[ours], side="right") - 1
+            order = np.argsort(i, kind="stable")   # each panel's queries together
+            ours, i = ours[order], i[order]
+            anti = _transform(_INTEG, c) * (0.5 * (z - a)).reshape((-1,) + (1,) * (c.ndim - 1))
+            out = np.empty(s_arr.shape + c.shape[1:-1]) if out is None else out
+            out[ours] = _series_at(a, z, anti, i, s_arr[ours])
+            panel[ours] = first[b] + i
+        if table is None:
+            integrals = np.concatenate(integrals)
+            # F(anchor) = 0: sum outward from the panel edge at the anchor
+            at = int(np.searchsorted(np.concatenate(edges), self.anchor))
+            zero = _zero_row(integrals)
+            prefix = np.concatenate([-_running_sum(zero, integrals[:at][::-1])[::-1],
+                                     zero, _running_sum(zero, integrals[at:])])[:-1]
+            self._series_table = (lattice, prefix, first)
+        if out is None:   # no queries
+            return np.empty(s_arr.shape + prefix.shape[1:])
+        out += prefix[panel]
+        return out
+
     def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        if self.window is not None:
+            out = self._windowed(s_arr)
+            return out if np.ndim(s) else out[0]
+        self._check_far(s_arr)
         d = (s_arr - self.anchor) / PANEL
-        far = ~(np.abs(d) <= MAX_PANELS)
-        if far.any():
-            raise DomainError(
-                f"s={float(s_arr[far][0])!r} is not finite or lies farther than "
-                f"{MAX_PANELS * PANEL:g} from the integration anchor {self.anchor!r}")
         # base the fractional panel on the lattice edge TOWARD the anchor, so
         # every sample of f stays inside the hull of (anchor, s); a floor on
         # both sides would step up to one panel outside the caller's domain
@@ -305,6 +439,43 @@ class SmoothCumulative:
         part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges), edges)
         out = (0.0 if table is None else table[k - lo]) + part
         return out if np.ndim(s) else out[0]
+
+
+def _series_at(a, z, anti, i, s):
+    """The integral from a[i] to each s of panel i's series, ``anti`` being
+    each panel's antiderivative coefficients 1..24 on [a, z], for i sorted.
+    Each run of one panel's queries meets that panel's coefficients in one
+    product without BLAS, so a value does not depend on the other queries.
+    The series at the left edge comes from the same product of the exact
+    row P_j(-1) = (-1)^j, so it is 0 there exactly."""
+    x = (s - 0.5 * (a[i] + z[i])) / (0.5 * (z[i] - a[i]))
+    out = np.empty(s.shape + anti.shape[1:-1])
+    for lo in range(0, s.size, BLOCK):
+        rows, ii = _legendre_rows(x[lo:lo + BLOCK]), i[lo:lo + BLOCK]
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(ii)) + 1, [ii.size]])
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            at = np.einsum("qj,...j->q...", rows[u:v], anti[ii[u]])
+            out[lo + u:lo + v] = at - np.einsum("qj,...j->q...", _LEFT, anti[ii[u]])
+    return out
+
+
+def _transform(matrix, values):
+    """``matrix`` applied to the last axis of ``values``, as one product."""
+    flat = np.ascontiguousarray(values).reshape(-1, values.shape[-1])
+    return (flat @ matrix.T).reshape(values.shape[:-1] + (-1,))
+
+
+def _legendre_rows(x):
+    """P_1(x) .. P_24(x), one row per point, from the three-term recurrence
+    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), exact at x = +-1."""
+    p, t = np.empty((25,) + x.shape), np.empty_like(x)
+    p[0], p[1] = 1.0, x
+    for j in range(1, 24):
+        np.multiply(x, p[j], out=p[j + 1])
+        np.subtract(p[j + 1], p[j - 1], out=t)
+        t *= j / (j + 1)
+        p[j + 1] += t
+    return np.ascontiguousarray(p[1:].T)
 
 
 def _zero_row(rows):

@@ -10,7 +10,10 @@ valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
 At the Gauss nodes of a position panel, int kappa comes from kappa at those
-same nodes (spectral integration), so a position costs 24 kappa samples.
+same nodes (spectral integration).  :func:`synthesize` knows its validated
+window, so it samples each panel of the window once and reads every position
+off that panel's Legendre series: a sample costs no tangent evaluation of its
+own.  A curve without a window integrates one 24-node panel per position.
 """
 
 from dataclasses import dataclass
@@ -101,18 +104,22 @@ class WhirlCurve:
     position is the zero vector) on fixed-node panels, so they are smooth
     enough for difference stencils.  The curve owns its panel tables: the
     cumulative curvature from ``spec.s0`` and the position from ``origin``,
-    which nests the former as the ``inner`` of its tangent integrand.
+    which nests the former as the ``inner`` of its tangent integrand.  Given
+    a ``window=(lo, hi)`` holding ``origin``, on which the caller has checked
+    the exponent bound, positions are read off one Legendre series per panel
+    of the window and are defined only there.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
-                 form: str = "spherical"):
+                 form: str = "spherical", window=None):
         if form not in _FORMS:
             raise ValueError(f"form must be one of {_FORMS}")
         self.spec = spec
         self.form = form
         self.origin = spec.s0 if origin is None else float(origin)
         self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
-        self._pos = SmoothCumulative(self._tangent, anchor=self.origin, inner=self._kcum)
+        self._pos = SmoothCumulative(self._tangent, anchor=self.origin, inner=self._kcum,
+                                     window=window)
 
     # -- scalar machinery -------------------------------------------------
 
@@ -243,8 +250,9 @@ def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
     if not spec.kappa.contains(hull_lo, hull_hi):
         raise ValueError(
             f"kappa domain {spec.kappa.domain} does not cover [{hull_lo}, {hull_hi}]")
-    curve = WhirlCurve(spec, origin=s_lo, form=form)
-    # the exponent is monotone in int(kappa); checking both ends guards the window
+    curve = WhirlCurve(spec, origin=s_lo, form=form, window=(s_lo, s_hi))
+    # the exponent is monotone in int(kappa); checking both ends guards the
+    # window before its position table samples the tangent
     curve.exponent(np.array([s_lo, s_hi]))
     grid = np.linspace(s_lo, s_hi, n)
     pts = curve.position(grid)

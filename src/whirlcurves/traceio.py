@@ -87,8 +87,9 @@ def to_json_obj(trace: CurveTrace) -> dict:
 
 
 def write_json(trace: CurveTrace, path) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", newline="\n") as fh:
-        json.dump(to_json_obj(trace), fh)
+        fh.write(json.dumps(to_json_obj(trace)))
         fh.write("\n")
 
 

@@ -215,7 +215,9 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     d = vecs[:, 0]
     if d[np.argmax(np.abs(d))] < 0:
         d = -d
-    rms = float(np.sqrt(max(vals3[0], 0.0) / len(frames)))
+    # from the residuals themselves: the smallest eigenvalue is a difference
+    # of O(n) terms, so near zero it is rounding noise, often clamped to 0
+    rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
     note = ""
     is_whirl = rms < rms_tol
     if np.min(np.abs(frames.tau)) < tau_floor:

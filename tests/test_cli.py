@@ -165,6 +165,19 @@ def test_tol_override_can_fail_verdict(tmp_path, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
+def test_consecutive_runs_do_not_share_tolerances(tmp_path, capsys):
+    # one parser serves every call of main; a --tol must not outlive its run
+    argv = ["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2",
+            "--samples", 33, "--out", tmp_path]
+    assert run(argv + ["--tol", "unit_speed=1e-30"]) == 1
+    assert "(tol 1e-30)" in capsys.readouterr().out
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "unit-speed residual" in out and "(tol 1e-06)" in out and "1e-30" not in out
+    assert run(argv + ["--tol", "hyperboloid=1e-30"]) == 1
+    assert "(tol 1e-06)" in capsys.readouterr().out
+
+
 def test_infinite_range_exit_3(tmp_path, capsys):
     code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:inf",
                 "--out", tmp_path])

@@ -289,6 +289,120 @@ def test_smooth_cumulative_rejects_far_queries_before_growing(bad):
     assert np.array_equal(F(np.array([-1.0, 2.0])), before)
 
 
+def _nested_in_window(window, seen):
+    """int_0.5^s cos(G), G(u) = int_0.5^u 1/v, on ``window``; ``seen``
+    collects every point where either integrand is sampled."""
+    def g(s):
+        seen.append(np.asarray(s, dtype=float).copy())
+        return 1.0 / np.asarray(s, dtype=float)
+
+    def f(s, k):
+        seen.append(np.asarray(s, dtype=float).copy())
+        return np.stack([np.cos(k), np.sin(k)], axis=-1)
+
+    return wc.SmoothCumulative(f, anchor=0.5, window=window,
+                               inner=wc.SmoothCumulative(g, anchor=0.5))
+
+
+def test_windowed_cumulative_samples_only_inside_its_window():
+    # g has a pole at 0, below the window: every sample of either integrand
+    # lies inside the window, and the values match the windowless nesting
+    seen = []
+    F = _nested_in_window((0.011, 1.7), seen)
+    grid = np.linspace(0.011, 1.7, 400)
+    got = F(grid)
+    pts = np.concatenate(seen)
+    assert pts.min() >= 0.011 and pts.max() <= 1.7
+    assert F(0.5).tolist() == [0.0, 0.0]
+    plain = _nested_in_window(None, [])
+    assert np.max(np.abs(got - plain(grid))) <= 1e-14
+    ends = F(np.array([0.011, 1.7]))
+    for i, s in enumerate((0.011, 1.7)):
+        for c, part in enumerate((np.cos, np.sin)):
+            oracle = wc.integrate(lambda u: part(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
+            assert abs(ends[i, c] - oracle.value) <= 1e-12
+    n_seen = len(seen)
+    for bad in (0.011 - 1e-9, 1.7 + 1e-9, np.nan):
+        with pytest.raises(DomainError, match=re.escape(f"s={bad!r}")):
+            F(np.array([0.6, bad]))
+    assert len(seen) == n_seen
+
+
+def test_windowed_cumulative_checks_its_window_before_any_work():
+    calls = []
+    far = 0.5 + 1.001 * wc.numerics.MAX_PANELS * wc.numerics.PANEL
+    with pytest.raises(DomainError, match=re.escape(f"s={far!r}")):
+        wc.SmoothCumulative(calls.append, anchor=0.5, window=(0.5, far))
+    with pytest.raises(ValueError, match="outside the window"):
+        wc.SmoothCumulative(calls.append, anchor=0.5, window=(1.0, 2.0))
+    assert calls == []
+
+
+def test_windowed_cumulative_is_the_same_whatever_the_batch():
+    # three blocks of lattice panels: the first call builds the table and
+    # reads its queries off the series as it goes, later calls rebuild only
+    # their blocks; every value depends on s and the window alone
+    def f(s):
+        s = np.asarray(s, float)
+        return np.stack([np.cos(s), np.sin(3.0 * s), np.exp(-s * s)], axis=-1)
+
+    window = (-600.0, 700.0)
+    grid = np.linspace(*window, 97)
+    assert (window[1] - window[0]) / wc.numerics.PANEL > 2 * wc.numerics.BLOCK
+    batched = wc.SmoothCumulative(f, anchor=0.3, window=window)(grid)
+    single = wc.SmoothCumulative(f, anchor=0.3, window=window)
+    assert np.array_equal(np.array([single(s) for s in grid[::-4]]), batched[::-4])
+    assert np.array_equal(single(grid[40:60]), batched[40:60])
+    ref = wc.SmoothCumulative(f, anchor=0.3)(grid)
+    assert np.max(np.abs(batched - ref)) <= 1e-12
+
+
+def test_windowed_cumulative_shared_across_threads():
+    # six threads (more than cores) make the first calls of one instance at
+    # once; every value matches a single-threaded instance bit for bit
+    def f(s):
+        return np.exp(-np.asarray(s, float) ** 2 / 50.0)
+
+    window = (-40.0, 600.0)
+    grids = [np.linspace(-40.0 + 7 * i, 600.0 - 90 * i, 65) for i in range(6)]
+    single = wc.SmoothCumulative(f, anchor=0.2, window=window)
+    ref = [single(g) for g in grids]
+    for _ in range(3):
+        F = wc.SmoothCumulative(f, anchor=0.2, window=window)
+        out = [None] * len(grids)
+
+        def work(i):
+            out[i] = F(grids[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(o, r) for o, r in zip(out, ref))
+        assert F.panels == single.panels
+
+
+def test_windowed_cumulative_splits_only_unresolved_panels():
+    # sqrt(1.5 - s) near its branch point: panels next to it are bisected,
+    # the smooth rest stays on the lattice
+    f = lambda s: np.sqrt(1.5 - np.asarray(s, float))
+    F = wc.SmoothCumulative(f, anchor=0.0, window=(0.0, 1.5 - 1e-9))
+    grid = np.linspace(0.0, 1.5 - 1e-9, 33)
+    exact = (1.5 ** 1.5 - (1.5 - grid) ** 1.5) / 1.5
+    assert np.max(np.abs(F(grid) - exact)) <= 1e-14
+    assert 12 < F.panels <= 12 + 2 * wc.numerics.MAX_SPLITS
+    smooth = wc.SmoothCumulative(np.cos, anchor=0.0, window=(0.0, 1.5))
+    smooth(1.5)
+    assert smooth.panels == 12
+
+
 def test_smooth_cumulative_shared_across_threads():
     # six threads (more than cores) grow one table up and down at once; a
     # lost update would show as panels integrated twice

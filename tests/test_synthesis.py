@@ -1,6 +1,7 @@
 """Whirl-curve synthesis tests: scalar machinery, tangent/position, branches."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -267,6 +268,92 @@ def test_synthesis_samples_kappa_once_per_position_node():
     tr = wc.synthesize(spec, 0.0, 2.0, n)
     assert points[0] <= 48 * n
     assert np.array_equal(tr.points[0], [0.0, 0.0, 0.0])
+
+
+def _scalar_tangent(coeffs, lam, bound, form, c):
+    """Component c of the closed-form tangent in plain floats, int kappa from
+    the polynomial antiderivative: a fast integrand for adaptive Simpson."""
+    prim = np.polynomial.Polynomial(coeffs).integ().coef.tolist()
+    root = math.sqrt(1.0 + lam * lam)
+
+    def t(u):
+        e = lam * math.fsum(a * u ** k for k, a in enumerate(prim)) - bound
+        q, w = math.exp(e), math.sqrt(-math.expm1(2.0 * e))
+        if c == 2:
+            return q / root
+        if form == "spherical":
+            theta = math.atan(w / lam) - (math.log1p(w) - e) / lam
+            return math.sqrt(1.0 - q * q / (1.0 + lam * lam)) * (math.cos, math.sin)[c](theta)
+        psi = (math.log1p(w) - e) / lam
+        return ((lam * math.cos(psi) + w * math.sin(psi)) if c == 0
+                else (w * math.cos(psi) - lam * math.sin(psi))) / root
+
+    return t
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-11])
+@pytest.mark.parametrize("coeffs", [[0.8], [0.8, 0.1, 0.03]])
+@pytest.mark.parametrize("lam", [1.3, -0.6])
+@pytest.mark.parametrize("form", ["spherical", "combined"])
+def test_positions_at_every_node_near_the_bound_match_summed_adaptive_quadrature(
+        gap, coeffs, lam, form):
+    # windows ending where E = -gap: the series panels next to the end are
+    # bisected until resolved; one fixed 24-node panel per position was off
+    # by up to 5.3e-11 here
+    bound = wc.bound_from_ratio(1.2, lam)
+    lo, hi = sorted((0.0, _window_to_bound(coeffs, lam, bound, gap)))
+    kappa = (wc.kappa_constant(coeffs[0]) if len(coeffs) == 1
+             else wc.kappa_polynomial(coeffs, (lo - 1.0, hi + 1.0)))
+    spec = wc.WhirlSpec(kappa=kappa, lam=lam, bound=bound)
+    tr = wc.synthesize(spec, lo, hi, 65, form=form)
+    ref = np.zeros((65, 3))
+    for c in range(3):
+        t = _scalar_tangent(coeffs, lam, bound, form, c)
+        ref[1:, c] = np.cumsum([wc.integrate(t, tr.s[i], tr.s[i + 1], abs_tol=1e-16).value
+                                for i in range(64)])
+    assert np.max(np.abs(tr.points - ref)) <= 1e-14
+
+
+def test_synthesis_takes_at_most_one_tangent_evaluation_per_sample(monkeypatch):
+    # the window's panels are sampled once; positions are read off their
+    # series (one 24-node panel per position took 24 evaluations each)
+    points = [0]
+    tangent = wc.WhirlCurve._tangent
+
+    def counted(self, s, kcum):
+        points[0] += np.size(s)
+        return tangent(self, s, kcum)
+
+    monkeypatch.setattr(wc.WhirlCurve, "_tangent", counted)
+    spec = wc.WhirlSpec(kappa=wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0)),
+                        lam=-0.7, bound=wc.bound_from_ratio(1.1, -0.7))
+    n = 20001
+    wc.synthesize(spec, 0.0, 2.0, n)
+    assert 0 < points[0] <= n
+
+
+def test_long_window_stays_on_its_lattice():
+    # far out cos(theta) has a rounding floor of about |theta| * EPS: the chop
+    # rule must accept it rather than bisect without end
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    curve = wc.WhirlCurve(spec, origin=0.0, window=(0.0, 1e4))
+    curve.position(1e4)
+    assert curve._pos.panels <= 3 * round(1e4 / wc.numerics.PANEL)
+
+
+def test_windowed_positions_do_not_depend_on_the_batch():
+    spec = wc.WhirlSpec(kappa=wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0)),
+                        lam=-0.7, bound=wc.bound_from_ratio(1.1, -0.7))
+    grid = np.linspace(0.0, 2.0, 41)
+    batched = wc.WhirlCurve(spec, origin=0.0, window=(0.0, 2.0)).position(grid)
+    single = wc.WhirlCurve(spec, origin=0.0, window=(0.0, 2.0))
+    assert np.array_equal(np.array([single.position(s) for s in grid]), batched)
+    assert np.array_equal(wc.synthesize(spec, 0.0, 2.0, 41).points, batched)
+    windowless = wc.WhirlCurve(spec, origin=0.0).position(grid)
+    assert np.max(np.abs(batched - windowless)) <= 1e-15
+    with pytest.raises(DomainError, match="s=2.5"):
+        single.position(2.5)
 
 
 def test_spec_is_released_after_synthesis():

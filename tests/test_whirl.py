@@ -195,6 +195,26 @@ def test_fit_survives_position_noise(rng):
     assert abs(fit.lam - (-0.5)) <= 1e-3
 
 
+def test_fit_rms_is_stable_under_one_ulp_perturbations():
+    # the rms of <n_i, d> - lam <t_i, d> itself: the smallest eigenvalue of the
+    # normal matrix is rounding noise here and printed exactly 0.000e+00
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    tr = wc.synthesize(spec, 0.0, 1.0, 513)
+    rms = []
+    for row in (None, 100, 256, 400):
+        pts = tr.points.copy()
+        if row is not None:
+            pts[row, 0] = np.nextafter(pts[row, 0], np.inf)
+        frames = wc.trace_frames(wc.CurveTrace(tr.s, pts))
+        fit = wc.fit_lambda_axis(frames)
+        direct = np.sqrt(np.mean(wc.proportionality_residual(frames, fit.axis, fit.lam) ** 2))
+        assert fit.rms == pytest.approx(direct, rel=1e-12)
+        rms.append(fit.rms)
+    assert rms[0] > 0.0
+    assert max(abs(r / rms[0] - 1.0) for r in rms) < 0.1
+
+
 def test_fit_needs_four_frames():
     spec, curve = _synth_curve()
     with pytest.raises(FrameError, match="no stable fit"):
