@@ -2,11 +2,11 @@
 
 All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
-sum that is smooth in its upper limit and nests one cumulative in another
-by spectral integration on the same nodes; given a validated window, it
-reads F off one adaptively split Legendre series per panel instead.
-Adaptive Simpson :func:`integrate` is the independent reference.  Every derivative comes from :func:`diff_weights`,
-applied to a callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
+sum that is smooth in its upper limit; given a validated window, it reads F
+off one adaptively split Legendre series per panel instead.  Adaptive
+Simpson :func:`integrate` is the independent reference.  Every derivative
+comes from :func:`diff_weights`, applied to a callable by :func:`derivative`,
+to samples by :func:`grid_derivatives`.
 """
 
 import threading
@@ -30,11 +30,6 @@ DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
 PANEL = 0.125
 _LEG = np.polynomial.legendre
 _GAUSS_X, _GAUSS_W = _LEG.leggauss(24)
-# Spectral integration on those nodes (Greengard, SIAM J. Numer. Anal. 1991):
-# S[j, i] is the integral from -1 to x_j of the i-th Lagrange polynomial
-# through them, from the Legendre coefficients the Gauss rule gives exactly.
-_SPECTRAL = (_LEG.legval(_GAUSS_X, _LEG.legint(np.eye(24), lbnd=-1)).T
-             @ ((np.arange(24) + 0.5)[:, None] * _LEG.legvander(_GAUSS_X, 23).T * _GAUSS_W))
 BLOCK = 4096
 MAX_PANELS = 2 ** 20
 # Windowed series: coefficients from the samples by the inverse
@@ -259,17 +254,11 @@ class SmoothCumulative:
     same table, and it is set in one assignment, so no lock is needed.  A
     query outside the window raises :class:`DomainError`.  Only a caller that
     knows its hull has a window; the others keep the windowless path.
-
-    With ``inner``, an instance with a scalar integrand, ``f`` is called as
-    ``f(s, inner(s))``; at the nodes of a panel from a of half-width h,
-    inner(s) = inner(a) + h * _SPECTRAL @ inner.f(nodes): inner's integrand
-    is sampled where f is, plus one query of inner per distinct panel start.
     """
 
-    def __init__(self, f, anchor: float, inner: "SmoothCumulative" = None, window=None):
+    def __init__(self, f, anchor: float, window=None):
         self.f = f
         self.anchor = float(anchor)
-        self.inner = inner
         self._lo = 0          # lattice index of the table's first row
         self._table = None    # F at lattice points; None while only F(anchor) = 0
         self._lock = threading.Lock()
@@ -292,27 +281,20 @@ class SmoothCumulative:
                 f"s={float(s_arr[far][0])!r} is not finite or lies farther than "
                 f"{MAX_PANELS * PANEL:g} from the integration anchor {self.anchor!r}")
 
-    def _samples(self, mids, halves, starts):
+    def _samples(self, mids, halves):
         """f at the 24 Gauss nodes of each of at most BLOCK intervals
-        [mids - halves, mids + halves], shape (intervals, 24, ...); ``starts``
-        (= mids - halves up to rounding) is where inner is queried."""
+        [mids - halves, mids + halves], shape (intervals, 24, ...)."""
         pts = mids[:, None] + halves[:, None] * _GAUSS_X
-        if self.inner is None:
-            vals = np.asarray(self.f(pts.ravel()), dtype=float)
-        else:
-            a, where = np.unique(starts, return_inverse=True)
-            g = np.asarray(self.inner.f(pts.ravel()), dtype=float).reshape(pts.shape)
-            at = self.inner(a)[where][:, None] + halves[:, None] * (g @ _SPECTRAL.T)
-            vals = np.asarray(self.f(pts.ravel(), at.ravel()), dtype=float)
+        vals = np.asarray(self.f(pts.ravel()), dtype=float)
         return vals.reshape(pts.shape + vals.shape[1:])
 
-    def _gauss(self, mids, halves, starts):
+    def _gauss(self, mids, halves):
         """Integrals of f over [mids - halves, mids + halves], one per interval."""
         halves = np.broadcast_to(halves, mids.shape)
         out = []
         for i in range(0, mids.size, BLOCK):
             h = halves[i:i + BLOCK]
-            vals = self._samples(mids[i:i + BLOCK], h, starts[i:i + BLOCK])
+            vals = self._samples(mids[i:i + BLOCK], h)
             if vals.ndim == 2:
                 out.append(h * (vals @ _GAUSS_W))
             else:
@@ -322,7 +304,7 @@ class SmoothCumulative:
     def _panels(self, k_from: int, k_to: int):
         """Integrals of f over the lattice panels [k, k+1), k_from <= k < k_to."""
         edges = self.anchor + PANEL * np.arange(k_from, k_to + 1)
-        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL, edges[:-1])
+        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL)
 
     def _extend(self, k_min: int, k_max: int):
         """Grow the table over lattice indices [k_min, k_max]; return it with
@@ -351,7 +333,7 @@ class SmoothCumulative:
         while todo:
             a, z, parent_tail, depth = todo.pop()
             mid = 0.5 * (a + z)
-            c = _transform(_VINV, np.moveaxis(self._samples(mid, 0.5 * (z - a), a), 1, -1))
+            c = _transform(_VINV, np.moveaxis(self._samples(mid, 0.5 * (z - a)), 1, -1))
             mag = np.abs(c).reshape(a.size, -1, 24).max(axis=1)
             scale, tail = mag.max(axis=1), mag[:, -3:].max(axis=1)
             ok = ((tail <= CHOP_TOL * np.maximum(scale, 1.0))
@@ -436,7 +418,7 @@ class SmoothCumulative:
         k = np.where(s_arr >= self.anchor, np.floor(d), np.ceil(d)).astype(int)
         lo, table = self._extend(int(k.min()), int(k.max()))
         edges = self.anchor + PANEL * k
-        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges), edges)
+        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges))
         out = (0.0 if table is None else table[k - lo]) + part
         return out if np.ndim(s) else out[0]
 

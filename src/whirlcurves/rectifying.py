@@ -23,6 +23,7 @@ from .numerics import derivative
 from .whirl import as_frames
 
 HALF_PI = 0.5 * np.pi
+SLOPE_FLOOR = 1e-3   # a ratio line flatter than this is constant, not rectifying
 
 
 @dataclass(frozen=True)
@@ -208,12 +209,11 @@ class ChenFit:
 
 
 def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
-                   deriv: Optional[Callable] = None, rms_tol: float = 1e-3,
-                   slope_floor: float = 1e-3) -> ChenFit:
+                   deriv: Optional[Callable] = None, rms_tol: float = 1e-3) -> ChenFit:
     """Fit tau/kappa = c1*s + c2 over Frames, or over a callable's grid.
 
     The rectifying-compatible verdict requires the fit to be tight
-    (rms < rms_tol) and genuinely nonconstant (|c1| > slope_floor).
+    (rms < rms_tol) and genuinely nonconstant (|c1| > SLOPE_FLOOR).
     """
     frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 3:
@@ -224,9 +224,9 @@ def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
     resid = ratios - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     c1, c2 = float(coef[0]), float(coef[1])
-    ok = rms < rms_tol and abs(c1) > slope_floor
+    ok = rms < rms_tol and abs(c1) > SLOPE_FLOOR
     note = "" if ok else (
-        "ratio is constant" if abs(c1) <= slope_floor else "ratio is not linear")
+        "ratio is constant" if abs(c1) <= SLOPE_FLOOR else "ratio is not linear")
     return ChenFit(c1=c1, c2=c2, rms=rms, is_rectifying=ok, note=note)
 
 

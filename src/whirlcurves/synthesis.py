@@ -9,11 +9,10 @@ point s0, the construction produces a unit-speed curve whose whirl axis is
 valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
-At the Gauss nodes of a position panel, int kappa comes from kappa at those
-same nodes (spectral integration).  :func:`synthesize` knows its validated
-window, so it samples each panel of the window once and reads every position
-off that panel's Legendre series: a sample costs no tangent evaluation of its
-own.  A curve without a window integrates one 24-node panel per position.
+:func:`synthesize` knows its validated window, so it samples each panel of
+the window once and reads every position off that panel's Legendre series:
+a sample costs no tangent evaluation of its own.  A curve without a window
+integrates one 24-node panel per position.
 """
 
 from dataclasses import dataclass
@@ -30,10 +29,10 @@ EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
 # two steps of at most EPS**0.2 (ratio_rate; frenet_at given the tangent).
 REACH = 2.0 * EPS ** 0.2
 
-# Two congruent tangent arrangements: "spherical" keeps the explicit
-# (polar, azimuth) angles; "combined" folds the arctan phase into the
-# cos/sin coefficients.  They differ by a rotation about the vertical axis
-# (a half turn when lam < 0), so traces agree up to a rigid motion.
+# Two congruent tangent arrangements: "combined" folds the arctan phase of
+# the (polar, azimuth) angles into the cos/sin coefficients; "spherical"
+# follows the angles, which is the same tangent turned a half turn about the
+# vertical axis when lam < 0, so traces agree up to a rigid motion.
 _FORMS = ("spherical", "combined")
 
 
@@ -104,10 +103,10 @@ class WhirlCurve:
     position is the zero vector) on fixed-node panels, so they are smooth
     enough for difference stencils.  The curve owns its panel tables: the
     cumulative curvature from ``spec.s0`` and the position from ``origin``,
-    which nests the former as the ``inner`` of its tangent integrand.  Given
-    a ``window=(lo, hi)`` holding ``origin``, on which the caller has checked
-    the exponent bound, positions are read off one Legendre series per panel
-    of the window and are defined only there.
+    whose integrand is :meth:`tangent`.  Given a ``window=(lo, hi)`` holding
+    ``origin``, on which the caller has checked the exponent bound, positions
+    are read off one Legendre series per panel of the window and are defined
+    only there.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
@@ -118,18 +117,13 @@ class WhirlCurve:
         self.form = form
         self.origin = spec.s0 if origin is None else float(origin)
         self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
-        self._pos = SmoothCumulative(self._tangent, anchor=self.origin, inner=self._kcum,
-                                     window=window)
+        self._pos = SmoothCumulative(self.tangent, anchor=self.origin, window=window)
 
     # -- scalar machinery -------------------------------------------------
 
     def exponent(self, s):
         """lam * int_{s0}^{s} kappa - bound; must stay below zero."""
-        return self._exponent(s, self._kcum(s))
-
-    def _exponent(self, s, kcum):
-        """The exponent at ``s`` from ``kcum`` = int_{s0}^{s} kappa there."""
-        val = self.spec.lam * kcum - self.spec.bound
+        val = self.spec.lam * self._kcum(s) - self.spec.bound
         if np.any(np.asarray(val) > EXPONENT_CEIL):
             bad = np.atleast_1d(np.asarray(s))[
                 np.atleast_1d(np.asarray(val) > EXPONENT_CEIL)][0]
@@ -188,28 +182,18 @@ class WhirlCurve:
     # -- curve ------------------------------------------------------------
 
     def tangent(self, s):
-        """Closed-form unit tangent; rows of shape (3,) for array input."""
-        return self._tangent(s, self._kcum(s))
+        """Closed-form unit tangent; rows of shape (3,) for array input.
 
-    def _tangent(self, s, kcum):
-        """The tangent formula at ``s`` from ``kcum`` = int_{s0}^{s} kappa there."""
-        e, q, w = self._qw(self._exponent(s, kcum))
-        lam = self.spec.lam
+        The combined form, psi = arctanh(w)/lam; the spherical one is it
+        turned a half turn about the vertical axis when lam < 0."""
+        e, q, w = self._qw(self.exponent(s))
+        lam, z_sign = self.spec.lam, self.spec.z_sign
         root = np.sqrt(1.0 + lam * lam)
-        cphi = self.spec.z_sign * q / root
-        sphi = np.sqrt(1.0 - (q * q) / (1.0 + lam * lam))
-        if self.form == "spherical":
-            theta = self.spec.z_sign * self.spec.tau_sign * (
-                np.arctan(w / lam) - (np.log1p(w) - e) / lam)
-            x = sphi * np.cos(theta)
-            y = sphi * np.sin(theta)
-        else:
-            psi = (np.log1p(w) - e) / lam
-            x = (lam * np.cos(psi) + w * np.sin(psi)) / root
-            y = (w * np.cos(psi) - lam * np.sin(psi)) / root
-            if self.spec.z_sign * self.spec.tau_sign < 0:
-                y = -y
-        return np.stack(np.broadcast_arrays(x, y, cphi), axis=-1)
+        psi = (np.log1p(w) - e) / lam
+        turn = -1.0 if self.form == "spherical" and lam < 0 else 1.0
+        x = turn * (lam * np.cos(psi) + w * np.sin(psi)) / root
+        y = turn * z_sign * self.spec.tau_sign * (w * np.cos(psi) - lam * np.sin(psi)) / root
+        return np.stack(np.broadcast_arrays(x, y, z_sign * q / root), axis=-1)
 
     def position(self, s):
         return self._pos(s)

@@ -25,6 +25,7 @@ from .numerics import grid_derivatives
 
 LAMBDA_FLOOR = 1e-12
 LAMBDA_BRACKET = 1e4
+TAU_FLOOR = 1e-9   # a fit over frames with |tau| below this is no whirl
 
 
 def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
@@ -152,13 +153,15 @@ class WhirlFit:
 
 
 def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
-                    rms_tol: float = 1e-3,
-                    tau_floor: float = 1e-9) -> WhirlFit:
+                    rms_tol: float = 1e-3) -> WhirlFit:
     """Fit ``lam`` and a unit axis minimizing sum(<n_i,d> - lam <t_i,d>)^2.
 
     The normal matrix is quadratic in lam, M(lam) = A - lam*B + lam^2*C with
     fixed 3x3 blocks, and d is its bottom eigenvector; lam itself is found by
-    a deterministic scan of +-[1e-12, 1e4] refined by golden-section search.
+    a deterministic scan of +-[1e-12, 1e4], then by bisection inside the
+    scan's bracket on the sign of the eigenvalue's slope d'(2*lam*C - B)d
+    (Hellmann-Feynman), which resolves lam where the flat eigenvalue cannot;
+    a bracket the slope does not change sign across keeps the scan's best.
     Ties break toward the smallest |lam|, then the positive sign; the axis
     sign makes its largest-magnitude component positive, so noise in the
     small components cannot flip an axis near a coordinate direction.
@@ -174,8 +177,9 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     def _fit_objective(lam):
         return np.linalg.eigh(A - lam * B + lam * lam * C)
 
-    def g(lam):
-        return float(_fit_objective(lam)[0][0])
+    def slope(lam):
+        d = _fit_objective(lam)[1][:, 0]
+        return d @ (2.0 * lam * C - B) @ d
 
     mags = np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)
     cands = np.concatenate([-mags[::-1], mags])
@@ -188,24 +192,16 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     best_idx = min(near, key=lambda i: (abs(cands[i]), -np.sign(cands[i])))
     lo = cands[max(best_idx - 1, 0)]
     hi = cands[min(best_idx + 1, cands.size - 1)]
-
-    # golden-section refine on [lo, hi]
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(200):
-        if hi - lo < 1e-14 * max(1.0, abs(lo), abs(hi)):
-            break
-        if g1 <= g2:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - gr * (hi - lo)
-            g1 = g(x1)
-        else:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + gr * (hi - lo)
-            g2 = g(x2)
-    lam = 0.5 * (lo + hi)
+    lam = cands[best_idx]
+    if slope(lo) < 0.0 < slope(hi):
+        for _ in range(200):
+            lam = 0.5 * (lo + hi)
+            if not lo < lam < hi:
+                break
+            if slope(lam) < 0.0:
+                lo = lam
+            else:
+                hi = lam
     if abs(lam) < LAMBDA_FLOOR:
         lam = LAMBDA_FLOOR if lam >= 0 else -LAMBDA_FLOOR
     vals3, vecs = _fit_objective(lam)
@@ -220,7 +216,7 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
     note = ""
     is_whirl = rms < rms_tol
-    if np.min(np.abs(frames.tau)) < tau_floor:
+    if np.min(np.abs(frames.tau)) < TAU_FLOOR:
         is_whirl = False
         note = "not a whirl curve: torsion vanishes on the grid"
     elif abs(lam) <= 4.0 * LAMBDA_FLOOR:

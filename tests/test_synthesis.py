@@ -251,10 +251,10 @@ def test_positions_near_the_exponent_bound_match_adaptive_quadrature(coeffs, lam
         assert np.max(np.abs(tr.points[i] - ref)) <= 1e-10
 
 
-def test_synthesis_samples_kappa_once_per_position_node():
-    # the kappa cumulative at a position panel's nodes comes from kappa at
-    # those same nodes: about 24 samples of kappa per position, where a
-    # kappa panel per tangent node would take 24 * 24 = 576
+def test_synthesis_kappa_samples_stay_within_48_per_position():
+    # positions are read off the window's series, so kappa is sampled by one
+    # 24-node panel per tangent node of the window's panels, not per position;
+    # a tangent panel per position would take 24 * 24 = 576 per position
     base = wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0))
     points = [0]
 
@@ -318,13 +318,13 @@ def test_synthesis_takes_at_most_one_tangent_evaluation_per_sample(monkeypatch):
     # the window's panels are sampled once; positions are read off their
     # series (one 24-node panel per position took 24 evaluations each)
     points = [0]
-    tangent = wc.WhirlCurve._tangent
+    tangent = wc.WhirlCurve.tangent
 
-    def counted(self, s, kcum):
+    def counted(self, s):
         points[0] += np.size(s)
-        return tangent(self, s, kcum)
+        return tangent(self, s)
 
-    monkeypatch.setattr(wc.WhirlCurve, "_tangent", counted)
+    monkeypatch.setattr(wc.WhirlCurve, "tangent", counted)
     spec = wc.WhirlSpec(kappa=wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0)),
                         lam=-0.7, bound=wc.bound_from_ratio(1.1, -0.7))
     n = 20001

@@ -5,7 +5,7 @@ import pytest
 
 import whirlcurves as wc
 from whirlcurves.errors import FrameError
-from conftest import random_frame, random_rotation, unit_speed_helix
+from conftest import random_frame, random_rotation, random_whirl_model, unit_speed_helix
 
 
 def test_intrinsic_residual_helix_nonzero():
@@ -176,6 +176,19 @@ def test_fit_axis_sign_ignores_tiny_tilts(axis, angle):
                              deriv=lambda u: curve.tangent(u) @ rot.T)
     assert fit.axis[2] > 0
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_resolves_lambda_from_closed_form_frames(seed):
+    # frames from the closed-form tangent on 507 nodes of a short window fit
+    # lam and the axis (0, 0, 1) to 1e-8: near its minimum the eigenvalue is
+    # flat to rounding, but its slope still resolves lam
+    spec, lo, hi, _ = random_whirl_model(np.random.default_rng([seed, 9]))
+    curve = wc.WhirlCurve(spec, origin=lo, window=(lo, hi))
+    fit = wc.fit_lambda_axis(curve.position, np.linspace(lo, hi, 513)[3:-3],
+                             deriv=curve.tangent)
+    assert abs(fit.lam / spec.lam - 1.0) <= 1e-8
+    assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-8
 
 
 def test_fit_flags_planar_circle():
