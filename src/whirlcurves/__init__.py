@@ -12,8 +12,7 @@ hyperboloid/cone/sphere geometry and continuous extensions.
 from .errors import DomainError, FrameError, QuadratureError
 from .numerics import (EPS, QuadratureResult, ScalarFn, SmoothCumulative, as_scalar_fn,
                        derivative, diff_weights, grid_derivatives, integrate)
-from .traceio import (CurveTrace, read_csv, read_json, read_trace, to_csv_text,
-                    write_csv, write_json)
+from .traceio import CurveTrace, read_csv, read_json, read_trace, write_csv, write_json
 from .frenet import (Frames, FrenetApparatus, Vec3, frenet_at, trace, trace_frames,
                      unit_speed_residual)
 from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,

@@ -17,7 +17,7 @@ import numpy as np
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
 from .frenet import trace_frames, unit_speed_residual
-from .synthesis import REACH, WhirlSpec, WhirlCurve, bound_from_ratio
+from .synthesis import REACH, WhirlSpec, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
@@ -203,13 +203,11 @@ def _cmd_synth(args) -> int:
     bound = args.bound if args.bound is not None else bound_from_ratio(args.h0, args.lam)
     spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
-    tr = synthesis.synthesize(spec, lo, hi, args.samples, form=args.form)
+    # the checks read the written trace's positions off the same windowed table
+    tr, curve = synthesis._synthesized(spec, lo, hi, args.samples, args.form)
     tr.meta.update({"command": "synth", "kappa": args.kappa[0],
                     "samples": args.samples, "range": [lo, hi]})
     path = _write(tr, args.out, "synth", args.format)
-
-    # the positions of the written trace: the same window, the same series
-    curve = WhirlCurve(spec, origin=lo, form=args.form, window=(lo, hi))
     # nodes REACH inside the validated window keep every stencil probe in it
     usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
                                                           min(args.samples, 65)))

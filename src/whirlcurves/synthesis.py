@@ -225,6 +225,12 @@ def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
     on [s_lo, s_hi] and ValueError when kappa's domain does not cover the
     hull of the request and s0.
     """
+    return _synthesized(spec, s_lo, s_hi, n, form)[0]
+
+
+def _synthesized(spec, s_lo, s_hi, n, form):
+    """:func:`synthesize`'s trace and the windowed curve its positions came
+    from, whose table later position queries reuse."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not s_lo < s_hi:
@@ -250,7 +256,7 @@ def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
         "z_sign": int(spec.z_sign),
         "tau_sign": int(spec.tau_sign),
     }
-    return CurveTrace(grid, pts, meta=meta)
+    return CurveTrace(grid, pts, meta=meta), curve
 
 
 # -- curvature families ----------------------------------------------------

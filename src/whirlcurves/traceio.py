@@ -1,16 +1,21 @@
 """Sampled-curve container and its CSV/JSON serialization.
 
 CSV schema: header ``s,x,y,z`` (or ``t,x,y,z`` for sphere-curve traces),
-ASCII, '.' decimal separator, LF line endings, shortest round-trip decimal
-representation for every number.  JSON schema:
-``{"meta": {...}, "samples": [[s, x, y, z], ...]}``.
+ASCII, '.' decimal separator, LF line endings.  JSON schema:
+``{"meta": {...}, "samples": [[s, x, y, z], ...]}``.  Every sample is
+written as its shortest round-trip decimal in the layout of ``repr``:
+orjson's Ryu formatter prints 4096 rows at a time and ``_repr_rows`` turns
+its ``1e-6``, ``1e16`` and ``0.000015`` into ``1e-06``, ``1e+16`` and
+``1.5e-05``.  orjson parses JSON traces; ``np.loadtxt`` parses CSV ones.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
 import numpy as np
+import orjson
 
 
 @dataclass
@@ -50,17 +55,39 @@ class CurveTrace:
         return np.column_stack([self.s, self.points])
 
 
-def to_csv_text(trace: CurveTrace) -> str:
-    # 4096 rows per format call: few float objects are alive at any time
+_CHUNK = 4096   # rows per orjson call: few bytes objects are alive at any time
+_EXP_SIGN = re.compile(rb"e(\d)")               # 1e16 -> 1e+16
+_EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")    # 1e-6 -> 1e-06
+# 0.000015 -> 1.5e-05; the lookbehind spares the 0.0000 of 10.00001
+_DECADE = re.compile(rb"0\.0000(?<!\d0\.0000)(\d)(\d*)")
+
+
+def _repr_rows(trace: CurveTrace):
+    """The rows of ``trace``, one bytes object per 4096, as orjson prints them
+    without the outer brackets (``[s,x,y,z],[s,x,y,z]``), in ``repr``'s layout."""
     rows = trace.rows()
-    text = [("%r,%r,%r,%r\n" * len(b)) % tuple(b.ravel().tolist())
-            for b in np.split(rows, range(4096, len(rows), 4096))]
-    return f"{trace.param},x,y,z\n" + "".join(text)
+    for i in range(0, len(rows), _CHUNK):
+        text = orjson.dumps(rows[i:i + _CHUNK], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        if b"e" in text:
+            text = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", text))
+        if b"0.0000" in text:
+            text = _DECADE.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
+        yield text
+
+
+def _validated(data, meta, path) -> CurveTrace:
+    """CurveTrace of the (n, 4) ``data`` read from ``path``, errors naming it."""
+    try:
+        return CurveTrace(data[:, 0], data[:, 1:], meta=meta)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def write_csv(trace: CurveTrace, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(to_csv_text(trace))
+    with open(path, "wb") as fh:
+        fh.write(f"{trace.param},x,y,z\n".encode())
+        for text in _repr_rows(trace):
+            fh.write(text[1:-1].replace(b"],[", b"\n") + b"\n")
 
 
 def read_csv(path) -> CurveTrace:
@@ -77,31 +104,35 @@ def read_csv(path) -> CurveTrace:
         raise ValueError(f"malformed CSV row in {path}: {exc}") from None
     if data.shape[1] != 4:
         raise ValueError(f"malformed CSV body in {path}")
-    return CurveTrace(data[:, 0], data[:, 1:], meta={"param": header[0]})
-
-
-def to_json_obj(trace: CurveTrace) -> dict:
-    meta = dict(trace.meta)
-    meta.setdefault("param", "s")
-    return {"meta": meta, "samples": trace.rows().tolist()}
+    return _validated(data, {"param": header[0]}, path)
 
 
 def write_json(trace: CurveTrace, path) -> None:
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(to_json_obj(trace)))
-        fh.write("\n")
+    meta = dict(trace.meta)
+    meta.setdefault("param", "s")
+    with open(path, "wb") as fh:
+        fh.write(b'{"meta": ' + json.dumps(meta).encode() + b', "samples": [')
+        sep = b""
+        for text in _repr_rows(trace):
+            fh.write(sep + text.replace(b",", b", "))
+            sep = b", "
+        fh.write(b"]}\n")
 
 
 def read_json(path) -> CurveTrace:
-    with open(path, "r") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "samples" not in obj:
-        raise ValueError(f"malformed JSON trace in {path}")
-    data = np.asarray(obj["samples"], dtype=float)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:   # orjson.JSONDecodeError is a ValueError
+        obj = orjson.loads(text)
+        if not isinstance(obj, dict):
+            raise TypeError(f"the top level is a {type(obj).__name__}, not an object")
+        data = np.asarray(obj.get("samples"), dtype=float)
+        meta = dict(obj.get("meta", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed JSON trace in {path}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"malformed JSON samples in {path}")
-    return CurveTrace(data[:, 0], data[:, 1:], meta=dict(obj.get("meta", {})))
+    return _validated(data, meta, path)
 
 
 def read_trace(path) -> CurveTrace:

@@ -28,6 +28,21 @@ def test_synth_writes_trace_and_passes(tmp_path, capsys):
         assert float(line.split()[-3]) < 1e-6
 
 
+def test_synth_builds_one_windowed_position_table(tmp_path, monkeypatch):
+    # the written trace and the unit-speed and axis checks share one curve
+    windows = []
+    init = wc.WhirlCurve.__init__
+
+    def counted(self, *args, **kwargs):
+        windows.append(kwargs.get("window"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wc.WhirlCurve, "__init__", counted)
+    assert run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1",
+                "--samples", 101, "--out", tmp_path]) == 0
+    assert [w for w in windows if w is not None] == [(0.0, 1.0)]
+
+
 def test_synth_domain_violation_exit_2(tmp_path, capsys):
     code = run(["synth", "--lambda", 1, "--h0", 1, "--range", "0:9",
                 "--out", tmp_path])

@@ -94,37 +94,62 @@ def test_read_csv_rejects_garbage(tmp_path):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+_rows = st.lists(st.tuples(_finite, _finite, _finite, _finite), min_size=1, max_size=12,
+                 unique_by=lambda row: row[0])
+_extremes = [(-1.7976931348623157e308, -0.0, 5e-324, 1.7976931348623157e308),
+             (0.0, 0.1, -5e-324, -0.0)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(_finite, _finite, _finite, _finite), min_size=1,
-                     max_size=12, unique_by=lambda row: row[0]))
-@example(rows=[(-1.7976931348623157e308, -0.0, 5e-324, 1.7976931348623157e308),
-               (0.0, 0.1, -5e-324, -0.0)])
+@given(rows=_rows)
+@example(rows=_extremes)
 def test_csv_round_trip_arbitrary_finite_floats(rows):
+    _assert_round_trip(rows, "csv")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=_rows)
+@example(rows=_extremes)
+def test_json_round_trip_arbitrary_finite_floats(rows):
+    _assert_round_trip(rows, "json")
+
+
+def _assert_round_trip(rows, fmt):
     # every finite double survives write + read bit for bit
     data = np.array(sorted(rows))
     tr = wc.CurveTrace(data[:, 0], data[:, 1:])
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.csv")
-        traceio.write_csv(tr, path)
-        back = traceio.read_csv(path)
+        path = os.path.join(tmp, f"t.{fmt}")
+        getattr(traceio, f"write_{fmt}")(tr, path)
+        back = getattr(traceio, f"read_{fmt}")(path)
     assert back.s.tobytes() == tr.s.tobytes()
     assert back.points.tobytes() == tr.points.tobytes()
+
+
+# where orjson's layout differs from repr's (1e-06, 1e+16, 1.5e-05) or nearly does
+_LAYOUT_EDGES = (1e-5, -1.5e-5, 9.999999999999999e-05, 1e-4, 10.00001, 100.00001,
+                 9999999999999998.0, 1e16, -1e16, 1e22, 1e-100, 1.5e300)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rows=st.lists(st.tuples(_finite, _finite, _finite, _finite), max_size=12,
                      unique_by=lambda row: row[0]))
-@example(rows=[(-1.7976931348623157e308, -0.0, 5e-324, 1.7976931348623157e308),
-               (0.0, 0.1, -5e-324, -0.0)])
+@example(rows=_extremes)
+@example(rows=[(v, v, v, v) for v in _LAYOUT_EDGES])
 def test_writers_print_every_float_as_its_repr(rows):
     _assert_written_as_repr(np.array(sorted(rows)).reshape(-1, 4))
 
 
 def test_writers_print_every_float_as_its_repr_across_chunks():
-    # more rows than one formatting chunk, with the extremes at its seams
+    # more rows than one formatting chunk, with the extremes and the decade
+    # [1e-5, 1e-4), which orjson prints positionally, at its seams
     data = np.random.default_rng(5).normal(size=(9001, 4)) * 10.0 ** np.arange(-3, 5, 2)
     data[:, 0] = np.linspace(-1.0, 1.0, 9001)
-    data[4095:4098, 1:] = [[-0.0, 5e-324, 1.7976931348623157e308]] * 3
+    data[4094:4098, 1:] = [[-0.0, 5e-324, 1.7976931348623157e308],
+                           [1e-5, -1.5e-5, 9.999999999999999e-05],
+                           [-9.5e-05, 1.25e-05, 3e-05],
+                           [-0.0, 5e-324, 1.7976931348623157e308]]
+    data[8191:8193, 1:] = [[1e-5, -1e16, 1e22]] * 2
     _assert_written_as_repr(data)
 
 
@@ -156,3 +181,24 @@ def test_read_csv_errors_name_the_file(tmp_path, body):
     with pytest.raises(ValueError, match="bad.csv"):
         traceio.read_csv(bad)
     assert main(["verify", "--in", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("body", [
+    b'{"meta": {"param": "s"}, "samples": [[0, 1, 2, 3], [0.5, 1',   # truncated
+    b'{"samples": [[0, 1, 2, 3], [0.5, NaN, 2, 3]]}',                 # not JSON
+    b'{"samples": [[0, 1, 2, 3], [0.5, Infinity, 2, 3]]}',
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1e400, 2, 3]]}',                # overflows
+    b'[[0, 1, 2, 3], [0.5, 1, 2, 3]]',                                 # not an object
+    b'{"meta": {"note": "\xff"}, "samples": [[0, 1, 2, 3]]}',          # invalid UTF-8
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1, 2]]}',                       # ragged
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1, {"y": 2}, 3]]}',             # an object sample
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1, "two", 3]]}',                # a word sample
+    b'{"samples": [[0, 1, 2, 3], [0, 1, 2, 3]]}',                      # s not increasing
+])
+def test_read_json_errors_name_the_file(tmp_path, capsys, body):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    with pytest.raises(ValueError, match="bad.json"):
+        traceio.read_json(bad)
+    assert main(["verify", "--in", str(bad)]) == 3
+    assert "bad.json" in capsys.readouterr().err
