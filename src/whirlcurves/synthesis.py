@@ -206,6 +206,9 @@ class WhirlCurve:
         when above 1, is the curve's own length scale whatever s is: it resolves
         the derivative to ~1e-9 across the valid window, even at |lam| = 20 near
         the domain edge, and keeps every probe within REACH of s."""
+        return self._ratio_and_rate(s)[1]
+
+    def _ratio_and_rate(self, s):
         s = np.asarray(s, dtype=float)
         lam2 = self.spec.lam ** 2
         ratio = self._ratio(s)
@@ -213,7 +216,7 @@ class WhirlCurve:
                           * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
         step = (s + 0.5 * REACH / rate) - s   # exactly representable
         w = diff_weights(5, 4)[0]   # offsets -2..2; the centre's weight is zero
-        return sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
+        return ratio, sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
 
 def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
@@ -336,5 +339,6 @@ def intrinsic_residual_max(spec: WhirlSpec, s_lo: float, s_hi: float,
     curve = WhirlCurve(spec)
     grid = np.linspace(s_lo + REACH, s_hi - REACH, n)
     kv = np.asarray(spec.kappa(grid), dtype=float)
-    resid = intrinsic_residual(kv, kv * curve._ratio(grid), curve.ratio_rate(grid), spec.lam)
+    ratio, rate = curve._ratio_and_rate(grid)
+    resid = intrinsic_residual(kv, kv * ratio, rate, spec.lam)
     return float(np.max(np.abs(resid)))

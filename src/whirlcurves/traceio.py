@@ -4,9 +4,10 @@ CSV schema: header ``s,x,y,z`` (or ``t,x,y,z`` for sphere-curve traces),
 ASCII, '.' decimal separator, LF line endings.  JSON schema:
 ``{"meta": {...}, "samples": [[s, x, y, z], ...]}``.  Every sample is
 written as its shortest round-trip decimal in the layout of ``repr``:
-orjson's Ryu formatter prints 4096 rows at a time and ``_repr_rows`` turns
-its ``1e-6``, ``1e16`` and ``0.000015`` into ``1e-06``, ``1e+16`` and
-``1.5e-05``.  orjson parses JSON traces; ``np.loadtxt`` parses CSV ones.
+orjson's Ryu formatter prints 4096 rows at a time as one flat list, and
+``_repr_chunks`` turns every fourth comma into a newline and, in the chunks
+holding them, its ``1e-6``, ``1e16`` and ``0.000015`` into ``1e-06``,
+``1e+16`` and ``1.5e-05``.  orjson parses JSON traces; ``np.loadtxt`` CSV ones.
 """
 
 import json
@@ -55,24 +56,29 @@ class CurveTrace:
         return np.column_stack([self.s, self.points])
 
 
-_CHUNK = 4096   # rows per orjson call: few bytes objects are alive at any time
+_CHUNK = 4096   # rows per orjson call: few buffers are alive at any time
 _EXP_SIGN = re.compile(rb"e(\d)")               # 1e16 -> 1e+16
 _EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")    # 1e-6 -> 1e-06
 # 0.000015 -> 1.5e-05; the lookbehind spares the 0.0000 of 10.00001
 _DECADE = re.compile(rb"0\.0000(?<!\d0\.0000)(\d)(\d*)")
 
 
-def _repr_rows(trace: CurveTrace):
-    """The rows of ``trace``, one bytes object per 4096, as orjson prints them
-    without the outer brackets (``[s,x,y,z],[s,x,y,z]``), in ``repr``'s layout."""
+def _repr_chunks(trace: CurveTrace):
+    """The rows of ``trace`` in ``repr``'s CSV layout, one ``uint8`` buffer per 4096;
+    only chunks holding 0 < |v| < 1e-4 or |v| >= 1e16, where orjson's differs, are rewritten."""
     rows = trace.rows()
     for i in range(0, len(rows), _CHUNK):
-        text = orjson.dumps(rows[i:i + _CHUNK], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-        if b"e" in text:
+        block = rows[i:i + _CHUNK]
+        text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        mag = np.abs(block)
+        if np.any((mag < 1e-5) & (mag > 0.0)) or np.any(mag >= 1e16):
             text = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", text))
-        if b"0.0000" in text:
+        if np.any((mag >= 1e-5) & (mag < 1e-4)):
             text = _DECADE.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
-        yield text
+        buf = np.frombuffer(text, dtype=np.uint8)[1:].copy()   # drop the "["
+        buf[np.flatnonzero(buf == ord(","))[3::4]] = ord("\n")
+        buf[-1] = ord("\n")                                   # the closing "]"
+        yield buf
 
 
 def _validated(data, meta, path) -> CurveTrace:
@@ -86,13 +92,15 @@ def _validated(data, meta, path) -> CurveTrace:
 def write_csv(trace: CurveTrace, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{trace.param},x,y,z\n".encode())
-        for text in _repr_rows(trace):
-            fh.write(text[1:-1].replace(b"],[", b"\n") + b"\n")
+        fh.writelines(_repr_chunks(trace))
 
 
 def read_csv(path) -> CurveTrace:
-    with open(path, "r") as fh:
-        lines = [ln for ln in fh if ln.strip()]
+    try:
+        with open(path, "r") as fh:
+            lines = [ln for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:   # a ValueError that would not name the file
+        raise ValueError(f"malformed CSV trace in {path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"no samples in trace file: {path}")
     header = [c.strip() for c in lines[0].split(",")]
@@ -112,11 +120,11 @@ def write_json(trace: CurveTrace, path) -> None:
     meta.setdefault("param", "s")
     with open(path, "wb") as fh:
         fh.write(b'{"meta": ' + json.dumps(meta).encode() + b', "samples": [')
-        sep = b""
-        for text in _repr_rows(trace):
-            fh.write(sep + text.replace(b",", b", "))
-            sep = b", "
-        fh.write(b"]}\n")
+        text = b"["
+        for buf in _repr_chunks(trace):
+            fh.write(text)
+            text = buf.tobytes().replace(b",", b", ").replace(b"\n", b"], [")
+        fh.write(text[:-3] + b"]}\n")   # the last row's "], [" ends at "]"
 
 
 def read_json(path) -> CurveTrace:

@@ -270,6 +270,33 @@ def test_synthesis_kappa_samples_stay_within_48_per_position():
     assert np.array_equal(tr.points[0], [0.0, 0.0, 0.0])
 
 
+def test_intrinsic_residual_max_evaluates_the_ratio_once():
+    # each node makes five windowless kappa-cumulative queries (the ratio and
+    # its four stencil probes), each one 24-node Gauss panel; evaluating the
+    # ratio again beside ratio_rate would cost 24 kappa samples more per node
+    base = wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0))
+    points = [0]
+
+    def counted(s):
+        points[0] += np.size(s)
+        return base(s)
+
+    spec = wc.WhirlSpec(kappa=wc.ScalarFn(counted, base.domain), lam=-0.7,
+                        bound=wc.bound_from_ratio(1.1, -0.7))
+    n = 65
+    value = wc.intrinsic_residual_max(spec, 0.0, 2.0, n)
+    once, points[0] = points[0], 0
+    grid = np.linspace(wc.synthesis.REACH, 2.0 - wc.synthesis.REACH, n)
+    curve = wc.WhirlCurve(spec)
+    kv = np.asarray(spec.kappa(grid), dtype=float)
+    curve._ratio(grid)   # the ratio evaluated apart from ratio_rate
+    rate = curve.ratio_rate(grid)
+    assert points[0] - once == 24 * n
+    # windowless queries do not depend on the batch: the same value, bit for bit
+    resid = wc.intrinsic_residual(kv, curve.torsion(grid), rate, spec.lam)
+    assert value == float(np.max(np.abs(resid)))
+
+
 def _scalar_tangent(coeffs, lam, bound, form, c):
     """Component c of the closed-form tangent in plain floats, int kappa from
     the polynomial antiderivative: a fast integrand for adaptive Simpson."""

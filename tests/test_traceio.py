@@ -153,6 +153,37 @@ def test_writers_print_every_float_as_its_repr_across_chunks():
     _assert_written_as_repr(data)
 
 
+# the ends of the ranges where orjson's layout needs a rewrite: exponent form
+# below 1e-5 and from 1e16, positional in [1e-5, 1e-4); each chunk is
+# rewritten only when its own values fall in these ranges
+_GATE_EDGES = (1e-5, float(np.nextafter(1e-5, 0.0)), float(np.nextafter(1e-4, 0.0)), 1e-4,
+               float(np.nextafter(1e16, 0.0)), 1e16, 1e22, 1.5e-6, 5e-324, -0.0)
+
+
+@pytest.mark.parametrize("value", _GATE_EDGES, ids=repr)
+@pytest.mark.parametrize("row, rows", [(0, 1), (0, 4100), (4095, 4100), (4096, 4100)])
+def test_writers_gate_each_chunk_on_its_own_values(value, row, rows):
+    # value is the only one of its chunk that orjson and repr print apart;
+    # it sits first in its row (after the row separator) or last (before it)
+    chunk = traceio._CHUNK
+    for col in (0, 3):
+        data = np.empty((rows, 4))
+        data[:, 1:] = [0.5, -2.0, 3.0]
+        s = np.arange(rows, dtype=float) - row   # ..., -1, value, 1, 2, ...
+        v = value
+        if col == 0 and abs(v) >= 1.0:
+            # s increases, so a huge value goes last in its chunk, or first as
+            # -value, with the rows beyond it in the neighbouring chunk
+            if row % chunk == chunk - 1:
+                s[row + 1:] = v * (1.0 + s[row + 1:])
+            else:
+                v = -v
+                s[:row] = v * (1.0 - s[:row])
+        data[:, 0] = s
+        data[row, col] = v
+        _assert_written_as_repr(data)
+
+
 def _assert_written_as_repr(data):
     # the reference is built one float at a time, as the shortest round-trip text
     tr = wc.CurveTrace(data[:, 0], data[:, 1:], meta={"param": "s", "lam": 0.5})
@@ -174,13 +205,15 @@ def _assert_written_as_repr(data):
     "s,x,y,z\n0,1,2,3\n0.5,1,2\n",        # ragged body
     "s,x,y,z\n0,1,2\n0.5,1,2\n",          # too few columns
     "s,x,y,z\n",                          # header only
+    b"s,x,y,z\n0,1,2,3\n0.5,1,\xff,3\n",   # invalid UTF-8
 ])
-def test_read_csv_errors_name_the_file(tmp_path, body):
+def test_read_csv_errors_name_the_file(tmp_path, capsys, body):
     bad = tmp_path / "bad.csv"
-    bad.write_text(body)
+    bad.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(ValueError, match="bad.csv"):
         traceio.read_csv(bad)
     assert main(["verify", "--in", str(bad)]) == 3
+    assert "bad.csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
