@@ -20,12 +20,14 @@ for h in (1e-2, 1e-4, 1e-6, 1e-8):
 print("sphere seam value:", wc.extended_sphere_point(spec, 0.0))
 
 # radial factorization ties the two extensions together: u(s) * sphere(t(s))
-# reproduces the curve extension on both branches
-for s in (-0.9, 0.7):
-    cp = wc.cone_coords(spec, s)
-    err = np.linalg.norm(cp.u * wc.extended_sphere_point(spec, cp.t)
-                         - wc.extended_point(spec, s))
-    print(f"s={s}: factorization err {err:.1e}")
+# reproduces the curve extension on both branches; cone_coords maps a whole
+# grid of s to arrays of (t, u) at once
+s = np.array([-0.9, 0.7])
+t, u = wc.cone_coords(spec, s)
+err = np.linalg.norm(u[:, None] * wc.extended_sphere_point(spec, t)
+                     - wc.extended_point(spec, s), axis=1)
+for si, ei in zip(s, err):
+    print(f"s={si}: factorization err {ei:.1e}")
 
 # the reference sweep writes 12 deterministic trace files (CSV, header
 # s,x,y,z for the curve and t,x,y,z for the sphere projection)

@@ -17,11 +17,12 @@ res = wc.hyperboloid_residual(pts, lam, a)
 print("hyperboloid residual:", np.max(np.abs(res)))
 
 # the curve factors through the cone X(t, u) = u * w(t) over a unit-speed
-# spherical curve w
-for s in (0.3, 0.8):
-    cp = wc.cone_coords(spec, s)
-    err = np.linalg.norm(wc.cone_point(spec, cp) - wc.curve_point(spec, s))
-    print(f"s={s}: cone coords (t={cp.t:.4f}, u={cp.u:.4f}), factorization err {err:.1e}")
+# spherical curve w; cone_coords and cone_point take whole grids
+s = np.array([0.3, 0.8])
+t, u = wc.cone_coords(spec, s)
+err = np.linalg.norm(wc.cone_point(spec, t, u) - wc.curve_point(spec, s), axis=1)
+for row in zip(s, t, u, err):
+    print("s={}: cone coords (t={:.4f}, u={:.4f}), factorization err {:.1e}".format(*row))
 
 w = wc.sphere_point(spec, 0.5)
 dw = wc.derivative(lambda q: wc.sphere_point(spec, q), 0.5, 1)

@@ -10,20 +10,18 @@ hyperboloid/cone/sphere geometry and continuous extensions.
 """
 
 from .errors import DomainError, FrameError, QuadratureError
-from .numerics import (EPS, QuadratureResult, ScalarFn, SmoothCumulative, as_scalar_fn,
-                       derivative, diff_weights, grid_derivatives, integrate)
+from .numerics import (EPS, ScalarFn, SmoothCumulative, as_scalar_fn, derivative,
+                       diff_weights, grid_derivatives)
 from .traceio import CurveTrace, read_csv, read_json, read_trace, write_csv, write_json
-from .frenet import (Frames, FrenetApparatus, Vec3, frenet_at, trace, trace_frames,
-                     unit_speed_residual)
+from .frenet import Frames, frenet_at, trace, trace_frames, unit_speed_residual
 from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,
                     intrinsic_residual_grid, proportionality_residual,
                     ratio_derivative, verify_whirl, whirl_axis)
-from .synthesis import (SphericalTangent, WhirlCurve, WhirlSpec, axis_bound,
-                        bound_from_ratio, intrinsic_residual_max, kappa_constant,
-                        kappa_linear_ratio, kappa_polynomial, synthesize)
-from .rectifying import (ChenFit, ConePoint, RectifyingSpec, chen_ratio_fit,
-                         cone_coords, cone_point, curve_point, curve_velocity,
-                         extended_point, extended_sphere_point,
+from .synthesis import (WhirlCurve, WhirlSpec, axis_bound, bound_from_ratio,
+                        intrinsic_residual_max, kappa_constant, kappa_linear_ratio,
+                        kappa_polynomial, synthesize)
+from .rectifying import (ChenFit, RectifyingSpec, chen_ratio_fit, cone_coords, cone_point,
+                         curve_point, curve_velocity, extended_point, extended_sphere_point,
                          geodesic_residual, hyperboloid_residual, sphere_point)
 
 __version__ = "0.1.0"

@@ -21,6 +21,8 @@ from .synthesis import REACH, WhirlSpec, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
+MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; --lambdas and poly: entries
+
 DEFAULT_TOLS = {
     "unit_speed": 1e-6,
     "intrinsic": 1e-6,
@@ -55,8 +57,17 @@ _nonzero = _number(lambda v: np.isfinite(v) and abs(v) >= whirl.LAMBDA_FLOOR,
 
 
 def _at_least(minimum):
-    """argparse type for --samples: an int of at least ``minimum``."""
-    return _number(lambda n: n >= minimum, f"at least {minimum}", int)
+    """argparse type for --samples: an int from ``minimum`` to MAX_SAMPLES."""
+    low = _number(lambda n: n >= minimum, f"at least {minimum}", int)
+    return _number(lambda n: n <= MAX_SAMPLES, f"at most {MAX_SAMPLES}", low)
+
+
+def _entries(text, what):
+    """The comma-separated items of ``text``, at most MAX_ENTRIES of them."""
+    items = text.split(",")
+    if len(items) > MAX_ENTRIES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_ENTRIES} {what}, got {len(items)}")
+    return items
 
 
 def _parse_range(text, inset=0.0):
@@ -83,10 +94,11 @@ def _parse_tol(item):
 
 def _parse_kappa(text):
     """--kappa -> (text, kind, values): const:V with V finite and > 0,
-    poly:c0,c1,... with finite coefficients, or linear-ratio."""
+    poly:c0,c1,... with finite coefficients (MAX_ENTRIES at most), or linear-ratio."""
     kind, _, rest = text.partition(":")
+    items = _entries(rest, "poly: coefficients") if kind == "poly" else rest.split(",")
     try:
-        values = tuple(float(c) for c in rest.split(","))
+        values = tuple(float(c) for c in items)
     except ValueError:
         values = ()
     if (text == "linear-ratio" or kind == "poly" and values and np.all(np.isfinite(values))
@@ -113,7 +125,7 @@ def _build_parser():
                         help="override a verification tolerance")
         if min_samples is not None:
             sp.add_argument("--samples", type=_at_least(min_samples), default=513,
-                            help=f"grid size, at least {min_samples} (default 513)")
+                            help=f"grid size, {min_samples} to {MAX_SAMPLES} (default 513)")
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
             sp.add_argument("--out", default=".", help="output directory")
         return sp
@@ -157,7 +169,7 @@ def _build_parser():
     sp.add_argument("--a", type=_nonzero, default=0.65)
     sp.add_argument("--b", type=_finite, default=0.0)
     sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
-    sp.add_argument("--lambdas", type=lambda text: tuple(map(_nonzero, text.split(","))),
+    sp.add_argument("--lambdas", type=lambda text: tuple(map(_nonzero, _entries(text, "values"))),
                     default=FIGURE1_LAMBDAS,
                     help="comma-separated overrides for the lambda sweep")
     sp.add_argument("--range", dest="srange", type=_parse_range,

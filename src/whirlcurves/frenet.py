@@ -1,6 +1,7 @@
 """Frenet-Serret apparatus of a parametric space curve, as :class:`Frames`.
 
-:func:`frenet_at` frames a callable curve from one stencil per node
+``Frames`` is the one frame type: a grid of rows, or a single row at one
+``s``.  :func:`frenet_at` frames a callable curve from one stencil per node
 (:func:`whirlcurves.numerics.derivative`); :func:`trace_frames` frames a
 uniform trace (:func:`whirlcurves.numerics.grid_derivatives`).  Strict
 unit-speed mode (the default of ``frenet_at``) refuses curves that are not
@@ -16,20 +17,19 @@ from .errors import FrameError
 from .numerics import derivative, grid_derivatives, sample
 from .traceio import CurveTrace
 
-Vec3 = np.ndarray
-
 FRAME_TOL = 1e-9
 KAPPA_FLOOR = 1e-9
 UNIT_SPEED_TOL = 1e-6
 
 
 def _dot(u, v):
-    return np.einsum("ij,ij->i", u, v)
+    return np.einsum("...i,...i->...", u, v)
 
 
 def _raise_first(s, checks):
     """Raise FrameError at the first row failing a (mask, message) check."""
-    bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(s))
+    s = np.atleast_1d(s)
+    bad = np.array([mask for mask, _ in checks]).reshape(len(checks), s.size)
     rows = np.flatnonzero(np.any(bad, axis=0))
     if rows.size:
         i = rows[0]
@@ -37,29 +37,14 @@ def _raise_first(s, checks):
 
 
 @dataclass
-class FrenetApparatus:
-    """Frame and invariants at one arc-length value: one row of :class:`Frames`."""
-
-    s: float
-    t: Vec3
-    n: Vec3
-    b: Vec3
-    kappa: float
-    tau: float
-
-    def __post_init__(self):
-        self.t, self.n, self.b = (np.asarray(v, dtype=float) for v in (self.t, self.n, self.b))
-        Frames([self.s], [self.t], [self.n], [self.b], [self.kappa], [self.tau])
-
-
-@dataclass
 class Frames:
-    """Frenet frames at the nodes of a grid, one row per node.
+    """Frenet frames at the nodes of a grid, one row per node, or at one node.
 
     ``s``, ``kappa`` and ``tau`` have shape (n,), ``t``, ``n`` and ``b`` shape
-    (n, 3).  Construction checks every row for t, n, b orthonormal with
-    b = t x n (to FRAME_TOL) and kappa > 0, naming the ``s`` of the first bad
-    row.  ``frames[i]`` is a :class:`FrenetApparatus`, a slice a ``Frames``.
+    (n, 3); a single row holds numpy scalars and (3,) vectors.  Construction
+    checks every row for t, n, b orthonormal with b = t x n (to FRAME_TOL) and
+    kappa > 0, naming the ``s`` of the first bad row.  ``frames[i]`` is such a
+    row, a slice a grid.
     """
 
     s: np.ndarray
@@ -71,23 +56,22 @@ class Frames:
 
     def __post_init__(self):
         self.s, self.t, self.n, self.b, self.kappa, self.tau = (
-            np.asarray(v, dtype=float)
+            np.asarray(v, dtype=float)[()]
             for v in (self.s, self.t, self.n, self.b, self.kappa, self.tau))
         t, n, b = self.t, self.n, self.b
-        checks = [(np.abs(np.linalg.norm(v, axis=1) - 1.0) > FRAME_TOL,
+        checks = [(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > FRAME_TOL,
                    f"{name} is not a unit vector") for name, v in (("t", t), ("n", n), ("b", b))]
         off = [np.abs(_dot(u, v)) > FRAME_TOL for u, v in ((t, n), (t, b), (n, b))]
         _raise_first(self.s, checks + [
             (off[0] | off[1] | off[2], "frame is not orthogonal"),
-            (np.linalg.norm(b - np.cross(t, n), axis=1) > FRAME_TOL, "b != t x n"),
+            (np.linalg.norm(b - np.cross(t, n), axis=-1) > FRAME_TOL, "b != t x n"),
             (~(self.kappa > 0), "kappa must be positive")])
 
     def __len__(self) -> int:
         return self.s.size
 
     def __getitem__(self, i):
-        rows = (self.s[i], self.t[i], self.n[i], self.b[i], self.kappa[i], self.tau[i])
-        return Frames(*rows) if np.ndim(rows[0]) else FrenetApparatus(*rows)
+        return Frames(self.s[i], self.t[i], self.n[i], self.b[i], self.kappa[i], self.tau[i])
 
 
 def _frames(s, d1, d2, d3) -> Frames:
@@ -118,8 +102,8 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
               strict_unit_speed: bool = True):
     """Frenet frame, curvature and torsion of ``curve`` at arc length ``s``.
 
-    A scalar ``s`` gives one :class:`FrenetApparatus`, a 1-d grid
-    :class:`Frames`.  ``curve`` maps s -> (3,), ideally (m,) -> (m, 3).  Each
+    A scalar ``s`` gives one row of :class:`Frames`, a 1-d grid a whole
+    ``Frames``.  ``curve`` maps s -> (3,), ideally (m,) -> (m, 3).  Each
     node takes its first three derivatives from one seven-point stencil of
     positions or, given the analytic first derivative ``deriv``, from one
     five-point stencil of ``deriv`` (its centre sample and two difference

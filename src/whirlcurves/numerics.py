@@ -3,8 +3,8 @@
 All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
 sum that is smooth in its upper limit; given a validated window, it reads F
-off one adaptively split Legendre series per panel instead.  Adaptive
-Simpson :func:`integrate` is the independent reference.  Every derivative
+off one adaptively split Legendre series per panel instead.  It is the
+library's only integrator.  Every derivative
 comes from :func:`diff_weights`, applied to a callable by :func:`derivative`,
 to samples by :func:`grid_derivatives`.
 """
@@ -67,66 +67,6 @@ def as_scalar_fn(f) -> ScalarFn:
     if isinstance(f, ScalarFn):
         return f
     return ScalarFn(f)
-
-
-@dataclass
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool = True
-
-
-def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
-              max_depth: int = 40) -> QuadratureResult:
-    """Adaptive Simpson quadrature of ``f`` over ``[lo, hi]``.
-
-    Antisymmetric on interval swap.  On non-convergence the partial value is
-    returned with ``converged=False``; non-finite samples raise
-    :class:`QuadratureError`.
-    """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
-    f = as_scalar_fn(f)
-    if lo == hi:
-        return QuadratureResult(0.0, 0.0, 1, True)
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-
-    counter = [0]
-
-    def ev(x):
-        counter[0] += 1
-        val = float(f(x))
-        if not np.isfinite(val):
-            raise QuadratureError(f"non-finite integrand sample at s={x!r}")
-        return val
-
-    def simpson(a, fa, b, fb):
-        m = 0.5 * (a + b)
-        fm = ev(m)
-        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    flag = [True]
-    err_acc = [0.0]
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm, flm, left = simpson(a, fa, m, fm)
-        rm, frm, right = simpson(m, fm, b, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or depth >= max_depth:
-            if abs(delta) > 15.0 * tol:
-                flag[0] = False
-            err_acc[0] += abs(delta) / 15.0
-            return left + right + delta / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth + 1)
-                + recurse(m, fm, b, fb, rm, frm, right, tol / 2.0, depth + 1))
-
-    fa, fb = ev(lo), ev(hi)
-    m, fm, whole = simpson(lo, fa, hi, fb)
-    value = recurse(lo, fa, hi, fb, m, fm, whole, abs_tol, 0)
-    return QuadratureResult(sign * value, err_acc[0], counter[0], flag[0])
 
 
 def sample(f, s, error=QuadratureError) -> np.ndarray:
@@ -224,7 +164,8 @@ class SmoothCumulative:
 
     ``f`` must accept numpy arrays; it may return scalars or rows of one fixed
     length, and is called on at most ``BLOCK`` intervals (24 points each) at a
-    time.  Panels of width ``PANEL`` lie on a lattice through ``anchor``.
+    time.  Panels of width ``PANEL`` lie on a lattice through ``anchor``.  A
+    sample of f that is not finite raises :class:`QuadratureError` at once.
 
     Without a ``window``, F(s) is a prefix sum over whole lattice panels plus
     one fractional panel from the lattice edge toward the anchor up to s, all
@@ -283,9 +224,13 @@ class SmoothCumulative:
 
     def _samples(self, mids, halves):
         """f at the 24 Gauss nodes of each of at most BLOCK intervals
-        [mids - halves, mids + halves], shape (intervals, 24, ...)."""
+        [mids - halves, mids + halves], shape (intervals, 24, ...); raises
+        :class:`QuadratureError` at the first node where f is not finite."""
         pts = mids[:, None] + halves[:, None] * _GAUSS_X
         vals = np.asarray(self.f(pts.ravel()), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = float(pts.ravel()[~np.isfinite(vals.reshape(pts.size, -1)).all(axis=1)][0])
+            raise QuadratureError(f"non-finite integrand sample at s={bad!r}")
         return vals.reshape(pts.shape + vals.shape[1:])
 
     def _gauss(self, mids, halves):

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, FrameError
-from .frenet import Frames, Vec3, frenet_at
+from .frenet import Frames, frenet_at
 from .numerics import derivative
 from .whirl import as_frames
 
@@ -56,18 +56,6 @@ class RectifyingSpec:
         return 1 if self.a * self.lam > 0 else -1
 
 
-@dataclass
-class ConePoint:
-    """Cone-surface coordinates: angular parameter t and radial scale u > 0."""
-
-    t: float
-    u: float
-
-    def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError("u must be positive")
-
-
 def _phase(h, lam: float):
     """(sqrt(1+lam^2), G, A) with G = 1+h^2+lam^2 and the azimuth
     A = arctanh(sqrt((1+lam^2)/G)) / lam, arctanh in the stable log form."""
@@ -97,14 +85,14 @@ def _omega(spec: RectifyingSpec, h):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def curve_point(spec: RectifyingSpec, s) -> Vec3:
+def curve_point(spec: RectifyingSpec, s) -> np.ndarray:
     """Position of the whirl-rectifying curve (unit-speed parameter s)."""
     h = spec.a * np.asarray(s, dtype=float) + spec.b
     _check_branch(spec, h, "curve")
     return _omega(spec, h)
 
 
-def curve_velocity(spec: RectifyingSpec, s) -> Vec3:
+def curve_velocity(spec: RectifyingSpec, s) -> np.ndarray:
     """Analytic first derivative of :func:`curve_point` (a unit vector)."""
     s = np.asarray(s, dtype=float)
     h = spec.a * s + spec.b
@@ -126,18 +114,13 @@ def hyperboloid_residual(p, lam: float, a: float):
     return out if out.ndim else float(out)
 
 
-def _sphere_interval(spec: RectifyingSpec):
-    if spec.branch == 1:
-        return -spec.d_shift, -spec.d_shift + HALF_PI
-    return -spec.d_shift - HALF_PI, -spec.d_shift
-
-
-def sphere_point(spec: RectifyingSpec, t) -> Vec3:
+def sphere_point(spec: RectifyingSpec, t) -> np.ndarray:
     """Unit-speed curve on the unit sphere whose cone carries the curve."""
     t = np.asarray(t, dtype=float)
     if np.any(t == -spec.d_shift):
         raise DomainError("sphere curve undefined at t = -d: use upsilon extension")
-    lo, hi = _sphere_interval(spec)
+    d = spec.d_shift
+    lo, hi = (-d, -d + HALF_PI) if spec.branch == 1 else (-d - HALF_PI, -d)
     if np.any(t <= lo) or np.any(t >= hi):
         raise DomainError(
             f"t outside the open branch interval ({lo}, {hi})")
@@ -155,22 +138,19 @@ def _sphere_formula(spec: RectifyingSpec, t):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _cone_tu(spec: RectifyingSpec, s):
-    h = spec.a * s + spec.b
+def cone_coords(spec: RectifyingSpec, s):
+    """Change of variables s -> (t, u) with u * w(t) = curve_point(s): two
+    arrays shaped like ``s`` (u > 0 always)."""
+    h = spec.a * np.asarray(s, dtype=float) + spec.b
     return -spec.d_shift + np.arctan(h), np.sqrt(1.0 + h * h) / abs(spec.a)
 
 
-def cone_coords(spec: RectifyingSpec, s) -> ConePoint:
-    """Change of variables s -> (t, u) with u * w(t) = curve_point(s)."""
-    t, u = _cone_tu(spec, float(s))
-    return ConePoint(t=float(t), u=float(u))
-
-
-def cone_point(spec: RectifyingSpec, cp: ConePoint) -> Vec3:
-    """Point u * w(t) of the cone surface."""
-    if not cp.u > 0:
+def cone_point(spec: RectifyingSpec, t, u) -> np.ndarray:
+    """Points u * w(t) of the cone surface, ``t`` and ``u`` broadcast together."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 0):
         raise ValueError("u must be positive")
-    return cp.u * sphere_point(spec, cp.t)
+    return u[..., None] * sphere_point(spec, t)
 
 
 def geodesic_residual(spec: RectifyingSpec, s):
@@ -181,20 +161,20 @@ def geodesic_residual(spec: RectifyingSpec, s):
     gives a float; a 1-d grid gives one residual per point, from one frame
     computation over the whole grid.
     """
-    grid = np.atleast_1d(np.asarray(s, dtype=float))
-    t, u = _cone_tu(spec, grid)
+    grid = np.asarray(s, dtype=float)
+    t, u = cone_coords(spec, grid)
     if np.any(u < 1e-12):
         raise DomainError("degenerate surface normal: u -> 0")
     w = sphere_point(spec, t)
     wp = derivative(lambda q: _sphere_formula(spec, np.asarray(q)), t, 1)
     normal = np.cross(wp, w)
-    nn = np.linalg.norm(normal, axis=1, keepdims=True)
+    nn = np.linalg.norm(normal, axis=-1, keepdims=True)
     if np.any(nn < 1e-12):
         raise DomainError("degenerate surface normal")
     frames = frenet_at(lambda q: curve_point(spec, q), grid,
                        deriv=lambda q: curve_velocity(spec, q))
-    out = np.linalg.norm(np.cross(normal / nn, frames.n), axis=1)
-    return out if np.ndim(s) else float(out[0])
+    out = np.linalg.norm(np.cross(normal / nn, frames.n), axis=-1)
+    return out if np.ndim(s) else float(out)
 
 
 @dataclass
@@ -232,28 +212,25 @@ def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
 
 # -- continuous extensions --------------------------------------------------
 
-def extended_point(spec: RectifyingSpec, s) -> Vec3:
+def extended_point(spec: RectifyingSpec, s) -> np.ndarray:
     """Whole-line continuous extension of the curve (branch auto-selected).
 
     Off the seam it equals curve_point on the corresponding branch; at
     s = -b/a it takes the value (0, 0, 1/a).
     """
-    scalar = np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    h = spec.a * s_arr + spec.b
-    out = np.empty(s_arr.shape + (3,))
+    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    out = np.empty(h.shape + (3,))
     seam = h == 0.0
     out[seam] = np.array([0.0, 0.0, 1.0 / spec.a])
     if np.any(~seam):
         out[~seam] = _omega(spec, h[~seam])
-    return out[0] if scalar else out
+    return out
 
 
-def extended_sphere_point(spec: RectifyingSpec, t) -> Vec3:
+def extended_sphere_point(spec: RectifyingSpec, t) -> np.ndarray:
     """Extension of the sphere curve across t = -d on the open interval
     (-d - pi/2, -d + pi/2); the seam value is (0, 0, sign(a))."""
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     lo = -spec.d_shift - HALF_PI
     hi = -spec.d_shift + HALF_PI
     if np.any(t_arr <= lo) or np.any(t_arr >= hi):
@@ -264,4 +241,4 @@ def extended_sphere_point(spec: RectifyingSpec, t) -> Vec3:
     out[seam] = np.array([0.0, 0.0, sa])
     if np.any(~seam):
         out[~seam] = _sphere_formula(spec, t_arr[~seam])
-    return out[0] if scalar else out
+    return out

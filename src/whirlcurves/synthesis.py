@@ -41,9 +41,10 @@ class WhirlSpec:
     """Parameters defining one synthesized whirl curve.
 
     ``kappa`` must be positive on its domain and is expected to accept numpy
-    arrays.  ``bound`` caps lam * int kappa; use :func:`bound_from_ratio` to
-    derive it from an initial torsion-to-curvature ratio.  The two sign
-    switches select among the four congruent branches of the construction.
+    arrays.  ``bound`` caps lam * int kappa and must be finite; use
+    :func:`bound_from_ratio` to derive it from an initial torsion-to-curvature
+    ratio.  The two sign switches select among the four congruent branches of
+    the construction.
     """
 
     kappa: ScalarFn
@@ -59,24 +60,8 @@ class WhirlSpec:
             raise ValueError("lam must be nonzero")
         if self.z_sign not in (1, -1) or self.tau_sign not in (1, -1):
             raise ValueError("z_sign and tau_sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class SphericalTangent:
-    """Unit tangent in spherical coordinates: polar angle in (0, pi) plus
-    azimuth, so t = (sin(phi) cos(theta), sin(phi) sin(theta), cos(phi))."""
-
-    phi: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.phi < np.pi:
-            raise ValueError("polar angle must lie in (0, pi)")
-
-    def vector(self) -> np.ndarray:
-        sp = np.sin(self.phi)
-        return np.array([sp * np.cos(self.theta), sp * np.sin(self.theta),
-                         np.cos(self.phi)])
+        if not np.isfinite(self.bound):
+            raise ValueError(f"exponent offset bound must be finite, got {self.bound}")
 
 
 def bound_from_ratio(h0: float, lam: float) -> float:
@@ -124,11 +109,10 @@ class WhirlCurve:
     def exponent(self, s):
         """lam * int_{s0}^{s} kappa - bound; must stay below zero."""
         val = self.spec.lam * self._kcum(s) - self.spec.bound
-        if np.any(np.asarray(val) > EXPONENT_CEIL):
-            bad = np.atleast_1d(np.asarray(s))[
-                np.atleast_1d(np.asarray(val) > EXPONENT_CEIL)][0]
-            raise DomainError(
-                f"domain bound lam*int(kappa) < bound violated at s={bad}")
+        over = np.atleast_1d(val > EXPONENT_CEIL)
+        if over.any():
+            raise DomainError("domain bound lam*int(kappa) < bound violated at "
+                              f"s={np.atleast_1d(s)[over][0]}")
         return val
 
     @staticmethod
@@ -172,12 +156,12 @@ class WhirlCurve:
         lam2 = self.spec.lam ** 2
         return (1.0 + lam2) * self.spec.kappa(s) * w / (1.0 + lam2 - np.exp(2.0 * e))
 
-    def spherical_tangent(self, s: float) -> SphericalTangent:
-        """Tangent direction at one point as (polar, azimuth) angles."""
-        theta = (self.spec.z_sign * self.spec.tau_sign
-                 * float(self.azimuth(s)))
-        return SphericalTangent(phi=float(np.arccos(self.cos_polar(s))),
-                                theta=theta)
+    def spherical_tangent(self, s):
+        """Tangent direction as (polar, azimuth) angles (phi, theta), arrays
+        shaped like ``s``: t = (sin(phi) cos(theta), sin(phi) sin(theta),
+        cos(phi)), with phi in (0, pi) since |cos_polar| < 1."""
+        theta = self.spec.z_sign * self.spec.tau_sign * self.azimuth(s)
+        return np.arccos(self.cos_polar(s)), theta
 
     # -- curve ------------------------------------------------------------
 

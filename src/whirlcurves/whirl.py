@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import FrameError
-from .frenet import Frames, FrenetApparatus, Vec3, frenet_at
+from .frenet import Frames, frenet_at
 from .numerics import grid_derivatives
 
 LAMBDA_FLOOR = 1e-12
@@ -63,8 +63,8 @@ def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
     return intrinsic_residual(kappas, taus, ratio_derivative(s_grid, taus / kappas), lam)
 
 
-def whirl_axis(frame: Union[FrenetApparatus, Frames], lam: float, sign: int = 1) -> Vec3:
-    """Candidate unit whirl axis from one frame, or (n, 3) axes from Frames."""
+def whirl_axis(frame: Frames, lam: float, sign: int = 1) -> np.ndarray:
+    """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if abs(lam) < LAMBDA_FLOOR:
@@ -76,8 +76,8 @@ def whirl_axis(frame: Union[FrenetApparatus, Frames], lam: float, sign: int = 1)
     return sign * num / np.linalg.norm(num, axis=-1, keepdims=True)
 
 
-def proportionality_residual(frame: Union[FrenetApparatus, Frames], d: Vec3, lam: float):
-    """Signed defect <n, d> - lam * <t, d>: a float, or (n,) for Frames."""
+def proportionality_residual(frame: Frames, d: np.ndarray, lam: float):
+    """Signed defect <n, d> - lam * <t, d>: a float for a row, else (n,)."""
     d = np.asarray(d, dtype=float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-6:
         raise ValueError("d must be a unit vector")
@@ -89,7 +89,7 @@ def proportionality_residual(frame: Union[FrenetApparatus, Frames], d: Vec3, lam
 class AxisReport:
     """Per-sample axes of a candidate whirl curve and their spread."""
 
-    d: Vec3                      # representative unit axis (normalized mean)
+    d: np.ndarray                # representative unit axis (normalized mean)
     sign: int                    # branch chosen so <t(s_0), d> > 0
     per_sample_axes: np.ndarray  # (n, 3)
     max_deviation: float         # max_i |d_i - d_0|
@@ -146,7 +146,7 @@ class WhirlFit:
     """Least-squares whirl constant and axis for sampled frames."""
 
     lam: float
-    axis: Vec3
+    axis: np.ndarray
     rms: float
     is_whirl: bool
     note: str = ""

@@ -1,11 +1,13 @@
 """Command-line interface tests: files, formats, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 import whirlcurves as wc
+from whirlcurves import cli
 from whirlcurves.cli import main
 from whirlcurves import traceio
 from conftest import unit_speed_helix
@@ -216,6 +218,18 @@ def test_samples_below_minimum_exit_3(tmp_path, capsys, args, minimum):
     assert run(args + ["--samples", minimum, "--out", tmp_path]) == 0
 
 
+@pytest.mark.parametrize("lam, h0", [(1, "1e300"), ("1e300", 1)])
+def test_synth_non_finite_bound_fails_fast(tmp_path, capsys, lam, h0):
+    # bound_from_ratio overflows to inf: the exponent would be -inf and every
+    # tangent sample NaN, each NaN panel bisected down to MAX_SPLITS
+    start = time.perf_counter()
+    code = run(["synth", "--lambda", lam, "--h0", h0, "--range", "0:1", "--out", tmp_path])
+    assert time.perf_counter() - start < 10.0
+    assert code == 3
+    assert capsys.readouterr().err == "error: exponent offset bound must be finite, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, flag", [
     (["synth", "--lambda", 0, "--h0", 1, "--range", "0:1"], "--lambda"),
     (["rect", "--a", 0.65, "--lambda", 0, "--range", "0.2:1.2"], "--lambda"),
@@ -297,6 +311,31 @@ def test_bad_kappa_exit_3(tmp_path, capsys, kappa):
     assert code == 3
     assert "argument --kappa:" in err and "could not convert" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# sizes the parser rejects before anything is allocated
+@pytest.mark.parametrize("args, message", [
+    (RECT + ["--samples", 1_000_001], "--samples: must be at most 1000000, got '1000001'"),
+    (RECT + ["--samples", 10 ** 13], "--samples: must be at most 1000000"),
+    (SYNTH + ["--h0", 1, "--samples", 10 ** 13], "--samples: must be at most 1000000"),
+    (["figure1", "--samples", 10 ** 13], "--samples: must be at most 1000000"),
+    (["figure1", "--lambdas=" + ",".join(["-1"] * 65)], "--lambdas: at most 64 values, got 65"),
+    (SYNTH + ["--h0", 1, "--kappa", "poly:" + ",".join(["1"] * 65)],
+     "--kappa: at most 64 poly: coefficients, got 65"),
+])
+def test_oversized_input_exit_3(tmp_path, capsys, args, message):
+    code = run(args + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"argument {message}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_caps_admit_their_limits(tmp_path):
+    assert cli._at_least(2)(str(cli.MAX_SAMPLES)) == 1_000_000   # parsed, not run
+    assert run(["figure1", "--lambdas=" + ",".join(["-1"] * 64), "--samples", 2,
+                "--out", tmp_path]) == 0
+    assert run(SYNTH + ["--h0", 1, "--kappa", "poly:1" + ",0" * 63, "--out", tmp_path]) == 0
 
 
 @pytest.mark.parametrize("start", [[], ["--B", 1, "--h0", 1]])

@@ -110,11 +110,11 @@ def test_rigid_rotation_preserves_kappa_tau(rng):
 def test_frenet_apparatus_validates():
     e = np.eye(3)
     with pytest.raises(FrameError):
-        wc.FrenetApparatus(0.0, 2.0 * e[0], e[1], e[2], 1.0, 1.0)
+        wc.Frames(0.0, 2.0 * e[0], e[1], e[2], 1.0, 1.0)
     with pytest.raises(FrameError):
-        wc.FrenetApparatus(0.0, e[0], e[1], -e[2], 1.0, 1.0)   # b != t x n
+        wc.Frames(0.0, e[0], e[1], -e[2], 1.0, 1.0)   # b != t x n
     with pytest.raises(FrameError):
-        wc.FrenetApparatus(0.0, e[0], e[1], e[2], -1.0, 1.0)   # kappa <= 0
+        wc.Frames(0.0, e[0], e[1], e[2], -1.0, 1.0)   # kappa <= 0
 
 
 def test_unit_speed_residual_line():
@@ -229,7 +229,7 @@ def _assert_rows_match_pointwise(curve, grid, deriv=None):
     assert frames.t.shape == (grid.size, 3) and frames.kappa.shape == (grid.size,)
     for i, s in enumerate(grid):
         f = wc.frenet_at(curve, s, deriv=deriv)
-        assert isinstance(f, wc.FrenetApparatus)
+        assert isinstance(f, wc.Frames) and f.t.shape == (3,) and np.ndim(f.kappa) == 0
         assert frames[i].s == f.s == s
         for name in ("t", "n", "b", "kappa", "tau"):
             assert np.max(np.abs(getattr(frames, name)[i] - getattr(f, name))) <= 1e-12
@@ -286,9 +286,47 @@ def test_frames_validator_names_first_bad_row(field, row, match):
         wc.Frames(**rows)
 
 
+@pytest.mark.parametrize("field, row, match", [
+    ("t", [2.0, 0.0, 0.0], "t is not a unit vector"),
+    ("n", [0.6, 0.8, 0.0], "not orthogonal"),
+    ("b", [0.0, 0.0, -1.0], r"b != t x n"),
+    ("kappa", 0.0, "kappa must be positive"),
+])
+def test_a_single_row_is_validated_by_the_same_checks(field, row, match):
+    fields = {name: value[2] for name, value in _frame_rows().items()}
+    good = wc.Frames(**fields)
+    assert np.ndim(good.s) == 0 and isinstance(good.s, np.floating)
+    assert isinstance(good.kappa, np.floating) and isinstance(good.tau, np.floating)
+    assert good.t.shape == good.n.shape == good.b.shape == (3,)
+    fields[field] = row
+    with pytest.raises(FrameError, match=match + " at s=0.5$"):
+        wc.Frames(**fields)
+
+
+def test_rows_of_frames_agree_with_the_grid():
+    curve = unit_speed_helix(1.0, 0.7)
+    grid = np.linspace(0.1, 2.0, 9)
+    frames = wc.frenet_at(curve, grid)
+    for i, s in enumerate(grid):
+        row, at = frames[i], wc.frenet_at(curve, s)
+        for name in ("s", "t", "n", "b", "kappa", "tau"):
+            assert np.array_equal(getattr(row, name), getattr(frames, name)[i])
+            assert np.shape(getattr(at, name)) == np.shape(getattr(row, name))
+            assert np.max(np.abs(getattr(at, name) - getattr(frames, name)[i])) <= 1e-12
+        assert wc.proportionality_residual(row, [0.0, 0.0, 1.0], 0.7) == pytest.approx(
+            wc.proportionality_residual(frames, [0.0, 0.0, 1.0], 0.7)[i], abs=0)
+        assert np.array_equal(wc.whirl_axis(row, 0.7), wc.whirl_axis(frames, 0.7)[i])
+
+
+def test_removed_record_types_are_not_exported():
+    for name in ("FrenetApparatus", "Vec3", "ConePoint", "SphericalTangent",
+                 "integrate", "QuadratureResult"):
+        assert not hasattr(wc, name) and name not in wc.__all__
+
+
 def test_frames_indexing():
     frames = wc.Frames(**_frame_rows())
-    assert isinstance(frames[1], wc.FrenetApparatus) and frames[1].s == 0.25
+    assert isinstance(frames[1], wc.Frames) and frames[1].t.shape == (3,) and frames[1].s == 0.25
     tail = frames[::2]
     assert isinstance(tail, wc.Frames) and np.array_equal(tail.s, [0.0, 0.5, 1.0])
     assert [f.s for f in frames] == list(frames.s)

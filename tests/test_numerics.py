@@ -8,83 +8,8 @@ import numpy as np
 import pytest
 
 import whirlcurves as wc
+from reference import integrate
 from whirlcurves.errors import DomainError, QuadratureError
-
-
-def test_integrate_constant():
-    r = wc.integrate(lambda s: np.ones_like(np.asarray(s, dtype=float)), 0.0, 2.0)
-    assert abs(r.value - 2.0) <= 1e-12
-    assert r.converged
-    assert r.evaluations >= 1
-
-
-def test_integrate_cosine_symmetry():
-    r = wc.integrate(np.cos, 0.0, np.pi)
-    assert abs(r.value) <= 1e-10
-
-
-def test_integrate_vs_midpoint_oracle():
-    # integrand 1/(s(2+s^2)): the reciprocal-cubic shape that drives the
-    # linear-ratio curvature family
-    def f(s):
-        return 1.0 / (s * (2.0 + s * s))
-
-    # brute-force midpoint oracle, 1e6 panels
-    mids = np.linspace(0.5, 1.5, 2_000_001)[1::2]
-    oracle = float(np.sum(f(mids))) * (1.0 / 1_000_000)
-    r = wc.integrate(f, 0.5, 1.5)
-    assert abs(r.value - oracle) <= 1e-8
-
-
-def test_integrate_linearity(rng):
-    pa = rng.normal(size=4)
-    pb = rng.normal(size=4)
-    alpha, beta = rng.normal(size=2)
-
-    fa = lambda s: np.polyval(pa, s)
-    fb = lambda s: np.polyval(pb, s)
-    combo = lambda s: alpha * fa(s) + beta * fb(s)
-    ia = wc.integrate(fa, -1.0, 2.0)
-    ib = wc.integrate(fb, -1.0, 2.0)
-    ic = wc.integrate(combo, -1.0, 2.0)
-    tol = abs(alpha) * ia.error_estimate + abs(beta) * ib.error_estimate \
-        + ic.error_estimate + 1e-10
-    assert abs(ic.value - alpha * ia.value - beta * ib.value) <= tol
-
-
-def test_integrate_error_contract(rng):
-    # |value - truth| <= max(abs_tol, error_estimate)
-    cases = [
-        (np.sin, 0.0, 2.0, 1.0 - np.cos(2.0)),
-        (lambda s: np.exp(-s), 0.0, 3.0, 1.0 - np.exp(-3.0)),
-        (lambda s: s ** 5, -1.0, 2.0, (2.0 ** 6 - 1.0) / 6.0),
-    ]
-    for f, lo, hi, truth in cases:
-        for tol in (1e-6, 1e-10, 1e-12):
-            r = wc.integrate(f, lo, hi, abs_tol=tol)
-            assert abs(r.value - truth) <= max(tol, r.error_estimate)
-
-
-def test_integrate_antisymmetric_on_swap():
-    fwd = wc.integrate(np.sin, 0.2, 1.7)
-    bwd = wc.integrate(np.sin, 1.7, 0.2)
-    assert fwd.value == -bwd.value
-
-
-def test_integrate_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        wc.integrate(np.sin, 0.0, 1.0, abs_tol=0.0)
-
-
-def test_integrate_nonfinite_sample():
-    with pytest.raises(QuadratureError):
-        wc.integrate(lambda s: np.nan if abs(s - 0.5) < 0.3 else 1.0, 0.0, 1.0)
-
-
-def test_integrate_nonconvergence_flag():
-    r = wc.integrate(np.cos, 0.0, 3.0, abs_tol=1e-18, max_depth=2)
-    assert not r.converged
-    assert np.isfinite(r.value)
 
 
 def test_derivative_order1_line():
@@ -205,7 +130,7 @@ def test_smooth_cumulative_matches_adaptive():
     f = lambda s: np.exp(-np.asarray(s, float) ** 2)
     F = wc.SmoothCumulative(f, anchor=0.0)
     for s in (-1.3, -0.2, 0.6, 2.7):
-        ref = wc.integrate(f, 0.0, s, abs_tol=1e-13).value
+        ref = integrate(f, 0.0, s, abs_tol=1e-13).value
         assert abs(F(s) - ref) <= 1e-12
 
 
@@ -238,7 +163,7 @@ def test_smooth_cumulative_nested_stays_inside_the_hull():
     pts = np.concatenate(seen)
     assert pts.min() >= grid[0] and pts.max() <= grid[-1]
     for s in (0.011, 1.7):
-        oracle = wc.integrate(lambda u: np.cos(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
+        oracle = integrate(lambda u: np.cos(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
         assert abs(nested()(s) - oracle.value) <= 1e-12
 
 
@@ -318,13 +243,29 @@ def test_windowed_cumulative_samples_only_inside_its_window():
     ends = F(np.array([0.011, 1.7]))
     for i, s in enumerate((0.011, 1.7)):
         for c, part in enumerate((np.cos, np.sin)):
-            oracle = wc.integrate(lambda u: part(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
+            oracle = integrate(lambda u: part(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
             assert abs(ends[i, c] - oracle.value) <= 1e-12
     n_seen = len(seen)
     for bad in (0.011 - 1e-9, 1.7 + 1e-9, np.nan):
         with pytest.raises(DomainError, match=re.escape(f"s={bad!r}")):
             F(np.array([0.6, bad]))
     assert len(seen) == n_seen
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), None])
+def test_cumulative_rejects_a_non_finite_integrand_at_once(window):
+    # a NaN panel never resolves, so it would be bisected MAX_SPLITS deep
+    sizes = []
+
+    def f(s):
+        sizes.append(s.size)
+        return np.where(s > 0.3, np.nan, 1.0)
+
+    F = wc.SmoothCumulative(f, anchor=0.0, window=window)
+    nodes = 0.3125 + 0.0625 * np.polynomial.legendre.leggauss(24)[0]   # panel [0.25, 0.375]
+    with pytest.raises(QuadratureError, match=re.escape(f"s={float(nodes[nodes > 0.3][0])!r}")):
+        F(0.5)
+    assert len(sizes) == 1
 
 
 def test_windowed_cumulative_checks_its_window_before_any_work():

@@ -153,25 +153,25 @@ def test_sphere_point_seam_limit():
 def test_cone_point_homogeneous():
     spec = REF
     w = wc.sphere_point(spec, 0.4)
-    p1 = wc.cone_point(spec, wc.ConePoint(t=0.4, u=1.0))
-    p2 = wc.cone_point(spec, wc.ConePoint(t=0.4, u=2.0))
+    p1 = wc.cone_point(spec, 0.4, 1.0)
+    p2 = wc.cone_point(spec, 0.4, 2.0)
     assert np.allclose(p1, w, atol=0)
     assert np.allclose(p2, 2.0 * p1, atol=0)
 
 
 def test_cone_coords_hand_values():
     spec = wc.RectifyingSpec(a=1.0, b=0.0, lam=-1.0)
-    cp = wc.cone_coords(spec, 1.0)       # b + a*s = 1
-    assert cp.t == pytest.approx(np.pi / 4)
-    assert cp.u == pytest.approx(np.sqrt(2.0))
-    cp0 = wc.cone_coords(spec, 0.0)      # the seam maps to (t, u) = (-d, 1/|a|)
-    assert cp0.t == pytest.approx(-spec.d_shift)
-    assert cp0.u == pytest.approx(1.0 / abs(spec.a))
+    t, u = wc.cone_coords(spec, 1.0)       # b + a*s = 1
+    assert t == pytest.approx(np.pi / 4)
+    assert u == pytest.approx(np.sqrt(2.0))
+    t0, u0 = wc.cone_coords(spec, 0.0)     # the seam maps to (t, u) = (-d, 1/|a|)
+    assert t0 == pytest.approx(-spec.d_shift)
+    assert u0 == pytest.approx(1.0 / abs(spec.a))
 
 
 def test_cone_coords_monotone():
     spec = wc.RectifyingSpec(a=2.0, b=0.3, lam=1.0)
-    ts = [wc.cone_coords(spec, s).t for s in np.linspace(-1.0, 1.0, 9)]
+    ts = [wc.cone_coords(spec, s)[0] for s in np.linspace(-1.0, 1.0, 9)]
     assert np.all(np.diff(ts) > 0)
 
 
@@ -179,9 +179,26 @@ def test_cone_factorization_matches_curve(rng):
     for _ in range(10):
         spec = random_rectifying_spec(rng)
         for s in branch_grid(spec, n=5, h_lo=0.2, h_hi=2.0):
-            cp = wc.cone_coords(spec, float(s))
-            err = np.linalg.norm(wc.cone_point(spec, cp) - wc.curve_point(spec, float(s)))
+            t, u = wc.cone_coords(spec, float(s))
+            err = np.linalg.norm(wc.cone_point(spec, t, u) - wc.curve_point(spec, float(s)))
             assert err < 1e-9
+
+
+def test_cone_helpers_on_a_grid_match_per_point_calls(rng):
+    spec = random_rectifying_spec(rng)
+    grid = branch_grid(spec, n=7, h_lo=0.2, h_hi=2.0)
+    t, u = wc.cone_coords(spec, grid)
+    assert t.shape == u.shape == grid.shape
+    pts = wc.cone_point(spec, t, u)
+    assert pts.shape == (grid.size, 3)
+    for i, s in enumerate(grid):
+        ti, ui = wc.cone_coords(spec, s)
+        assert np.ndim(ti) == np.ndim(ui) == 0 and (ti, ui) == (t[i], u[i])
+        assert np.array_equal(wc.cone_point(spec, ti, ui), pts[i])
+    # t and u broadcast: one angle at several radii
+    assert np.allclose(wc.cone_point(spec, t[3], u), u[:, None] * pts[3] / u[3], atol=1e-15)
+    with pytest.raises(ValueError, match="u must be positive"):
+        wc.cone_point(spec, t, np.where(np.arange(grid.size) == 4, -1.0, u))
 
 
 def test_geodesic_residual_small_on_curve():
@@ -279,8 +296,8 @@ def test_radial_projection_factorization(rng):
     for _ in range(10):
         spec = random_rectifying_spec(rng)
         s = float(branch_grid(spec, n=1, h_lo=0.05, h_hi=2.5)[0])
-        cp = wc.cone_coords(spec, s)
-        lhs = cp.u * wc.extended_sphere_point(spec, cp.t)
+        t, u = wc.cone_coords(spec, s)
+        lhs = u * wc.extended_sphere_point(spec, t)
         rhs = wc.extended_point(spec, s)
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
@@ -309,5 +326,5 @@ def test_rectifying_spec_validation():
         wc.RectifyingSpec(a=1.0, b=0.0, lam=0.0)
     with pytest.raises(ValueError):
         wc.RectifyingSpec(a=1.0, b=0.0, lam=1.0, branch=0)
-    with pytest.raises(ValueError):
-        wc.ConePoint(t=0.0, u=0.0)
+    with pytest.raises(ValueError, match="u must be positive"):
+        wc.cone_point(wc.RectifyingSpec(a=1.0, b=0.0, lam=1.0), 0.4, 0.0)

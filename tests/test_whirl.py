@@ -41,7 +41,7 @@ def test_intrinsic_residual_rejects_bad_kappa():
 
 def test_whirl_axis_hand_value():
     e = np.eye(3)
-    frame = wc.FrenetApparatus(0.0, e[0], e[1], e[2], kappa=1.0, tau=1.0)
+    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=1.0)
     d = wc.whirl_axis(frame, lam=1.0, sign=1)
     assert np.allclose(d, np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0), atol=1e-14)
 
@@ -57,14 +57,14 @@ def test_whirl_axis_unit_and_sign(rng):
 
 def test_whirl_axis_zero_torsion():
     e = np.eye(3)
-    frame = wc.FrenetApparatus(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.0)
+    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.0)
     with pytest.raises(FrameError, match="zero torsion"):
         wc.whirl_axis(frame, 1.0, 1)
 
 
 def test_proportionality_residual_cases(rng):
     e = np.eye(3)
-    frame = wc.FrenetApparatus(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
+    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
     # d orthogonal to span(t, n)
     assert wc.proportionality_residual(frame, e[2], lam=3.7) == 0.0
     # d = t
@@ -79,7 +79,7 @@ def test_proportionality_residual_cases(rng):
 
 def test_proportionality_residual_requires_unit_d():
     e = np.eye(3)
-    frame = wc.FrenetApparatus(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
+    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
     with pytest.raises(ValueError):
         wc.proportionality_residual(frame, np.array([2.0, 0.0, 0.0]), 1.0)
 
