@@ -19,8 +19,9 @@ print("offset bound B =", spec.bound, "(always > 0)")
 tr = wc.synthesize(spec, 0.0, 2.0, 201)
 print("trace:", len(tr), "samples, first", tr.points[0], "last", np.round(tr.points[-1], 4))
 
-# The same object as a callable curve, for pointwise work:
-curve = wc.WhirlCurve(spec, origin=0.0)
+# The same curve as a callable, for pointwise work.  Its window is checked
+# as synthesize checks it, and its positions come off the same series table.
+curve = wc.WhirlCurve(spec, window=(0.0, 2.0))
 
 # 1. arc-length parametrization
 print("unit-speed residual:",
@@ -38,7 +39,7 @@ report = wc.verify_whirl(curve.position, np.linspace(0.2, 1.8, 17),
 print("axis:", np.round(report.d, 8), " max deviation:", report.max_deviation)
 
 # 4. the intrinsic equation linking kappa and tau holds along the trace
-print("max intrinsic residual:", wc.intrinsic_residual_max(spec, 0.0, 2.0))
+print("max intrinsic residual:", wc.intrinsic_residual_max(curve, 0.0, 2.0))
 
 # 5. inverse problem: recover lam and the axis from positions alone
 fit = wc.fit_lambda_axis(curve.position, np.linspace(0.1, 1.9, 15))

@@ -19,7 +19,7 @@ from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,
                     ratio_derivative, verify_whirl, whirl_axis)
 from .synthesis import (WhirlCurve, WhirlSpec, axis_bound, bound_from_ratio,
                         intrinsic_residual_max, kappa_constant, kappa_linear_ratio,
-                        kappa_polynomial, synthesize)
+                        kappa_polynomial, synthesize, trace_meta)
 from .rectifying import (ChenFit, RectifyingSpec, chen_ratio_fit, cone_coords, cone_point,
                          curve_point, curve_velocity, extended_point, extended_sphere_point,
                          geodesic_residual, hyperboloid_residual, sphere_point)

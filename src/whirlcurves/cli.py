@@ -16,8 +16,8 @@ import numpy as np
 
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
-from .frenet import trace_frames, unit_speed_residual
-from .synthesis import REACH, WhirlSpec, bound_from_ratio
+from .frenet import trace, trace_frames, unit_speed_residual
+from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
@@ -215,15 +215,16 @@ def _cmd_synth(args) -> int:
     bound = args.bound if args.bound is not None else bound_from_ratio(args.h0, args.lam)
     spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
-    # the checks read the written trace's positions off the same windowed table
-    tr, curve = synthesis._synthesized(spec, lo, hi, args.samples, args.form)
-    tr.meta.update({"command": "synth", "kappa": args.kappa[0],
-                    "samples": args.samples, "range": [lo, hi]})
+    # one curve: the checks read the written positions off its windowed table
+    curve = WhirlCurve(spec, form=args.form, window=(lo, hi))
+    tr = trace(curve.position, lo, hi, args.samples, meta={
+        **synthesis.trace_meta(curve), "command": "synth", "kappa": args.kappa[0],
+        "samples": args.samples, "range": [lo, hi]})
     path = _write(tr, args.out, "synth", args.format)
     # nodes REACH inside the validated window keep every stencil probe in it
     usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
                                                           min(args.samples, 65)))
-    ires = synthesis.intrinsic_residual_max(spec, lo, hi)
+    ires = synthesis.intrinsic_residual_max(curve, lo, hi)
     inner = np.linspace(lo + REACH, hi - REACH, min(args.samples, 33))
     try:
         report = whirl.verify_whirl(curve.position, inner, lam=spec.lam,

@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, FrameError, QuadratureError
 
 EPS = float(np.finfo(float).eps)
 
@@ -72,10 +72,11 @@ def as_scalar_fn(f) -> ScalarFn:
 def sample(f, s, error=QuadratureError) -> np.ndarray:
     """``f`` at each point of the 1-d array ``s``, one row per point.
 
-    Tries one vectorized call, else calls ``f`` per point.  A batch never has
-    exactly 3 points (a fourth is added and dropped): ``lambda s: R @ c(s)``
-    maps 3 points to a (3, 3) matrix that would pass for 3 rows.  Raises
-    ``error`` naming the first point where ``f`` is not finite.
+    Tries one vectorized call (raising its DomainError or FrameError), else
+    calls ``f`` per point.  A batch never has exactly 3 points (a fourth is
+    added and dropped): ``lambda s: R @ c(s)`` maps 3 points to a (3, 3)
+    matrix that would pass for 3 rows.  Raises ``error`` naming the first
+    point where ``f`` is not finite.
     """
     s = np.asarray(s, dtype=float)
     batch = np.append(s, s[:1]) if s.size == 3 else s
@@ -84,11 +85,13 @@ def sample(f, s, error=QuadratureError) -> np.ndarray:
         if vals.shape[:1] != batch.shape:
             raise TypeError
         vals = vals[:s.size]
+    except (DomainError, FrameError):
+        raise
     except (TypeError, ValueError, IndexError):
         vals = np.array([f(si) for si in s], dtype=float)
-    bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=tuple(range(1, vals.ndim))))
-    if bad.size:
-        raise error(f"non-finite sample at s={float(s[bad[0]])!r}")
+    if not np.isfinite(vals).all():   # flat first: a row-wise all() is far slower
+        first = np.argmin(np.isfinite(vals).reshape(len(vals), -1).all(axis=1))
+        raise error(f"non-finite sample at s={float(s[first])!r}")
     return vals
 
 

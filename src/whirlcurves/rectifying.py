@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, FrameError
 from .frenet import Frames, frenet_at
 from .numerics import derivative
-from .whirl import as_frames
+from .whirl import LAMBDA_FLOOR, as_frames
 
 HALF_PI = 0.5 * np.pi
 SLOPE_FLOOR = 1e-3   # a ratio line flatter than this is constant, not rectifying
@@ -44,9 +44,12 @@ class RectifyingSpec:
     branch: int = 1
 
     def __post_init__(self):
-        if abs(self.a) < 1e-12:
+        for name in ("a", "b", "lam", "d_shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if abs(self.a) < LAMBDA_FLOOR:
             raise ValueError("a must be nonzero")
-        if abs(self.lam) < 1e-12:
+        if abs(self.lam) < LAMBDA_FLOOR:
             raise ValueError("lam must be nonzero")
         if self.branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")

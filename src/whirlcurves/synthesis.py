@@ -9,10 +9,10 @@ point s0, the construction produces a unit-speed curve whose whirl axis is
 valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
-:func:`synthesize` knows its validated window, so it samples each panel of
-the window once and reads every position off that panel's Legendre series:
-a sample costs no tangent evaluation of its own.  A curve without a window
-integrates one 24-node panel per position.
+A curve built with a window validates it, samples each panel of the window
+once and reads every position off that panel's Legendre series: a sample
+costs no tangent evaluation of its own.  :func:`synthesize` samples such a
+curve.  A curve without a window integrates one 24-node panel per position.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .frenet import trace
 from .numerics import EPS, ScalarFn, SmoothCumulative, as_scalar_fn, diff_weights
 from .traceio import CurveTrace
+from .whirl import LAMBDA_FLOOR, intrinsic_residual
 
 EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
 
@@ -41,10 +43,10 @@ class WhirlSpec:
     """Parameters defining one synthesized whirl curve.
 
     ``kappa`` must be positive on its domain and is expected to accept numpy
-    arrays.  ``bound`` caps lam * int kappa and must be finite; use
-    :func:`bound_from_ratio` to derive it from an initial torsion-to-curvature
-    ratio.  The two sign switches select among the four congruent branches of
-    the construction.
+    arrays.  ``lam``, ``bound`` and ``s0`` must be finite.  ``bound`` caps
+    lam * int kappa; use :func:`bound_from_ratio` to derive it from an initial
+    torsion-to-curvature ratio.  The two sign switches select among the four
+    congruent branches of the construction.
     """
 
     kappa: ScalarFn
@@ -56,12 +58,14 @@ class WhirlSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", as_scalar_fn(self.kappa))
-        if abs(self.lam) < 1e-12:
+        for name, value in (("lam", self.lam), ("exponent offset bound", self.bound),
+                            ("s0", self.s0)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if abs(self.lam) < LAMBDA_FLOOR:
             raise ValueError("lam must be nonzero")
         if self.z_sign not in (1, -1) or self.tau_sign not in (1, -1):
             raise ValueError("z_sign and tau_sign must be +1 or -1")
-        if not np.isfinite(self.bound):
-            raise ValueError(f"exponent offset bound must be finite, got {self.bound}")
 
 
 def bound_from_ratio(h0: float, lam: float) -> float:
@@ -87,11 +91,13 @@ class WhirlCurve:
     Positions integrate the closed-form tangent from ``origin`` (where the
     position is the zero vector) on fixed-node panels, so they are smooth
     enough for difference stencils.  The curve owns its panel tables: the
-    cumulative curvature from ``spec.s0`` and the position from ``origin``,
-    whose integrand is :meth:`tangent`.  Given a ``window=(lo, hi)`` holding
-    ``origin``, on which the caller has checked the exponent bound, positions
-    are read off one Legendre series per panel of the window and are defined
-    only there.
+    cumulative curvature from ``spec.s0`` and the position from ``origin``
+    (default ``spec.s0``), whose integrand is :meth:`tangent`.  Given a
+    ``window=(lo, hi)``, ``origin`` defaults to ``lo``, positions are read
+    off one Legendre series per panel of the window and are defined only
+    there, and the window is checked before any sample: ValueError unless
+    lo < hi and kappa's domain covers the hull of the window and ``s0``,
+    then DomainError if the exponent bound fails at an end.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
@@ -100,9 +106,21 @@ class WhirlCurve:
             raise ValueError(f"form must be one of {_FORMS}")
         self.spec = spec
         self.form = form
-        self.origin = spec.s0 if origin is None else float(origin)
         self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
+        if window is not None:
+            lo, hi = window
+            if not lo < hi:
+                raise ValueError("need s_lo < s_hi")
+            hull = min(lo, spec.s0), max(hi, spec.s0)
+            if not spec.kappa.contains(*hull):
+                raise ValueError(
+                    f"kappa domain {spec.kappa.domain} does not cover [{hull[0]}, {hull[1]}]")
+        if origin is None:
+            origin = spec.s0 if window is None else lo
+        self.origin = float(origin)
         self._pos = SmoothCumulative(self.tangent, anchor=self.origin, window=window)
+        if window is not None:   # E is monotone in int(kappa): its ends bound it
+            self.exponent(np.array([lo, hi]))
 
     # -- scalar machinery -------------------------------------------------
 
@@ -205,45 +223,21 @@ class WhirlCurve:
 
 def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
                form: str = "spherical") -> CurveTrace:
-    """Sample the synthesized curve on a uniform n-point grid.
+    """Sample the curve with window [s_lo, s_hi] on a uniform n-point grid.
 
-    The position integration constant is chosen so the trace starts at the
-    origin.  Raises DomainError when the exponent bound is violated anywhere
-    on [s_lo, s_hi] and ValueError when kappa's domain does not cover the
-    hull of the request and s0.
+    The trace starts at the origin.  Raises what the windowed
+    :class:`WhirlCurve` raises, and ValueError when n < 2.
     """
-    return _synthesized(spec, s_lo, s_hi, n, form)[0]
+    curve = WhirlCurve(spec, form=form, window=(s_lo, s_hi))
+    return trace(curve.position, s_lo, s_hi, n, meta=trace_meta(curve))
 
 
-def _synthesized(spec, s_lo, s_hi, n, form):
-    """:func:`synthesize`'s trace and the windowed curve its positions came
-    from, whose table later position queries reuse."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not s_lo < s_hi:
-        raise ValueError("need s_lo < s_hi")
-    hull_lo = min(s_lo, spec.s0)
-    hull_hi = max(s_hi, spec.s0)
-    if not spec.kappa.contains(hull_lo, hull_hi):
-        raise ValueError(
-            f"kappa domain {spec.kappa.domain} does not cover [{hull_lo}, {hull_hi}]")
-    curve = WhirlCurve(spec, origin=s_lo, form=form, window=(s_lo, s_hi))
-    # the exponent is monotone in int(kappa); checking both ends guards the
-    # window before its position table samples the tangent
-    curve.exponent(np.array([s_lo, s_hi]))
-    grid = np.linspace(s_lo, s_hi, n)
-    pts = curve.position(grid)
-    meta = {
-        "param": "s",
-        "kind": "whirl_synth",
-        "form": form,
-        "lam": float(spec.lam),
-        "bound": float(spec.bound),
-        "s0": float(spec.s0),
-        "z_sign": int(spec.z_sign),
-        "tau_sign": int(spec.tau_sign),
-    }
-    return CurveTrace(grid, pts, meta=meta), curve
+def trace_meta(curve: WhirlCurve) -> dict:
+    """Metadata of a trace of ``curve``: its form and its spec's constants."""
+    spec = curve.spec
+    return {"param": "s", "kind": "whirl_synth", "form": curve.form,
+            "lam": float(spec.lam), "bound": float(spec.bound), "s0": float(spec.s0),
+            "z_sign": int(spec.z_sign), "tau_sign": int(spec.tau_sign)}
 
 
 # -- curvature families ----------------------------------------------------
@@ -252,8 +246,8 @@ def kappa_constant(value: float,
                    domain=(-np.inf, np.inf)) -> ScalarFn:
     """Constant curvature function."""
     value = float(value)
-    if not value > 0:
-        raise ValueError("curvature must be positive")
+    if not 0 < value < np.inf:
+        raise ValueError(f"curvature value must be positive and finite, got {value}")
 
     def ev(s):
         return np.full(np.shape(s), value) if np.ndim(s) else value
@@ -270,7 +264,7 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     from the a*s + b = 0 pole.
     """
     lam, a, b = float(lam), float(a), float(b)
-    if a == 0.0 or abs(lam) < 1e-12:
+    if a == 0.0 or abs(lam) < LAMBDA_FLOOR:
         raise ValueError("need a != 0 and lam != 0")
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -293,6 +287,8 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
 def kappa_polynomial(coeffs, domain) -> ScalarFn:
     """Polynomial curvature sum(coeffs[k] * s^k); checked positive by sampling."""
     coeffs = [float(c) for c in coeffs]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"coeffs must be finite, got {coeffs}")
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ValueError("empty domain")
@@ -312,17 +308,14 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
 
 # -- intrinsic-equation residual ---------------------------------------------
 
-def intrinsic_residual_max(spec: WhirlSpec, s_lo: float, s_hi: float,
+def intrinsic_residual_max(curve: WhirlCurve, s_lo: float, s_hi: float,
                            n: int = 2049) -> float:
-    """Max |intrinsic residual| over an n-node grid spanning [s_lo, s_hi].
-
-    Nodes are kept REACH clear of the window ends so the ratio-derivative
-    probes never leave the validated window.
+    """Max |intrinsic residual| of ``curve`` over an n-node grid spanning
+    [s_lo, s_hi].  Nodes are kept REACH clear of the window ends so the
+    ratio-derivative probes never leave the validated window.
     """
-    from .whirl import intrinsic_residual
-    curve = WhirlCurve(spec)
     grid = np.linspace(s_lo + REACH, s_hi - REACH, n)
-    kv = np.asarray(spec.kappa(grid), dtype=float)
+    kv = np.asarray(curve.spec.kappa(grid), dtype=float)
     ratio, rate = curve._ratio_and_rate(grid)
-    resid = intrinsic_residual(kv, kv * ratio, rate, spec.lam)
+    resid = intrinsic_residual(kv, kv * ratio, rate, curve.spec.lam)
     return float(np.max(np.abs(resid)))

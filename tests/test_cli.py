@@ -31,7 +31,8 @@ def test_synth_writes_trace_and_passes(tmp_path, capsys):
 
 
 def test_synth_builds_one_windowed_position_table(tmp_path, monkeypatch):
-    # the written trace and the unit-speed and axis checks share one curve
+    # the written trace and the unit-speed, intrinsic and axis checks share
+    # one curve: no second, windowless curve for the intrinsic check
     windows = []
     init = wc.WhirlCurve.__init__
 
@@ -42,7 +43,7 @@ def test_synth_builds_one_windowed_position_table(tmp_path, monkeypatch):
     monkeypatch.setattr(wc.WhirlCurve, "__init__", counted)
     assert run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1",
                 "--samples", 101, "--out", tmp_path]) == 0
-    assert [w for w in windows if w is not None] == [(0.0, 1.0)]
+    assert windows == [(0.0, 1.0)]
 
 
 def test_synth_domain_violation_exit_2(tmp_path, capsys):

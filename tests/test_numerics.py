@@ -9,7 +9,7 @@ import pytest
 
 import whirlcurves as wc
 from reference import integrate
-from whirlcurves.errors import DomainError, QuadratureError
+from whirlcurves.errors import DomainError, FrameError, QuadratureError
 
 
 def test_derivative_order1_line():
@@ -382,3 +382,39 @@ def test_smooth_cumulative_shared_across_threads():
         got, got_points = run(parallel=True)
         assert got_points == ref_points
         assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-12
+
+
+def test_sample_raises_the_library_errors_of_the_batched_call():
+    # a DomainError is no sign of a scalar-only callable: retrying point by
+    # point called the tangent 1003 times before raising the same error
+    curve = wc.WhirlCurve(wc.WhirlSpec(wc.kappa_constant(1.0), lam=1.0, bound=1.0))
+    calls = []
+
+    def tangent(s):
+        calls.append(np.size(s))
+        return curve.tangent(s)
+
+    with pytest.raises(DomainError, match=re.escape("s=1.0000205584157047")):
+        wc.frenet_at(curve.position, np.linspace(0.0, 2.0, 2000), deriv=tangent)
+    assert len(calls) == 1   # the one batched call of the whole stencil
+
+    def frame_error(s):
+        calls.append(np.size(s))
+        raise FrameError("undefined frame")
+
+    calls.clear()
+    with pytest.raises(FrameError, match="undefined frame"):
+        wc.numerics.sample(frame_error, np.linspace(0.0, 1.0, 5))
+    assert calls == [5]
+
+    # any other error of the batched call still means "scalars only"
+    def scalar_only(s):
+        calls.append(np.size(s))
+        if np.ndim(s):
+            raise ValueError("scalars only")
+        return [s, 2.0 * s, 1.0]
+
+    calls.clear()
+    rows = wc.numerics.sample(scalar_only, np.linspace(0.0, 1.0, 5))
+    assert calls == [5, 1, 1, 1, 1, 1]
+    assert np.array_equal(rows[:, 1], np.linspace(0.0, 2.0, 5))

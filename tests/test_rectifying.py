@@ -319,6 +319,15 @@ def test_closed_form_congruent_to_synthesized(rng):
     assert congruent_distances(synth.points, closed, 1e-8)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", np.nan), ("b", np.nan), ("lam", np.inf), ("d_shift", np.nan)])
+def test_rectifying_spec_rejects_non_finite_numbers(field, value):
+    # a NaN a used to surface only later, as a branch mismatch
+    args = {"a": 1.0, "b": 0.0, "lam": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        wc.RectifyingSpec(**args)
+
+
 def test_rectifying_spec_validation():
     with pytest.raises(ValueError):
         wc.RectifyingSpec(a=0.0, b=0.0, lam=1.0)

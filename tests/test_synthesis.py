@@ -101,7 +101,7 @@ def test_torsion_hand_value():
 def test_torsion_satisfies_intrinsic_equation():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
-    assert wc.intrinsic_residual_max(spec, 0.0, 1.0) <= 1e-7
+    assert wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 1.0) <= 1e-7
 
 
 def test_cos_polar_decays():
@@ -214,6 +214,57 @@ def test_synthesize_rejects_bad_requests():
         wc.synthesize(narrow, 0.0, 1.0, 17)
 
 
+def _counted_kappa(base, points):
+    """``base`` as a ScalarFn with the same domain that counts its samples."""
+    def counted(s):
+        points[0] += np.size(s)
+        return base(s)
+    return wc.ScalarFn(counted, base.domain)
+
+
+@pytest.mark.parametrize("window, exc, message", [
+    ((0.2, 0.0), ValueError, "need s_lo < s_hi"),
+    ((0.5, 0.5), ValueError, "need s_lo < s_hi"),
+    ((0.0, 3.0), ValueError, "kappa domain (0.0, 1.0) does not cover [0.0, 3.0]"),
+    ((0.0, 0.9), DomainError, "violated at s=0.9"),      # the upper end
+    ((-0.9, 0.5), DomainError, "violated at s=-0.9"),    # the lower end
+])
+def test_windowed_curve_checks_its_window_before_sampling(window, exc, message, monkeypatch):
+    # the windowed curve raises what synthesize raises for the same window:
+    # a bad order or domain before any kappa sample, the exponent bound
+    # before any tangent sample
+    kappa, tangent = [0], [0]
+    plain = wc.WhirlCurve.tangent
+
+    def counted_tangent(self, s):
+        tangent[0] += np.size(s)
+        return plain(self, s)
+
+    monkeypatch.setattr(wc.WhirlCurve, "tangent", counted_tangent)
+    lam = -1.0 if window[0] < 0 else 1.0
+    base = (wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (0.0, 1.0)) if "domain" in message
+            else wc.kappa_constant(1.0))
+    spec = wc.WhirlSpec(kappa=_counted_kappa(base, kappa), lam=lam, bound=0.5)
+    with pytest.raises(exc) as made:
+        wc.WhirlCurve(spec, window=window)
+    assert str(made.value).endswith(message)
+    assert tangent[0] == 0
+    if exc is ValueError:
+        assert kappa[0] == 0
+    with pytest.raises(exc) as synthesized:
+        wc.synthesize(spec, *window, 17)
+    assert str(synthesized.value) == str(made.value)
+
+
+def test_windowed_curve_starts_at_its_window():
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5)
+    curve = wc.WhirlCurve(spec, window=(0.25, 1.0))
+    assert curve.origin == 0.25
+    assert np.array_equal(curve.position(0.25), [0.0, 0.0, 0.0])
+    assert np.array_equal(wc.synthesize(spec, 0.25, 1.0, 9).points,
+                          curve.position(np.linspace(0.25, 1.0, 9)))
+
+
 def test_synthesize_long_window():
     # 80k lattice panels: z saturates at e^-B / sqrt(1 + lam^2) as e^E -> 0
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
@@ -286,7 +337,7 @@ def test_intrinsic_residual_max_evaluates_the_ratio_once():
     spec = wc.WhirlSpec(kappa=wc.ScalarFn(counted, base.domain), lam=-0.7,
                         bound=wc.bound_from_ratio(1.1, -0.7))
     n = 65
-    value = wc.intrinsic_residual_max(spec, 0.0, 2.0, n)
+    value = wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 2.0, n)
     once, points[0] = points[0], 0
     grid = np.linspace(wc.synthesis.REACH, 2.0 - wc.synthesis.REACH, n)
     curve = wc.WhirlCurve(spec)
@@ -389,7 +440,7 @@ def test_spec_is_released_after_synthesis():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
     wc.synthesize(spec, 0.0, 1.0, 17)
-    wc.intrinsic_residual_max(spec, 0.0, 1.0, 17)
+    wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 1.0, 17)
     ref = weakref.ref(spec)
     del spec
     gc.collect()
@@ -544,6 +595,21 @@ def test_whirlspec_validation():
         wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=1.0, bound=1.0, z_sign=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", np.nan), ("lam", np.inf), ("s0", np.nan), ("bound", np.inf)])
+def test_whirlspec_rejects_non_finite_numbers(field, value):
+    args = {"kappa": wc.kappa_constant(1.0), "lam": 1.0, "bound": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        wc.WhirlSpec(**args)
+
+
+def test_kappa_families_reject_non_finite_numbers():
+    with pytest.raises(ValueError, match="value must be positive and finite, got inf"):
+        wc.kappa_constant(np.inf)
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        wc.kappa_polynomial([1.0, np.nan], (0.0, 1.0))
+
+
 def _shifted(spec, c):
     """The same curve with arc length measured from c further along."""
     kappa = spec.kappa
@@ -571,8 +637,8 @@ def test_verification_is_shift_invariant(seed, c):
     assert np.max(np.abs(fb.tau / fa.tau - 1.0)) <= 1e-5
     assert abs(wc.unit_speed_residual(a.position, grid)
                - wc.unit_speed_residual(b.position, grid + c)) <= 1e-8
-    assert abs(wc.intrinsic_residual_max(spec, lo, hi, 65)
-               - wc.intrinsic_residual_max(moved, lo + c, hi + c, 65)) <= 1e-7
+    assert abs(wc.intrinsic_residual_max(a, lo, hi, 65)
+               - wc.intrinsic_residual_max(b, lo + c, hi + c, 65)) <= 1e-7
 
 
 def test_unit_speed_residual_far_along_the_curve():
