@@ -26,6 +26,14 @@ def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
 
 
+def _norm(v):
+    """Euclidean length of 3-vectors along the last axis: bit-identical to
+    ``np.linalg.norm(v, axis=-1)``, which sums the same squares in the same
+    order, without its general reduction."""
+    sq = v * v
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+
+
 def _raise_first(s, checks):
     """Raise FrameError at the first row failing a (mask, message) check."""
     s = np.atleast_1d(s)
@@ -59,12 +67,12 @@ class Frames:
             np.asarray(v, dtype=float)[()]
             for v in (self.s, self.t, self.n, self.b, self.kappa, self.tau))
         t, n, b = self.t, self.n, self.b
-        checks = [(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > FRAME_TOL,
+        checks = [(np.abs(_norm(v) - 1.0) > FRAME_TOL,
                    f"{name} is not a unit vector") for name, v in (("t", t), ("n", n), ("b", b))]
         off = [np.abs(_dot(u, v)) > FRAME_TOL for u, v in ((t, n), (t, b), (n, b))]
         _raise_first(self.s, checks + [
             (off[0] | off[1] | off[2], "frame is not orthogonal"),
-            (np.linalg.norm(b - np.cross(t, n), axis=-1) > FRAME_TOL, "b != t x n"),
+            (_norm(b - np.cross(t, n)) > FRAME_TOL, "b != t x n"),
             (~(self.kappa > 0), "kappa must be positive")])
 
     def __len__(self) -> int:
@@ -78,19 +86,20 @@ def _frames(s, d1, d2, d3) -> Frames:
     """Frames at ``s`` from rows of the first three derivatives of a curve.
 
     General-speed formulas: kappa = |d1 x d2|/|d1|^3, n along (d1 x d2) x d1
-    and tau = (d1 x d2 . d3)/|d1 x d2|^2.
+    and tau = (d1 x d2 . d3)/|d1 x d2|^2.  Every length is :func:`_norm`'s,
+    bit for bit ``np.linalg.norm``'s.
     """
-    speed = np.linalg.norm(d1, axis=1)
+    speed = _norm(d1)
     cr = np.cross(d1, d2)
     crn2 = _dot(cr, cr)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = d1 / speed[:, None]
         kappa = np.sqrt(crn2) / speed ** 3
         n = np.cross(cr, d1)
-        n = n / np.linalg.norm(n, axis=1)[:, None]
+        n = n / _norm(n)[:, None]
         # re-orthogonalize against t so the frame invariants hold exactly
         n = n - _dot(n, t)[:, None] * t
-        n = n / np.linalg.norm(n, axis=1)[:, None]
+        n = n / _norm(n)[:, None]
         tau = _dot(cr, d3) / crn2
     _raise_first(s, [(speed == 0.0, "undefined frame: zero velocity"),
                      ((kappa < KAPPA_FLOOR) | (crn2 == 0.0),
@@ -117,7 +126,7 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
         d1, d2, d3 = derivative(deriv, grid, (0, 1, 2))
     else:
         d1, d2, d3 = derivative(curve, grid, (1, 2, 3))
-    dev = np.abs(np.linalg.norm(d1, axis=1) - 1.0)
+    dev = np.abs(_norm(d1) - 1.0)
     if strict_unit_speed and np.any(dev > UNIT_SPEED_TOL):
         i = int(np.argmax(dev > UNIT_SPEED_TOL))
         raise FrameError("not arc-length parametrized: | |curve'| - 1 | = "
@@ -129,7 +138,7 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
 def unit_speed_residual(curve: Callable, s_grid) -> float:
     """max over the grid of | |curve'(s)| - 1 |."""
     d1 = derivative(curve, np.atleast_1d(np.asarray(s_grid, dtype=float)), 1)
-    return float(np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)))
+    return float(np.max(np.abs(_norm(d1) - 1.0)))
 
 
 def trace(curve: Callable, s_lo: float, s_hi: float, n: int,

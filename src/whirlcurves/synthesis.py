@@ -242,12 +242,23 @@ def trace_meta(curve: WhirlCurve) -> dict:
 
 # -- curvature families ----------------------------------------------------
 
+def _domain_ends(domain, finite: bool = True):
+    """The ends of ``domain`` as floats; ValueError naming it if an end is NaN
+    or, with ``finite``, infinite."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if np.isnan(lo) or np.isnan(hi) or (finite and np.isinf([lo, hi]).any()):
+        raise ValueError(f"domain ends must {'be finite' if finite else 'not be NaN'}, "
+                         f"got {tuple(domain)}")
+    return lo, hi
+
+
 def kappa_constant(value: float,
                    domain=(-np.inf, np.inf)) -> ScalarFn:
     """Constant curvature function."""
     value = float(value)
     if not 0 < value < np.inf:
         raise ValueError(f"curvature value must be positive and finite, got {value}")
+    _domain_ends(domain, finite=False)
 
     def ev(s):
         return np.full(np.shape(s), value) if np.ndim(s) else value
@@ -264,9 +275,12 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     from the a*s + b = 0 pole.
     """
     lam, a, b = float(lam), float(a), float(b)
+    for name, value in (("lam", lam), ("a", a), ("b", b)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a == 0.0 or abs(lam) < LAMBDA_FLOOR:
         raise ValueError("need a != 0 and lam != 0")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = _domain_ends(domain)
     if not lo < hi:
         raise ValueError("empty domain")
 
@@ -289,7 +303,7 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
     coeffs = [float(c) for c in coeffs]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"coeffs must be finite, got {coeffs}")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = _domain_ends(domain)
     if not lo < hi:
         raise ValueError("empty domain")
 

@@ -7,7 +7,10 @@ written as its shortest round-trip decimal in the layout of ``repr``:
 orjson's Ryu formatter prints 4096 rows at a time as one flat list, and
 ``_repr_chunks`` turns every fourth comma into a newline and, in the chunks
 holding them, its ``1e-6``, ``1e16`` and ``0.000015`` into ``1e-06``,
-``1e+16`` and ``1.5e-05``.  orjson parses JSON traces; ``np.loadtxt`` CSV ones.
+``1e+16`` and ``1.5e-05``.  orjson parses JSON traces, and a CSV body that
+holds only ``0123456789.eE+-,`` and LFs, 3 commas a row, as one flat list;
+``np.loadtxt`` reads every other CSV body (``+1``, ``.5``, ``1.``, ``01``,
+``-0``, ``nan``, spaces, CRs, blank lines, ...) and words every CSV error.
 """
 
 import json
@@ -57,6 +60,7 @@ class CurveTrace:
 
 
 _CHUNK = 4096   # rows per orjson call: few buffers are alive at any time
+_CSV_BYTES = b"0123456789.eE+-,\n"   # the only bytes of a CSV body orjson parses
 _EXP_SIGN = re.compile(rb"e(\d)")               # 1e16 -> 1e+16
 _EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")    # 1e-6 -> 1e-06
 # 0.000015 -> 1.5e-05; the lookbehind spares the 0.0000 of 10.00001
@@ -95,7 +99,45 @@ def write_csv(trace: CurveTrace, path) -> None:
         fh.writelines(_repr_chunks(trace))
 
 
-def read_csv(path) -> CurveTrace:
+def _csv_param(line: str):
+    """The parameter name of a valid CSV header line, else None."""
+    header = [c.strip() for c in line.split(",")]
+    if len(header) != 4 or header[1:] != ["x", "y", "z"]:
+        return None
+    return header[0]
+
+
+def _flat_csv(raw: bytes):
+    """(param, (n, 4) rows) of a CSV trace whose rows are 4 JSON numbers each, else None.
+
+    The body is parsed as one flat orjson list, only when it holds nothing but
+    ``0123456789.eE+-,`` and LFs, with 3 commas a row; JSON's grammar rejects
+    ``+1``, ``.5``, ``1.``, ``01`` and ``1e400``, and ``-0``, which orjson reads
+    as the integer 0, is left to ``np.loadtxt`` too.
+    """
+    head, _, body = raw.partition(b"\n")
+    body = body.rstrip(b"\n")
+    if not body or not head.isascii() or b"\r" in head or body.translate(None, _CSV_BYTES):
+        return None
+    param = _csv_param(head.decode())
+    buf = np.frombuffer(body, dtype=np.uint8)
+    commas, ends = np.flatnonzero(buf == ord(",")), np.flatnonzero(buf == ord("\n"))
+    # row k's third comma comes before its end, row k+1's first after it
+    if (param is None or commas.size != 3 * (ends.size + 1)
+            or np.any(commas[2:-1:3] > ends) or np.any(ends > commas[3::3])):
+        return None
+    if body.endswith(b"-0") or any(np.any((buf[p - 1] == ord("0")) & (buf[p - 2] == ord("-")))
+                                   for p in (commas, ends)):
+        return None   # a token ending in "-0": orjson reads the integer -0 as 0
+    try:
+        flat = orjson.loads(b"[" + body.replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    return param, np.fromiter(flat, dtype=float, count=len(flat)).reshape(-1, 4)
+
+
+def _loadtxt_csv(path):
+    """(param, (n, 4) rows) of any CSV trace, through ``np.loadtxt`` in text mode."""
     try:
         with open(path, "r") as fh:
             lines = [ln for ln in fh if ln.strip()]
@@ -103,8 +145,8 @@ def read_csv(path) -> CurveTrace:
         raise ValueError(f"malformed CSV trace in {path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"no samples in trace file: {path}")
-    header = [c.strip() for c in lines[0].split(",")]
-    if len(header) != 4 or header[1:] != ["x", "y", "z"]:
+    param = _csv_param(lines[0])
+    if param is None:
         raise ValueError(f"bad CSV header {lines[0].strip()!r} in {path}")
     try:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
@@ -112,7 +154,14 @@ def read_csv(path) -> CurveTrace:
         raise ValueError(f"malformed CSV row in {path}: {exc}") from None
     if data.shape[1] != 4:
         raise ValueError(f"malformed CSV body in {path}")
-    return _validated(data, {"param": header[0]}, path)
+    return param, data
+
+
+def read_csv(path) -> CurveTrace:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    param, data = _flat_csv(raw) or _loadtxt_csv(path)
+    return _validated(data, {"param": param}, path)
 
 
 def write_json(trace: CurveTrace, path) -> None:

@@ -1,14 +1,17 @@
-"""Adaptive Simpson quadrature: the tests' independent reference for the
-library's Gauss-Legendre and Legendre-series integration.
+"""The tests' independent references.
 
-It shares no code with :class:`whirlcurves.SmoothCumulative`, so agreement
-between the two is evidence for both.
+Adaptive Simpson quadrature, for the library's Gauss-Legendre and
+Legendre-series integration: it shares no code with
+:class:`whirlcurves.SmoothCumulative`, so agreement between the two is
+evidence for both.  A text-mode ``np.loadtxt`` CSV reader, for
+:func:`whirlcurves.traceio.read_csv`, which parses plain bodies with orjson.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from whirlcurves import CurveTrace
 from whirlcurves.errors import QuadratureError
 
 
@@ -69,3 +72,29 @@ def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
     m, fm, whole = simpson(lo, fa, hi, fb)
     value = recurse(lo, fa, hi, fb, m, fm, whole, abs_tol, 0)
     return QuadratureResult(sign * value, err_acc[0], counter[0], flag[0])
+
+
+def read_csv(path) -> CurveTrace:
+    """A CSV trace read as every CSV trace was before the orjson parse: in text
+    mode, blank lines dropped, the first line checked as the header, the rest
+    through ``np.loadtxt``; the same arrays and error messages are expected."""
+    try:
+        with open(path, "r") as fh:
+            lines = [ln for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed CSV trace in {path}: {exc}") from None
+    if len(lines) < 2:
+        raise ValueError(f"no samples in trace file: {path}")
+    header = [c.strip() for c in lines[0].split(",")]
+    if len(header) != 4 or header[1:] != ["x", "y", "z"]:
+        raise ValueError(f"bad CSV header {lines[0].strip()!r} in {path}")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"malformed CSV row in {path}: {exc}") from None
+    if data.shape[1] != 4:
+        raise ValueError(f"malformed CSV body in {path}")
+    try:
+        return CurveTrace(data[:, 0], data[:, 1:], meta={"param": header[0]})
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whirlcurves as wc
+from whirlcurves import frenet
 from whirlcurves.errors import FrameError
 from conftest import random_rotation, unit_speed_helix
 
@@ -115,6 +116,23 @@ def test_frenet_apparatus_validates():
         wc.Frames(0.0, e[0], e[1], -e[2], 1.0, 1.0)   # b != t x n
     with pytest.raises(FrameError):
         wc.Frames(0.0, e[0], e[1], e[2], -1.0, 1.0)   # kappa <= 0
+
+
+@pytest.mark.parametrize("v", [
+    np.random.default_rng(3).normal(size=(20000, 3))
+    * 10.0 ** np.random.default_rng(4).uniform(-150, 150, size=(20000, 1)),
+    np.random.default_rng(5).normal(size=(500, 3))
+    * 10.0 ** np.random.default_rng(6).uniform(-150, 150, size=(500, 3)),
+    np.zeros((4, 3)),
+    np.array([[0.0, -0.0, 0.0], [5e-324, 0.0, 0.0], [3.0, 4.0, 12.0]]),
+    np.array([1.0, -2.0, 2.0]),
+], ids=["rows", "mixed magnitudes", "zeros", "edges", "one row"])
+def test_norm_is_bit_identical_to_numpy(v):
+    # the frames' lengths sum the squares as np.linalg.norm does; a platform
+    # whose norm reduces in another order shows here
+    got, want = frenet._norm(v), np.linalg.norm(v, axis=-1)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_unit_speed_residual_line():

@@ -610,6 +610,32 @@ def test_kappa_families_reject_non_finite_numbers():
         wc.kappa_polynomial([1.0, np.nan], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", np.nan), ("lam", -np.inf), ("a", np.inf), ("a", np.nan), ("b", np.nan), ("b", np.inf)])
+def test_kappa_linear_ratio_rejects_non_finite_numbers(field, value):
+    args = {"lam": -1.0, "a": 1.0, "b": -2.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        wc.kappa_linear_ratio(domain=(0.0, 1.0), **args)
+
+
+@pytest.mark.parametrize("make, domain, rule", [
+    (lambda d: wc.kappa_constant(1.0, domain=d), (np.nan, 1.0), "not be NaN"),
+    (lambda d: wc.kappa_constant(1.0, domain=d), (0.0, np.nan), "not be NaN"),
+    (lambda d: wc.kappa_polynomial([1.0], d), (0.0, np.inf), "be finite"),
+    (lambda d: wc.kappa_polynomial([1.0], d), (np.nan, 1.0), "be finite"),
+    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (-np.inf, 1.0), "be finite"),
+    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (0.0, np.nan), "be finite"),
+])
+def test_kappa_families_check_their_domain(make, domain, rule):
+    with pytest.raises(ValueError, match=rf"^domain ends must {rule}, got \({domain[0]}, {domain[1]}\)$"):
+        make(domain)
+
+
+def test_kappa_constant_keeps_the_whole_line():
+    assert wc.kappa_constant(1.0).domain == (-np.inf, np.inf)
+    assert wc.kappa_constant(1.0, domain=(-np.inf, 0.0)).domain == (-np.inf, 0.0)
+
+
 def _shifted(spec, c):
     """The same curve with arc length measured from c further along."""
     kappa = spec.kappa

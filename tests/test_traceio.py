@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 import whirlcurves as wc
 from whirlcurves import traceio
 from whirlcurves.cli import main
@@ -200,20 +201,135 @@ def _assert_written_as_repr(data):
             assert fh.read() == json_ref.encode("ascii")
 
 
-@pytest.mark.parametrize("body", [
-    "s,x,y,z\n0,1,2,3\n0.5,1,two,3\n",    # malformed row
-    "s,x,y,z\n0,1,2,3\n0.5,1,2\n",        # ragged body
-    "s,x,y,z\n0,1,2\n0.5,1,2\n",          # too few columns
-    "s,x,y,z\n",                          # header only
-    b"s,x,y,z\n0,1,2,3\n0.5,1,\xff,3\n",   # invalid UTF-8
+@pytest.mark.parametrize("body, message", [
+    ("s,x,y,z\n0,1,2,3\n0.5,1,two,3\n",     # malformed row
+     "malformed CSV row in {}: could not convert string 'two' to float64 at row 1, column 3."),
+    ("s,x,y,z\n0,1,2,3\n0.5,1,2\n",         # ragged body
+     "malformed CSV row in {}: the number of columns changed from 4 to 3 at row 2; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("s,x,y,z\n0,1,2\n0.5,1,2\n",           # too few columns
+     "malformed CSV body in {}"),
+    ("s,x,y,z\n",                           # header only
+     "no samples in trace file: {}"),
+    (b"s,x,y,z\n0,1,2,3\n0.5,1,\xff,3\n",    # invalid UTF-8
+     "malformed CSV trace in {}: 'utf-8' codec can't decode byte 0xff in position 22: "
+     "invalid start byte"),
 ])
-def test_read_csv_errors_name_the_file(tmp_path, capsys, body):
+def test_read_csv_errors_name_the_file(tmp_path, capsys, body, message):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(body if isinstance(body, bytes) else body.encode())
-    with pytest.raises(ValueError, match="bad.csv"):
+    with pytest.raises(ValueError) as exc:
         traceio.read_csv(bad)
+    assert str(exc.value) == message.format(bad)
     assert main(["verify", "--in", str(bad)]) == 3
     assert "bad.csv" in capsys.readouterr().err
+
+
+def _assert_reads_as_reference(path):
+    # the same rows bit for bit and the same parameter name, or the same message
+    try:
+        want = reference.read_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            traceio.read_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = traceio.read_csv(path)
+    assert got.rows().tobytes() == want.rows().tobytes()
+    assert got.meta == want.meta
+
+
+_ROWS = b"0,1,2,3\n0.5,-1.5,2e-3,3E+2\n"
+
+
+@pytest.mark.parametrize("raw", [
+    b"s,x,y,z\n0,+1,2,3\n",                  # a plus sign
+    b"s,x,y,z\n0,.5,2,3\n",                  # no digit before the point
+    b"s,x,y,z\n0,1.,2,3\n",                  # no digit after it
+    b"s,x,y,z\n0,01,2,3\n",                  # a leading zero
+    b"s,x,y,z\n0,nan,2,3\n",
+    b"s,x,y,z\n0,1,inf,3\n",
+    b"s,x,y,z\n0,1,2,1e400\n",               # overflows
+    b"s,x,y,z\n0,1,2,3\n\n0.5,1,2,3\n",      # a blank line mid-body
+    b"s,x,y,z\r\n0,1,2,3\r\n0.5,1,2,3\r\n",   # CRLF
+    b"s,x,y,z\n0,1,2,3\r0.5,1,2,3\n",        # a lone CR
+    b"s\r,x,y,z\n0,1,2,3\n",                 # a CR in the header
+    b"s,x,y,z\n 0,1,2,3 \n0.5, 1,2 ,3\n",     # leading and trailing spaces
+    b"s,x,y,z\n0,1,\t2,3\n",                 # a tab
+    b"\xef\xbb\xbfs,x,y,z\n" + _ROWS,          # a BOM before the header
+    b"\n\ns,x,y,z\n" + _ROWS,                  # blank lines before the header
+    b"s,x,y,z\n0,1,2,3\n0.5,1,2\n",          # a ragged row
+    b"s,x,y,z\n0,1,2,3,4\n0.5,1,2\n",        # ragged rows with 3 commas a row on average
+    b"s,x,y,z\n0,1,2\n0.5,1,2,3,4\n",        # ... the other way round
+    b"s,x,y,z\n0,1,2,3,4\n0.5,1,2,3,4\n",     # 5 columns
+    b"s,x,y,z\n0,1,2,3,\n",                  # a trailing comma
+    b"s,x,y,z\n0,1,,3\n",                    # an empty field
+    b"s,x,y,z\n,0,1,2\n",                    # an empty first field
+    b"s,x,y,z\n0,-,2,3\n",                   # a lone minus sign
+    b"s,x,y,z\n0,1e,2,3\n",                  # no exponent digits
+    b"s,x,y,z\n0,-0,2,3\n",                  # the integer -0, which orjson reads as 0
+    b"s,x,y,z\n-1,1,2,3\n0,1,2,-0",           # ... last in the file
+    b"s,x,y,z\n-1,1,2,3\n-0,1,2,3\n",         # ... first in a row
+    b"s,x,y,z\n0,1,2,3\n0.5,1,\xff,3\n",      # invalid UTF-8
+    b"\xcf\x83,x,y,z\n" + _ROWS,              # a non-ASCII parameter name
+    b"s,x,y\n0,1,2\n",                       # a bad header
+    b"s,x,y,z\n",                            # no rows
+    b"s,x,y,z",                               # no line end at all
+], ids=repr)
+def test_read_csv_leaves_what_json_does_not_parse_alike_to_loadtxt(tmp_path, raw):
+    assert traceio._flat_csv(raw) is None
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    _assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"s,x,y,z\n" + _ROWS,
+    b" t ,x , y,z \n" + _ROWS,                # spaces in the header
+    b"s,x,y,z\n0,1,2,3\n0.5,1,2,3",           # no final line end
+    b"s,x,y,z\n" + _ROWS + b"\n\n\n",          # trailing blank lines
+    b"s,x,y,z\n0,-0.0,-0e0,-0E+0\n",          # negative zeros orjson keeps
+    b"s,x,y,z\n0,1e-400,-1e-400,5e-324\n",    # underflows
+    b"s,x,y,z\n0,9007199254740993,18446744073709551616,"
+    b"-123456789012345678901234567890\n",     # integers past 2**53 and 2**64
+    b"s,x,y,z\n1,2,3,4\n0,1,2,3\n",          # s decreasing: CurveTrace's message
+    b"s,x,y,z\n0,1,2,3\n0,1,2,3\n",
+], ids=repr)
+def test_read_csv_parses_plain_bodies_as_loadtxt_does(tmp_path, raw):
+    assert traceio._flat_csv(raw) is not None
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    _assert_reads_as_reference(path)
+
+
+def test_written_csv_traces_take_the_flat_parse(tmp_path):
+    data = np.random.default_rng(2).normal(size=(5000, 4)) * 10.0 ** np.arange(-6, 18, 6)
+    data[:, 0] = np.linspace(-1.0, 1.0, 5000)
+    data[7, 1:] = [-0.0, 5e-324, -1.7976931348623157e308]
+    path = tmp_path / "t.csv"
+    traceio.write_csv(wc.CurveTrace(data[:, 0], data[:, 1:]), path)
+    assert traceio._flat_csv(path.read_bytes())[1].tobytes() == data.tobytes()
+    _assert_reads_as_reference(path)
+
+
+_FORMATS = (repr, "%.17g".__mod__, "%.25e".__mod__, "%.3f".__mod__)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=12),
+       fmt=st.sampled_from(_FORMATS))
+@example(points=[(-0.0, 5e-324, -1.7976931348623157e308), (1e-5, 1e16, 0.1)], fmt=_FORMATS[1])
+def test_read_csv_parses_each_token_as_float_does(points, fmt):
+    # any float formatting, on the flat parse or not, reads back as float(token)
+    cells = [[fmt(float(s))] + [fmt(v) for v in row] for s, row in enumerate(points)]
+    text = "s,x,y,z\n" + "".join(",".join(row) + "\n" for row in cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        back = traceio.read_csv(path)
+    want = np.array([[float(c) for c in row] for row in cells])
+    assert back.rows().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("body", [
