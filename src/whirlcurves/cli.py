@@ -76,8 +76,8 @@ def _parse_range(text, inset=0.0):
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo + inset < hi - inset):
-        raise argparse.ArgumentTypeError(
-            f"range needs finite LO < HI, more than {2 * inset:.3g} apart")
+        apart = f", more than {2 * inset:.3g} apart" if inset else ""
+        raise argparse.ArgumentTypeError(f"range needs finite LO < HI{apart}")
     return lo, hi
 
 
@@ -304,7 +304,10 @@ def _cmd_verify(args) -> int:
     frames = trace_frames(tr)
     fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
     chen = rectifying.chen_ratio_fit(frames, rms_tol=tols["chen_rms"])
-    ax = np.array2string(fit.axis, precision=6, suppress_small=True)
+    # a component printed as 0. would flip its sign under 1-ulp changes of the trace
+    unsigned = [c if float(np.format_float_positional(c, precision=6)) else 0.0
+                for c in fit.axis]
+    ax = np.array2string(np.array(unsigned), precision=6, suppress_small=True)
     print(f"samples               {len(tr)} (frames at {len(frames)} interior nodes)")
     print(f"fitted lambda         {fit.lam:.6g}")
     print(f"fitted axis           {ax}")

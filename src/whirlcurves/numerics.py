@@ -11,7 +11,7 @@ to samples by :func:`grid_derivatives`.
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,10 +50,14 @@ class ScalarFn:
 
     The evaluator must be finite on the stated domain and should accept
     numpy arrays as well as floats (all built-in curvature families do).
+    ``cumulative``, when given, is the evaluator's exact integral:
+    ``cumulative(s0)`` returns F with F(s) = int_{s0}^{s} evaluator, exactly
+    0 at s0, for floats and numpy arrays alike.
     """
 
     evaluator: Callable
     domain: Tuple[float, float] = (-np.inf, np.inf)
+    cumulative: Optional[Callable] = None
 
     def __call__(self, s):
         return self.evaluator(s)

@@ -9,6 +9,8 @@ point s0, the construction produces a unit-speed curve whose whirl axis is
 valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
+The integral of kappa is the family's closed form for the built-in
+curvature families, and panel quadrature for any other kappa.
 A curve built with a window validates it, samples each panel of the window
 once and reads every position off that panel's Legendre series: a sample
 costs no tangent evaluation of its own.  :func:`synthesize` samples such a
@@ -90,9 +92,11 @@ class WhirlCurve:
     Callable for positions; all methods accept floats or numpy arrays.
     Positions integrate the closed-form tangent from ``origin`` (where the
     position is the zero vector) on fixed-node panels, so they are smooth
-    enough for difference stencils.  The curve owns its panel tables: the
-    cumulative curvature from ``spec.s0`` and the position from ``origin``
-    (default ``spec.s0``), whose integrand is :meth:`tangent`.  Given a
+    enough for difference stencils.  The cumulative curvature from
+    ``spec.s0`` is ``spec.kappa.cumulative`` when kappa has that closed form
+    (a non-finite query raises DomainError), else the curve's windowless
+    panel table.  The position from ``origin`` (default ``spec.s0``) is a
+    panel table whose integrand is :meth:`tangent`.  Given a
     ``window=(lo, hi)``, ``origin`` defaults to ``lo``, positions are read
     off one Legendre series per panel of the window and are defined only
     there, and the window is checked before any sample: ValueError unless
@@ -106,7 +110,9 @@ class WhirlCurve:
             raise ValueError(f"form must be one of {_FORMS}")
         self.spec = spec
         self.form = form
-        self._kcum = SmoothCumulative(spec.kappa, anchor=spec.s0)
+        closed = spec.kappa.cumulative
+        self._kcum = (SmoothCumulative(spec.kappa, anchor=spec.s0) if closed is None
+                      else _finite_queries(closed(spec.s0)))
         if window is not None:
             lo, hi = window
             if not lo < hi:
@@ -221,6 +227,16 @@ class WhirlCurve:
         return ratio, sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
 
+def _finite_queries(integral):
+    """``integral``, raising DomainError at the first non-finite query."""
+    def checked(s):
+        s_arr = np.atleast_1d(s)
+        if not np.isfinite(s_arr).all():
+            raise DomainError(f"s={float(s_arr[~np.isfinite(s_arr)][0])!r} is not finite")
+        return integral(s)
+    return checked
+
+
 def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
                form: str = "spherical") -> CurveTrace:
     """Sample the curve with window [s_lo, s_hi] on a uniform n-point grid.
@@ -263,7 +279,10 @@ def kappa_constant(value: float,
     def ev(s):
         return np.full(np.shape(s), value) if np.ndim(s) else value
 
-    return ScalarFn(ev, domain)
+    def cumulative(s0):
+        return lambda s: value * (np.asarray(s, dtype=float) - s0)
+
+    return ScalarFn(ev, domain, cumulative)
 
 
 def kappa_linear_ratio(lam: float, a: float, b: float,
@@ -295,7 +314,21 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
                 "(need sign(a*s+b) = sign(a/lam) throughout)")
     if (a * lo + b) * (a * hi + b) <= 0:
         raise ValueError("domain crosses the a*s + b = 0 pole")
-    return ScalarFn(ev, (lo, hi))
+    c = 1.0 + lam * lam
+
+    def cumulative(s0):
+        # (ln|h/h0| - ln sqrt((c + h^2)/(c + h0^2)))/lam as one log1p of
+        # c (h^2 - h0^2) / (h0^2 (c + h^2)), whose factors share one sign
+        h0 = a * s0 + b
+
+        def integral(s):
+            delta = a * (np.asarray(s, dtype=float) - s0)
+            h = h0 + delta
+            return np.log1p((delta / h0) * ((h0 + h) / h0) * (c / (c + h * h))) / (2.0 * lam)
+
+        return integral
+
+    return ScalarFn(ev, (lo, hi), cumulative)
 
 
 def kappa_polynomial(coeffs, domain) -> ScalarFn:
@@ -317,7 +350,22 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
     probe = ev(np.linspace(lo, hi, 1001))
     if np.min(probe) <= 0:
         raise ValueError("polynomial curvature is not positive on the domain")
-    return ScalarFn(ev, (lo, hi))
+
+    def cumulative(s0):
+        # the antiderivative in powers of u = s - s0 (shifted once per curve),
+        # so no large terms cancel near s0 and u = 0 gives 0 exactly
+        poly = np.polynomial.Polynomial
+        anti = poly(coeffs)(poly([s0, 1.0])).integ().coef[:0:-1].tolist()
+
+        def integral(s):
+            u, out = np.asarray(s, dtype=float) - s0, 0.0
+            for e in anti:
+                out = (out + e) * u
+            return out
+
+        return integral
+
+    return ScalarFn(ev, (lo, hi), cumulative)
 
 
 # -- intrinsic-equation residual ---------------------------------------------

@@ -398,6 +398,21 @@ def test_synth_range_too_narrow_for_the_stencils_exit_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, rule", [
+    (["synth", "--lambda", -1, "--h0", 1], "range needs finite LO < HI, more than 0.00296 apart"),
+    (["rect", "--a", 0.65, "--lambda", -1], "range needs finite LO < HI"),
+    (["extend", "--a", 0.65, "--lambda", -1], "range needs finite LO < HI"),
+    (["figure1"], "range needs finite LO < HI"),
+])
+def test_reversed_range_names_the_minimum_width_only_where_there_is_one(tmp_path, capsys,
+                                                                         args, rule):
+    code = run(args + ["--range", "1:0", "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.endswith(f"error: argument --range: {rule}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _verify_line(out, label):
     return next(ln for ln in out.splitlines() if ln.startswith(label))
 
@@ -427,3 +442,21 @@ def test_verify_dense_constant_kappa_trace_negative(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "whirl verdict:        POSITIVE" in out
     assert _verify_line(out, "rectifying verdict:").split()[2] == "NEGATIVE"
+
+
+def test_verify_prints_an_axis_component_that_rounds_to_zero_unsigned(tmp_path, capsys):
+    # rotating the trace by +-1e-9 rad about x flips the sign of the fitted
+    # axis's y component, which prints as 0.: the line must not show -0.
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0))
+    tr = wc.synthesize(spec, 0.0, 1.0, 129)
+    lines = []
+    for angle in (1e-9, -1e-9):
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        path = tmp_path / f"rotated{angle:+g}.csv"
+        traceio.write_csv(wc.CurveTrace(tr.s, tr.points @ rot.T), path)
+        assert run(["verify", "--in", path]) == 0
+        lines.append(_verify_line(capsys.readouterr().out, "fitted axis"))
+    assert lines[0] == lines[1]
+    assert "-0." not in lines[0]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import whirlcurves as wc
 from whirlcurves.errors import DomainError
+from whirlcurves.numerics import EPS
 from reference import integrate
 from conftest import congruent_distances, random_whirl_model
 
@@ -348,6 +349,121 @@ def test_intrinsic_residual_max_evaluates_the_ratio_once():
     # windowless queries do not depend on the batch: the same value, bit for bit
     resid = wc.intrinsic_residual(kv, curve.torsion(grid), rate, spec.lam)
     assert value == float(np.max(np.abs(resid)))
+
+
+@st.composite
+def _family_around_s0(draw):
+    """(kappa, s0, lo, hi): a built-in curvature family on [lo, hi], which
+    holds s0, with s0 near 0 or near +-1e3.  kappa's own evaluation stays
+    free of cancellation, since the quadrature oracle samples it: the
+    polynomial's terms share one sign near +-1e3 and its constant term leads
+    near 0, and one term of a*s + b leads the other."""
+    centre = draw(st.sampled_from([0.0, 1e3, -1e3]))
+    s0 = centre + draw(st.floats(-1.0, 1.0))
+    width = draw(st.floats(0.1, 4.0))
+    lo = s0 - width * draw(st.floats(0.0, 1.0))
+    hi = lo + width
+    family = draw(st.sampled_from(["const", "poly", "linear-ratio"]))
+    if family == "const":
+        return wc.kappa_constant(draw(st.floats(0.1, 10.0))), s0, lo, hi
+    if family == "poly":
+        g = [draw(st.floats(0.1, 1.0))] + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+        if centre == 0.0:   # |s| <= 5 on the domain
+            g[0] += sum(gk * 5.0 ** k for k, gk in enumerate(g))
+        return (wc.kappa_polynomial([gk * np.sign(centre or 1.0) ** k for k, gk in enumerate(g)],
+                                    (lo, hi)), s0, lo, hi)
+    if centre == 0.0:   # |a*s| <= |b|/2
+        b = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 10.0))
+        a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, abs(b) / 10.0))
+    else:   # |b| <= |a*s|/10
+        a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 2.0))
+        b = draw(st.floats(-9.0, 9.0))
+    lam = np.sign(a * (a * s0 + b)) * draw(st.floats(0.2, 5.0))
+    return wc.kappa_linear_ratio(lam, a, b, (lo, hi)), s0, lo, hi
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(case=_family_around_s0())
+def test_closed_form_kappa_integrals_match_quadrature(case):
+    # the windowless quadrature of the bare evaluator is the oracle; the
+    # closed form is 0 at s0 exactly and differentiates back to kappa
+    kappa, s0, lo, hi = case
+    integral = kappa.cumulative(s0)
+    assert integral(s0) == 0.0
+    assert np.array_equal(integral(np.array([s0, s0])), [0.0, 0.0])
+    grid = np.linspace(lo, hi, 65)
+    want = wc.SmoothCumulative(kappa.evaluator, anchor=s0)(grid)
+    assert np.all(np.abs(integral(grid) - want) <= 4.0 * EPS * np.maximum(1.0, np.abs(want)))
+    inner = grid[2:-2:4]
+    assert np.max(np.abs(wc.derivative(integral, inner, 1) / kappa(inner) - 1.0)) <= 1e-9
+
+
+def _quadrature_twin(spec):
+    """``spec`` with its kappa's closed-form integral dropped."""
+    return dataclasses.replace(spec, kappa=wc.ScalarFn(spec.kappa.evaluator, spec.kappa.domain))
+
+
+def _family_model(family, seed):
+    """(spec, lo, hi): the random whirl model for const and linear-ratio
+    kappa; for a quadratic kappa, a window from 0 holding s0, which is 0 or
+    inside it."""
+    rng = np.random.default_rng(seed)
+    if family != "poly":
+        return random_whirl_model(rng, family=family)[:3]
+    lam = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))
+    kappa = wc.kappa_polynomial([rng.uniform(0.6, 1.0), rng.uniform(-0.1, 0.1),
+                                 rng.uniform(-0.02, 0.02)], (-1.0, 3.0))
+    bound = wc.bound_from_ratio(1.1, lam)
+    # kappa < 1.3 on the window, so |lam * int kappa| across it stays below bound / 2
+    hi = min(2.0, 0.4 * bound / abs(lam))
+    spec = wc.WhirlSpec(kappa=kappa, lam=lam, bound=bound,
+                        s0=float(rng.choice([0.0, rng.uniform(0.0, hi)])))
+    return spec, 0.0, hi
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", ["const", "poly", "linear-ratio"])
+def test_closed_form_curve_matches_the_quadrature_curve(family, seed):
+    spec, lo, hi = _family_model(family, seed)
+    twin = _quadrature_twin(spec)
+    assert spec.kappa.cumulative is not None and twin.kappa.cumulative is None
+    closed, quad = (wc.synthesize(sp, lo, hi, 257) for sp in (spec, twin))
+    assert np.max(np.abs(closed.points - quad.points)) <= 1e-15
+    curves = [wc.WhirlCurve(sp, window=(lo, hi)) for sp in (spec, twin)]
+    torsion = [curve.torsion(closed.s) for curve in curves]
+    assert np.max(np.abs(torsion[0] / torsion[1] - 1.0)) <= 8.0 * EPS
+    # the residual is the stencil's rounding noise, the few-ulp ratio errors
+    # over a step of ~7e-4 / rate, times 1 + lam^2: at |lam| ~ 12 the two
+    # differ by 1e-10 (25% of either, the worst of 120 models), far below
+    # synth's 1e-6 tolerance
+    closed_resid, quad_resid = (wc.intrinsic_residual_max(c, lo, hi) for c in curves)
+    assert max(closed_resid, quad_resid) <= 1e-8
+    assert abs(closed_resid - quad_resid) <= max(1e-12, 0.5 * max(closed_resid, quad_resid))
+
+
+@pytest.mark.parametrize("base, lo, hi", [
+    (wc.kappa_constant(0.8), 0.0, 2.0),
+    (wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0)), 0.0, 2.0),
+    (wc.kappa_linear_ratio(-0.7, -1.0, 2.0, (0.0, 1.5)), 0.0, 1.5),
+])
+def test_closed_form_intrinsic_check_samples_kappa_twice_per_node(base, lo, hi):
+    # kappa at each node, once for the residual and once for the stencil's
+    # step; its integral comes from the closed form, not 24-node panels
+    points = [0]
+    kappa = dataclasses.replace(_counted_kappa(base, points), cumulative=base.cumulative)
+    spec = wc.WhirlSpec(kappa=kappa, lam=-0.7, bound=wc.bound_from_ratio(1.1, -0.7))
+    curve = wc.WhirlCurve(spec, window=(lo, hi))
+    n = 65
+    points[0] = 0
+    wc.intrinsic_residual_max(curve, lo, hi, n)
+    assert 0 < points[0] <= 2 * n
+
+
+def test_closed_form_kappa_integral_rejects_a_non_finite_s():
+    curve = wc.WhirlCurve(wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match=f"^s={bad!r} is not finite$"):
+            curve.exponent(np.array([0.5, bad]))
 
 
 def _scalar_tangent(coeffs, lam, bound, form, c):
