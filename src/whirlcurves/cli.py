@@ -8,7 +8,6 @@ or parse error.  Every flag is validated by the parser, so a bad value exits
 """
 
 import argparse
-import functools
 import os
 import sys
 
@@ -108,9 +107,8 @@ def _parse_kappa(text):
         f"expected const:V (V > 0), poly:c0,c1,... or linear-ratio, got {text!r}")
 
 
-@functools.cache
 def _build_parser():
-    """The one parser of the process: it holds no state between parses."""
+    """The command-line parser; it holds no state between parses."""
     p = argparse.ArgumentParser(
         prog="whirlcurves",
         description="Synthesize, verify and export whirl and whirl-rectifying curves.")
@@ -221,7 +219,8 @@ def _cmd_synth(args) -> int:
         **synthesis.trace_meta(curve), "command": "synth", "kappa": args.kappa[0],
         "samples": args.samples, "range": [lo, hi]})
     path = _write(tr, args.out, "synth", args.format)
-    # nodes REACH inside the validated window keep every stencil probe in it
+    # nodes REACH inside the window: tangent and ratio probes reach REACH, or
+    # an ulp past the window for a rounded step, which the curve answers
     usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
                                                           min(args.samples, 65)))
     ires = synthesis.intrinsic_residual_max(curve, lo, hi)
@@ -336,9 +335,12 @@ def _cmd_figure1(args) -> int:
                     one_line=True)
 
 
+_PARSER = _build_parser()   # built once per process, at import
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     args.tol = {**DEFAULT_TOLS, **dict(args.tol or ())}

@@ -1,15 +1,12 @@
 """Quadrature and differentiation utilities shared by the geometry modules.
 
 All routines work in 64-bit floating point.  The curve constructions
-integrate with :class:`SmoothCumulative`, a fixed-node Gauss-Legendre panel
-sum that is smooth in its upper limit; given a validated window, it reads F
-off one adaptively split Legendre series per panel instead.  It is the
-library's only integrator.  Every derivative
-comes from :func:`diff_weights`, applied to a callable by :func:`derivative`,
-to samples by :func:`grid_derivatives`.
+integrate with :class:`SmoothCumulative`, which reads F on a window off one
+adaptively split Legendre series per panel; it is the library's only
+integrator.  Every derivative comes from :func:`diff_weights`, applied to a
+callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
 """
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -23,16 +20,14 @@ EPS = float(np.finfo(float).eps)
 DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
 
 # SmoothCumulative: lattice panel width, 24-node Gauss-Legendre rule, the
-# number of intervals one call of the integrand covers (a power of two, so
-# blocks split the matrix-vector product where BLAS row groups do and the
-# sums match one unblocked call bit for bit), and the farthest a query may
-# lie from the anchor, in panels.
+# number of intervals one call of the integrand covers, and the farthest a
+# window end may lie from the anchor, in panels.
 PANEL = 0.125
 _LEG = np.polynomial.legendre
 _GAUSS_X, _GAUSS_W = _LEG.leggauss(24)
 BLOCK = 4096
 MAX_PANELS = 2 ** 20
-# Windowed series: coefficients from the samples by the inverse
+# Series: coefficients from the samples by the inverse
 # Legendre-Vandermonde matrix (a Gauss-weight transform leaves a ~2e-14
 # floor in the even coefficients) whose first row, the mean, is the Gauss
 # rule itself (the inverse's row is off by up to 7e-16, a bias every panel
@@ -167,67 +162,51 @@ def grid_derivatives(s, y) -> np.ndarray:
 
 
 class SmoothCumulative:
-    """Cumulative integral ``F(s) = ∫_anchor^s f`` evaluated panel by panel.
+    """Cumulative integral ``F(s) = ∫_anchor^s f`` on a window, read off one
+    Legendre series per panel.
 
     ``f`` must accept numpy arrays; it may return scalars or rows of one fixed
     length, and is called on at most ``BLOCK`` intervals (24 points each) at a
-    time.  Panels of width ``PANEL`` lie on a lattice through ``anchor``.  A
-    sample of f that is not finite raises :class:`QuadratureError` at once.
+    time.  A sample of f that is not finite raises :class:`QuadratureError`
+    at once.  ``window=(lo, hi)`` must hold the anchor (else ValueError) and
+    lie within ``MAX_PANELS`` panels of it (else :class:`DomainError` at
+    once); f is sampled only inside it, and a query outside it raises
+    :class:`DomainError`.
 
-    Without a ``window``, F(s) is a prefix sum over whole lattice panels plus
-    one fractional panel from the lattice edge toward the anchor up to s, all
-    by the same 24-node Gauss rule, so every sample of f stays inside the hull
-    of (anchor, s).  The prefix is one array over a contiguous range of
-    lattice indices, grown on demand by a cumulative sum seeded with its
-    current end value; a lock serializes growth, so an instance can be shared
-    across threads.  A query that is not finite or lies more than
-    ``MAX_PANELS`` panels from the anchor raises :class:`DomainError` before
-    the table grows.
-
-    With ``window=(lo, hi)`` (holding the anchor; an end more than
-    ``MAX_PANELS`` panels from it raises :class:`DomainError` at once), the
-    lattice panels are clipped to the window and F is read off one Legendre
-    series per panel (Greengard 1991): the 24 Gauss samples become
-    coefficients c_j by the inverse Legendre-Vandermonde matrix, and F(s) is
-    the prefix at the panel's left edge plus the antiderivative series at s.
-    A panel is bisected until its series is resolved (chopping as in Aurentz
-    & Trefethen, 2017): its last three |c_j| are at most ``CHOP_TOL`` *
-    max(scale, 1), scale = max |c_j|, or they are at most EPS**(2/3) * scale
-    and no longer decay (at least a tenth of |c_15..17|).  A child whose tail
-    is not below 0.9 of its parent's, or ``MAX_SPLITS`` bisections down, is
-    kept as it is.  The table holds the prefix only and is built on the first
-    call, ``BLOCK`` lattice panels at a time; a later call rebuilds the series
-    of the blocks its queries fall in, so F(s) depends on s and the window
-    alone, never on the batch.  Threads whose first calls race each build the
-    same table, and it is set in one assignment, so no lock is needed.  A
-    query outside the window raises :class:`DomainError`.  Only a caller that
-    knows its hull has a window; the others keep the windowless path.
+    Panels of width ``PANEL`` lie on a lattice through ``anchor``, clipped to
+    the window, and F is read off one Legendre series per panel (Greengard
+    1991): the 24 Gauss samples become coefficients c_j by the inverse
+    Legendre-Vandermonde matrix, and F(s) is the prefix at the panel's left
+    edge plus the antiderivative series at s.  A panel is bisected until its
+    series is resolved (chopping as in Aurentz & Trefethen, 2017): its last
+    three |c_j| are at most ``CHOP_TOL`` * max(scale, 1), scale = max |c_j|,
+    or they are at most EPS**(2/3) * scale and no longer decay (at least a
+    tenth of |c_15..17|).  A child whose tail is not below 0.9 of its
+    parent's, or ``MAX_SPLITS`` bisections down, is kept as it is.  The table
+    holds the prefix only and is built on the first call, ``BLOCK`` lattice
+    panels at a time; a later call rebuilds the series of the blocks its
+    queries fall in, so F(s) depends on s and the window alone, never on the
+    batch.  Threads whose first calls race each build the same table, and it
+    is set in one assignment, so no lock is needed.
     """
 
-    def __init__(self, f, anchor: float, window=None):
+    def __init__(self, f, anchor: float, window):
         self.f = f
         self.anchor = float(anchor)
-        self._lo = 0          # lattice index of the table's first row
-        self._table = None    # F at lattice points; None while only F(anchor) = 0
-        self._lock = threading.Lock()
-        self._series_table = None   # the windowed table: lattice, prefix, first panels
-        self.window = None if window is None else (float(window[0]), float(window[1]))
-        if window is not None:
-            self._check_far(np.array(self.window))
-            if not self.window[0] <= self.anchor <= self.window[1]:
-                raise ValueError(f"anchor {self.anchor!r} lies outside the window {self.window}")
+        self._table = None   # lattice, prefix, first panels; built on the first call
+        self.window = lo, hi = float(window[0]), float(window[1])
+        for end in self.window:
+            if not abs(end - self.anchor) / PANEL <= MAX_PANELS:
+                raise DomainError(
+                    f"s={end!r} is not finite or lies farther than {MAX_PANELS * PANEL:g} "
+                    f"from the integration anchor {self.anchor!r}")
+        if not lo <= self.anchor <= hi:
+            raise ValueError(f"anchor {self.anchor!r} lies outside the window {self.window}")
 
     @property
     def panels(self) -> int:
-        """Panels of the windowed series table; 0 until it is built."""
-        return 0 if self._series_table is None else len(self._series_table[1])
-
-    def _check_far(self, s_arr):
-        far = ~(np.abs((s_arr - self.anchor) / PANEL) <= MAX_PANELS)
-        if far.any():
-            raise DomainError(
-                f"s={float(s_arr[far][0])!r} is not finite or lies farther than "
-                f"{MAX_PANELS * PANEL:g} from the integration anchor {self.anchor!r}")
+        """Panels of the series table; 0 until it is built."""
+        return 0 if self._table is None else len(self._table[1])
 
     def _samples(self, mids, halves):
         """f at the 24 Gauss nodes of each of at most BLOCK intervals
@@ -239,42 +218,6 @@ class SmoothCumulative:
             bad = float(pts.ravel()[~np.isfinite(vals.reshape(pts.size, -1)).all(axis=1)][0])
             raise QuadratureError(f"non-finite integrand sample at s={bad!r}")
         return vals.reshape(pts.shape + vals.shape[1:])
-
-    def _gauss(self, mids, halves):
-        """Integrals of f over [mids - halves, mids + halves], one per interval."""
-        halves = np.broadcast_to(halves, mids.shape)
-        out = []
-        for i in range(0, mids.size, BLOCK):
-            h = halves[i:i + BLOCK]
-            vals = self._samples(mids[i:i + BLOCK], h)
-            if vals.ndim == 2:
-                out.append(h * (vals @ _GAUSS_W))
-            else:
-                out.append(h[:, None] * np.einsum("pn...,n->p...", vals, _GAUSS_W))
-        return np.concatenate(out)
-
-    def _panels(self, k_from: int, k_to: int):
-        """Integrals of f over the lattice panels [k, k+1), k_from <= k < k_to."""
-        edges = self.anchor + PANEL * np.arange(k_from, k_to + 1)
-        return self._gauss(0.5 * (edges[:-1] + edges[1:]), 0.5 * PANEL)
-
-    def _extend(self, k_min: int, k_max: int):
-        """Grow the table over lattice indices [k_min, k_max]; return it with
-        the lattice index of its first row."""
-        with self._lock:
-            lo, table = self._lo, self._table
-            hi = lo if table is None else lo + len(table) - 1
-            if k_max > hi:
-                inc = self._panels(hi, k_max)
-                table = _zero_row(inc) if table is None else table
-                table = np.concatenate([table, _running_sum(table[-1:], inc)])
-            if k_min < lo:
-                dec = -self._panels(k_min, lo)[::-1]
-                table = _zero_row(dec) if table is None else table
-                table = np.concatenate([_running_sum(table[:1], dec)[::-1], table])
-                lo = k_min
-            self._lo, self._table = lo, table
-            return lo, table
 
     def _series(self, lattice):
         """Resolved panels covering the lattice panels between the sorted
@@ -303,16 +246,18 @@ class SmoothCumulative:
         order = np.argsort(a)
         return a[order], z[order], c[order]
 
-    def _windowed(self, s_arr):
-        """F at points of the window.  The first call builds the table, block
-        by block, and reads its own queries off each block's series as it
-        goes; a later call rebuilds the series of the blocks it falls in."""
+    def __call__(self, s):
+        """F at ``s``, a float or an array of points of the window.  The first
+        call builds the table, block by block, and reads its own queries off
+        each block's series as it goes; a later call rebuilds the series of
+        the blocks it falls in."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         lo, hi = self.window
         outside = ~((s_arr >= lo) & (s_arr <= hi))
         if outside.any():
             raise DomainError(f"s={float(s_arr[outside][0])!r} is not finite or lies "
                               f"outside the integration window [{lo!r}, {hi!r}]")
-        table = self._series_table
+        table = self._table
         if table is None:
             k = np.arange(np.floor((lo - self.anchor) / PANEL),
                           np.ceil((hi - self.anchor) / PANEL) + 1)
@@ -351,27 +296,10 @@ class SmoothCumulative:
             zero = _zero_row(integrals)
             prefix = np.concatenate([-_running_sum(zero, integrals[:at][::-1])[::-1],
                                      zero, _running_sum(zero, integrals[at:])])[:-1]
-            self._series_table = (lattice, prefix, first)
+            self._table = (lattice, prefix, first)
         if out is None:   # no queries
             return np.empty(s_arr.shape + prefix.shape[1:])
         out += prefix[panel]
-        return out
-
-    def __call__(self, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.window is not None:
-            out = self._windowed(s_arr)
-            return out if np.ndim(s) else out[0]
-        self._check_far(s_arr)
-        d = (s_arr - self.anchor) / PANEL
-        # base the fractional panel on the lattice edge TOWARD the anchor, so
-        # every sample of f stays inside the hull of (anchor, s); a floor on
-        # both sides would step up to one panel outside the caller's domain
-        k = np.where(s_arr >= self.anchor, np.floor(d), np.ceil(d)).astype(int)
-        lo, table = self._extend(int(k.min()), int(k.max()))
-        edges = self.anchor + PANEL * k
-        part = self._gauss(0.5 * (edges + s_arr), 0.5 * (s_arr - edges))
-        out = (0.0 if table is None else table[k - lo]) + part
         return out if np.ndim(s) else out[0]
 
 

@@ -10,11 +10,12 @@ valid while E(s) < 0.  Torsion, the spherical tangent angles and the closed
 azimuth form all follow from E; positions come from quadrature of the
 closed-form tangent (no Frenet-system integration, hence no frame drift).
 The integral of kappa is the family's closed form for the built-in
-curvature families, and panel quadrature for any other kappa.
-A curve built with a window validates it, samples each panel of the window
-once and reads every position off that panel's Legendre series: a sample
-costs no tangent evaluation of its own.  :func:`synthesize` samples such a
-curve.  A curve without a window integrates one 24-node panel per position.
+curvature families, and windowed quadrature for any other kappa.
+A curve lives on one window, checked on every query.  Given one, it samples
+each panel of the window once and reads every position off that panel's
+Legendre series: a sample costs no tangent evaluation of its own.
+:func:`synthesize` samples such a curve.  A curve without a window has
+kappa's domain as its window and answers the closed forms only.
 """
 
 from dataclasses import dataclass
@@ -87,21 +88,27 @@ def axis_bound(bound: float, lam: float) -> float:
 
 
 class WhirlCurve:
-    """Evaluator for one synthesized whirl curve.
+    """Evaluator for one synthesized whirl curve on one window.
 
-    Callable for positions; all methods accept floats or numpy arrays.
-    Positions integrate the closed-form tangent from ``origin`` (where the
-    position is the zero vector) on fixed-node panels, so they are smooth
-    enough for difference stencils.  The cumulative curvature from
-    ``spec.s0`` is ``spec.kappa.cumulative`` when kappa has that closed form
-    (a non-finite query raises DomainError), else the curve's windowless
-    panel table.  The position from ``origin`` (default ``spec.s0``) is a
-    panel table whose integrand is :meth:`tangent`.  Given a
-    ``window=(lo, hi)``, ``origin`` defaults to ``lo``, positions are read
-    off one Legendre series per panel of the window and are defined only
-    there, and the window is checked before any sample: ValueError unless
-    lo < hi and kappa's domain covers the hull of the window and ``s0``,
-    then DomainError if the exponent bound fails at an end.
+    All methods accept floats or numpy arrays.  The window is ``window=(lo,
+    hi)`` or, without one, kappa's domain; it is checked before any sample:
+    ValueError unless lo < hi and kappa's domain covers the hull of the
+    window and ``spec.s0``.  Every query is checked against it: an ``s``
+    that is not finite or lies farther than ``REACH`` outside it raises
+    DomainError, so a stencil reaching REACH from a point of the window
+    (ratio_rate's, frenet_at's given the tangent) is answered.  The
+    cumulative curvature from ``spec.s0`` is ``spec.kappa.cumulative`` when
+    kappa has that closed form, else a :class:`SmoothCumulative` over the
+    hull of the window and ``s0``, widened by ``REACH`` and clipped to
+    kappa's domain (a query past the domain reads F at its end); a kappa
+    without the closed form needs a window (ValueError).  A curve without a
+    window answers the closed forms only.
+
+    With a window the curve is callable for positions, which integrate the
+    closed-form tangent from ``origin`` (default ``lo``, where the position
+    is the zero vector), read off one Legendre series per panel of the
+    window, so they are smooth enough for difference stencils; the window's
+    ends must keep the exponent bound, else DomainError.
     """
 
     def __init__(self, spec: WhirlSpec, origin: float = None,
@@ -111,22 +118,32 @@ class WhirlCurve:
         self.spec = spec
         self.form = form
         closed = spec.kappa.cumulative
-        self._kcum = (SmoothCumulative(spec.kappa, anchor=spec.s0) if closed is None
-                      else _finite_queries(closed(spec.s0)))
-        if window is not None:
-            lo, hi = window
-            if not lo < hi:
-                raise ValueError("need s_lo < s_hi")
-            hull = min(lo, spec.s0), max(hi, spec.s0)
-            if not spec.kappa.contains(*hull):
-                raise ValueError(
-                    f"kappa domain {spec.kappa.domain} does not cover [{hull[0]}, {hull[1]}]")
+        if closed is None and window is None:
+            raise ValueError("a kappa without a closed-form cumulative needs a window")
+        lo, hi = map(float, spec.kappa.domain if window is None else window)
+        if not lo < hi:
+            raise ValueError("need s_lo < s_hi")
+        hull = min(lo, spec.s0), max(hi, spec.s0)
+        if not spec.kappa.contains(*hull):
+            raise ValueError(
+                f"kappa domain {spec.kappa.domain} does not cover [{hull[0]}, {hull[1]}]")
+        if closed is None:
+            reach = (max(hull[0] - REACH, spec.kappa.domain[0]),
+                     min(hull[1] + REACH, spec.kappa.domain[1]))
+            table = SmoothCumulative(spec.kappa, anchor=spec.s0, window=reach)
+            # a stencil REACH inside the window may probe an ulp past it
+            # (rounded steps), and so past a domain that ends there
+            kcum = lambda s: table(np.clip(s, *reach))
+        else:
+            kcum = closed(spec.s0)
+        self._kcum = _window_queries(kcum, lo, hi)
         if origin is None:
             origin = spec.s0 if window is None else lo
         self.origin = float(origin)
-        self._pos = SmoothCumulative(self.tangent, anchor=self.origin, window=window)
-        if window is not None:   # E is monotone in int(kappa): its ends bound it
-            self.exponent(np.array([lo, hi]))
+        self._pos = None
+        if window is not None:
+            self._pos = SmoothCumulative(self.tangent, anchor=self.origin, window=window)
+            self.exponent(np.array([lo, hi]))   # E is monotone in int(kappa): its ends bound it
 
     # -- scalar machinery -------------------------------------------------
 
@@ -204,6 +221,8 @@ class WhirlCurve:
         return np.stack(np.broadcast_arrays(x, y, z_sign * q / root), axis=-1)
 
     def position(self, s):
+        if self._pos is None:
+            raise ValueError("positions need a window: build the curve with window=(lo, hi)")
         return self._pos(s)
 
     __call__ = position
@@ -227,12 +246,15 @@ class WhirlCurve:
         return ratio, sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
 
-def _finite_queries(integral):
-    """``integral``, raising DomainError at the first non-finite query."""
+def _window_queries(integral, lo, hi):
+    """``integral``, raising DomainError at the first query that is not
+    finite or lies farther than REACH outside [lo, hi]."""
     def checked(s):
         s_arr = np.atleast_1d(s)
-        if not np.isfinite(s_arr).all():
-            raise DomainError(f"s={float(s_arr[~np.isfinite(s_arr)][0])!r} is not finite")
+        bad = ~(np.isfinite(s_arr) & (s_arr >= lo - REACH) & (s_arr <= hi + REACH))
+        if bad.any():
+            raise DomainError(f"s={float(s_arr[bad][0])!r} is not finite or lies farther "
+                              f"than {REACH:.3g} outside the curve's window [{lo!r}, {hi!r}]")
         return integral(s)
     return checked
 
@@ -373,8 +395,9 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
 def intrinsic_residual_max(curve: WhirlCurve, s_lo: float, s_hi: float,
                            n: int = 2049) -> float:
     """Max |intrinsic residual| of ``curve`` over an n-node grid spanning
-    [s_lo, s_hi].  Nodes are kept REACH clear of the window ends so the
-    ratio-derivative probes never leave the validated window.
+    [s_lo, s_hi].  Nodes are kept REACH clear of the window ends; a
+    ratio-derivative probe reaches REACH from its node, or an ulp more for
+    a rounded step, which the curve's widened window admits.
     """
     grid = np.linspace(s_lo + REACH, s_hi - REACH, n)
     kv = np.asarray(curve.spec.kappa(grid), dtype=float)

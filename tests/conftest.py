@@ -93,6 +93,14 @@ def random_whirl_model(rng, family=None):
     return spec, lo, hi, family
 
 
+def stencil_window(spec, lo, hi):
+    """[lo, hi] widened by the reach of frenet_at's seven-point position
+    stencil, 3 * EPS**(1/7), as far as kappa's domain allows: a window for a
+    curve whose positions are differentiated at nodes up to lo and hi."""
+    pad = 3.0 * wc.EPS ** (1.0 / 7.0)
+    return max(lo - pad, spec.kappa.domain[0]), min(hi + pad, spec.kappa.domain[1])
+
+
 def random_rectifying_spec(rng, consistent=True):
     """Random closed-form spec; branch chosen consistent with (a, lam)."""
     a = float(rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0]))

@@ -1,9 +1,10 @@
 """The tests' independent references.
 
-Adaptive Simpson quadrature, for the library's Gauss-Legendre and
-Legendre-series integration: it shares no code with
-:class:`whirlcurves.SmoothCumulative`, so agreement between the two is
-evidence for both.  A text-mode ``np.loadtxt`` CSV reader, for
+Adaptive Simpson quadrature, for the library's Legendre-series
+integration: it shares no code with :class:`whirlcurves.SmoothCumulative`,
+so agreement between the two is evidence for both.  A windowless
+Gauss-Legendre panel cumulative, where a bound of a few EPS needs the same
+rule as the library's panels.  A text-mode ``np.loadtxt`` CSV reader, for
 :func:`whirlcurves.traceio.read_csv`, which parses plain bodies with orjson.
 """
 
@@ -72,6 +73,36 @@ def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
     m, fm, whole = simpson(lo, fa, hi, fb)
     value = recurse(lo, fa, hi, fb, m, fm, whole, abs_tol, 0)
     return QuadratureResult(sign * value, err_acc[0], counter[0], flag[0])
+
+
+PANEL = 0.125
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss(f, mid, half):
+    """int f over [mid - half, mid + half], one per interval, by the 24-node
+    Gauss-Legendre rule."""
+    vals = np.asarray(f((mid[:, None] + half[:, None] * _GAUSS_X).ravel()), dtype=float)
+    vals = np.moveaxis(vals.reshape((mid.size, 24) + vals.shape[1:]), 1, -1)
+    return half.reshape((-1,) + (1,) * (vals.ndim - 2)) * (vals @ _GAUSS_W)
+
+
+def gauss_cumulative(f, anchor: float, s) -> np.ndarray:
+    """int_anchor^s f at each point of the 1-d array ``s`` (one row per point
+    for vector-valued f): whole panels of width PANEL on a lattice through
+    ``anchor``, summed in order outward from it, plus one fractional panel
+    from the lattice edge toward the anchor up to s, all by the 24-node
+    Gauss-Legendre rule, so f is sampled only between ``anchor`` and s."""
+    s = np.asarray(s, dtype=float)
+    d = (s - anchor) / PANEL
+    k = np.where(s >= anchor, np.floor(d), np.ceil(d)).astype(int)
+    lo, hi = min(k.min(), 0), max(k.max(), 0)
+    edges = anchor + PANEL * np.arange(lo, hi + 1)
+    panels = _gauss(f, 0.5 * (edges[:-1] + edges[1:]), np.full(hi - lo, 0.5 * PANEL))
+    table = np.concatenate([-np.cumsum(panels[:-lo][::-1], axis=0)[::-1],
+                            np.zeros((1,) + panels.shape[1:]), np.cumsum(panels[-lo:], axis=0)])
+    base = anchor + PANEL * k
+    return table[k - lo] + _gauss(f, 0.5 * (base + s), 0.5 * (s - base))
 
 
 def read_csv(path) -> CurveTrace:

@@ -15,7 +15,7 @@ from whirlcurves import traceio
 from whirlcurves.cli import FIGURE1_LAMBDAS, main as cli_main
 from reference import integrate
 from conftest import (branch_grid, random_rectifying_spec, random_whirl_model,
-                      unit_speed_helix)
+                      stencil_window, unit_speed_helix)
 
 SEED = 715225
 
@@ -33,7 +33,8 @@ def models():
     for _ in range(50):
         spec, lo, hi, family = random_whirl_model(rng)
         tr = wc.synthesize(spec, lo, hi, 257)
-        out.append((spec, lo, hi, family, tr, wc.WhirlCurve(spec, origin=lo)))
+        curve = wc.WhirlCurve(spec, origin=lo, window=stencil_window(spec, lo, hi))
+        out.append((spec, lo, hi, family, tr, curve))
     return out
 
 

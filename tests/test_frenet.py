@@ -149,7 +149,7 @@ def test_unit_speed_residual_speed_two():
 def test_unit_speed_residual_synthesized():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
-    curve = wc.WhirlCurve(spec, origin=0.0)
+    curve = wc.WhirlCurve(spec, origin=0.0, window=(-0.25, 1.25))
     assert wc.unit_speed_residual(curve.position, np.linspace(0.0, 1.0, 33)) < 1e-6
 
 
@@ -278,7 +278,7 @@ def test_frenet_at_samples_deriv_five_times_per_node():
 def test_batched_frames_match_pointwise_synthesized():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
-    curve = wc.WhirlCurve(spec, origin=0.0)
+    curve = wc.WhirlCurve(spec, window=(0.0, 1.0))
     _assert_rows_match_pointwise(curve.position, np.linspace(0.1, 0.9, 17))
 
 

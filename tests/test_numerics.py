@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import whirlcurves as wc
-from reference import integrate
+from reference import gauss_cumulative, integrate
 from whirlcurves.errors import DomainError, FrameError, QuadratureError
 
 
@@ -128,81 +128,42 @@ def test_grid_derivatives_rejects_non_uniform_grid():
 
 def test_smooth_cumulative_matches_adaptive():
     f = lambda s: np.exp(-np.asarray(s, float) ** 2)
-    F = wc.SmoothCumulative(f, anchor=0.0)
+    F = wc.SmoothCumulative(f, anchor=0.0, window=(-1.3, 2.7))
     for s in (-1.3, -0.2, 0.6, 2.7):
         ref = integrate(f, 0.0, s, abs_tol=1e-13).value
         assert abs(F(s) - ref) <= 1e-12
 
 
-def test_smooth_cumulative_stays_inside_evaluation_hull():
-    # integrand with a pole just below the domain: panel bases must never
-    # step outside the hull of (anchor, s), else samples hit the pole
+def test_smooth_cumulative_stays_inside_its_window():
+    # integrand with a pole just below the window: panels must never step
+    # outside it, else samples hit the pole
     f = lambda s: 1.0 / np.asarray(s, dtype=float)
-    F = wc.SmoothCumulative(f, anchor=0.5)
+    F = wc.SmoothCumulative(f, anchor=0.5, window=(0.011, 0.5))
     for s in (0.02, 0.011, 0.17):
         ref = np.log(s / 0.5)
         assert abs(F(s) - ref) <= 1e-12
-
-
-def test_smooth_cumulative_nested_stays_inside_the_hull():
-    # F(s) = int_0.5^s cos(G) with G(u) = int_0.5^u 1/v, nested by plain
-    # calls: g has a pole at 0, so every sample of g must stay inside the hull
-    # of (anchor, s)
-    seen = []
-
-    def g(s):
-        seen.append(np.asarray(s, dtype=float).copy())
-        return 1.0 / np.asarray(s, dtype=float)
-
-    def nested():
-        inner = wc.SmoothCumulative(g, anchor=0.5)
-        return wc.SmoothCumulative(lambda s: np.cos(inner(s)), anchor=0.5)
-
-    grid = np.linspace(0.011, 1.7, 400)
-    nested()(grid)
-    pts = np.concatenate(seen)
-    assert pts.min() >= grid[0] and pts.max() <= grid[-1]
-    for s in (0.011, 1.7):
-        oracle = integrate(lambda u: np.cos(np.log(u / 0.5)), 0.5, s, abs_tol=1e-13)
-        assert abs(nested()(s) - oracle.value) <= 1e-12
 
 
 def test_smooth_cumulative_vector_valued():
     f = lambda s: np.stack([np.cos(np.asarray(s, float)),
                             np.sin(np.asarray(s, float)),
                             np.ones_like(np.asarray(s, float))], axis=-1)
-    F = wc.SmoothCumulative(f, anchor=0.0)
+    F = wc.SmoothCumulative(f, anchor=0.0, window=(0.0, 2.0))
     got = F(np.array([0.5, 2.0]))
     ref = np.array([[np.sin(0.5), 1.0 - np.cos(0.5), 0.5],
                     [np.sin(2.0), 1.0 - np.cos(2.0), 2.0]])
     assert np.allclose(got, ref, atol=1e-12)
 
 
-def test_smooth_cumulative_blocks_match_per_point_calls():
-    # more query points and more lattice panels than one block of intervals
-    def f(s):
-        s = np.asarray(s, float)
-        return np.stack([np.cos(s), np.sin(3.0 * s), np.exp(-s * s)], axis=-1)
-
-    grid = np.linspace(-600.0, 600.0, wc.numerics.BLOCK + 905)
-    assert 2 * 600.0 / wc.numerics.PANEL > wc.numerics.BLOCK
-    got = wc.SmoothCumulative(f, anchor=0.3)(grid)
-    single = wc.SmoothCumulative(f, anchor=0.3)
-    ref = np.array([single(s) for s in grid])
-    assert got.shape == (grid.size, 3)
-    assert np.max(np.abs(got - ref)) <= 1e-14
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e300,
-                                 0.5 + 1.001 * wc.numerics.MAX_PANELS * wc.numerics.PANEL])
-def test_smooth_cumulative_rejects_far_queries_before_growing(bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e300, -1.0 - 1e-12, 3.0 + 1e-12])
+def test_smooth_cumulative_rejects_queries_outside_its_window_before_any_work(bad):
     calls = []
 
     def f(s):
         calls.append(np.size(s))
         return np.cos(s)
 
-    F = wc.SmoothCumulative(f, anchor=0.5)
+    F = wc.SmoothCumulative(f, anchor=0.5, window=(-1.0, 3.0))
     before = F(np.array([-1.0, 2.0]))
     n_calls = len(calls)
     with pytest.raises(DomainError, match=re.escape(f"s={float(bad)!r}")):
@@ -218,7 +179,7 @@ def _nested_in_window(window, seen):
         seen.append(np.asarray(s, dtype=float).copy())
         return 1.0 / np.asarray(s, dtype=float)
 
-    inner = wc.SmoothCumulative(g, anchor=0.5)
+    inner = wc.SmoothCumulative(g, anchor=0.5, window=window)
 
     def f(s):
         seen.append(np.asarray(s, dtype=float).copy())
@@ -230,7 +191,7 @@ def _nested_in_window(window, seen):
 
 def test_windowed_cumulative_samples_only_inside_its_window():
     # g has a pole at 0, below the window: every sample of either integrand
-    # lies inside the window, and the values match the windowless nesting
+    # lies inside the window, and the values match the panel-sum nesting
     seen = []
     F = _nested_in_window((0.011, 1.7), seen)
     grid = np.linspace(0.011, 1.7, 400)
@@ -238,8 +199,10 @@ def test_windowed_cumulative_samples_only_inside_its_window():
     pts = np.concatenate(seen)
     assert pts.min() >= 0.011 and pts.max() <= 1.7
     assert F(0.5).tolist() == [0.0, 0.0]
-    plain = _nested_in_window(None, [])
-    assert np.max(np.abs(got - plain(grid))) <= 1e-14
+    inner = lambda s: gauss_cumulative(lambda u: 1.0 / u, 0.5, s)
+    plain = gauss_cumulative(lambda s: np.stack([np.cos(inner(s)), np.sin(inner(s))], axis=-1),
+                             0.5, grid)
+    assert np.max(np.abs(got - plain)) <= 1e-14
     ends = F(np.array([0.011, 1.7]))
     for i, s in enumerate((0.011, 1.7)):
         for c, part in enumerate((np.cos, np.sin)):
@@ -252,8 +215,7 @@ def test_windowed_cumulative_samples_only_inside_its_window():
     assert len(seen) == n_seen
 
 
-@pytest.mark.parametrize("window", [(0.0, 1.0), None])
-def test_cumulative_rejects_a_non_finite_integrand_at_once(window):
+def test_cumulative_rejects_a_non_finite_integrand_at_once():
     # a NaN panel never resolves, so it would be bisected MAX_SPLITS deep
     sizes = []
 
@@ -261,7 +223,7 @@ def test_cumulative_rejects_a_non_finite_integrand_at_once(window):
         sizes.append(s.size)
         return np.where(s > 0.3, np.nan, 1.0)
 
-    F = wc.SmoothCumulative(f, anchor=0.0, window=window)
+    F = wc.SmoothCumulative(f, anchor=0.0, window=(0.0, 1.0))
     nodes = 0.3125 + 0.0625 * np.polynomial.legendre.leggauss(24)[0]   # panel [0.25, 0.375]
     with pytest.raises(QuadratureError, match=re.escape(f"s={float(nodes[nodes > 0.3][0])!r}")):
         F(0.5)
@@ -293,7 +255,7 @@ def test_windowed_cumulative_is_the_same_whatever_the_batch():
     single = wc.SmoothCumulative(f, anchor=0.3, window=window)
     assert np.array_equal(np.array([single(s) for s in grid[::-4]]), batched[::-4])
     assert np.array_equal(single(grid[40:60]), batched[40:60])
-    ref = wc.SmoothCumulative(f, anchor=0.3)(grid)
+    ref = gauss_cumulative(f, 0.3, grid)
     assert np.max(np.abs(batched - ref)) <= 1e-12
 
 
@@ -341,47 +303,6 @@ def test_windowed_cumulative_splits_only_unresolved_panels():
     smooth = wc.SmoothCumulative(np.cos, anchor=0.0, window=(0.0, 1.5))
     smooth(1.5)
     assert smooth.panels == 12
-
-
-def test_smooth_cumulative_shared_across_threads():
-    # six threads (more than cores) grow one table up and down at once; a
-    # lost update would show as panels integrated twice
-    def run(parallel):
-        points = []
-
-        def f(s):
-            points.append(np.size(s))
-            return np.exp(-np.asarray(s, float) ** 2 / 50.0)
-
-        F = wc.SmoothCumulative(f, anchor=0.2)
-        # thread i queries ever wider windows, alternately below and above
-        grids = [[np.linspace(-(i % 2) * j, (1 - i % 2) * j + 0.1 * i, 65)
-                  for j in range(1, 41)] for i in range(6)]
-        if not parallel:
-            return [[F(g) for g in gs] for gs in grids], sum(points)
-        out = [None] * len(grids)
-
-        def work(i):
-            out[i] = [F(g) for g in grids[i]]
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        return out, sum(points)
-
-    ref, ref_points = run(parallel=False)
-    for _ in range(5):
-        got, got_points = run(parallel=True)
-        assert got_points == ref_points
-        assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-12
 
 
 def test_sample_raises_the_library_errors_of_the_batched_call():

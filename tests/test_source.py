@@ -1,5 +1,7 @@
-"""Layout rules of the library source: every import at module level, and no
-module reading another module's private (underscore) names."""
+"""Layout rules of the library source: every import at module level, no
+module reading another module's private (underscore) names, and no lock or
+process-global cache (neither ``threading`` nor ``functools.lru_cache`` or
+``functools.cache``)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,21 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "whirlcurves"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+FORBIDDEN = ("threading", "functools.lru_cache", "functools.cache")
+
+
+def _forbidden(name):
+    return any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
 
 
 def _private(name):
@@ -21,8 +38,9 @@ def _root(node):
 
 
 def violations(source):
-    """(line, what) for each import below module level and each read of an
-    imported module's private name."""
+    """(line, what) for each import below module level, each read of an
+    imported module's private name, and each import or read of a forbidden
+    name."""
     tree = ast.parse(source)
     top = set(map(id, tree.body))
     modules = set()   # names that module-level imports bind to modules
@@ -38,9 +56,14 @@ def violations(source):
                 found.append((node.lineno, "import below module level"))
             found += [(node.lineno, f"imports {alias.name}") for alias in node.names
                       if _private(alias.name.split(".")[-1])]
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            found += [(node.lineno, f"imports {prefix}{alias.name}") for alias in node.names
+                      if _forbidden(prefix + alias.name)]
         elif (isinstance(node, ast.Attribute) and _private(node.attr)
               and _root(node.value) in modules):
             found.append((node.lineno, f"reads {node.attr} of {_root(node.value)}"))
+        elif isinstance(node, ast.Attribute) and _forbidden(_dotted(node)):
+            found.append((node.lineno, f"reads {_dotted(node)}"))
     return found
 
 
@@ -55,3 +78,7 @@ def test_the_rules_catch_what_they_name():
               "    curve._ratio(0.0)\n    np.__name__\n    return synthesis._synthesized\n")
     assert violations(source) == [(3, "imports _LEG"), (5, "import below module level"),
                                   (8, "reads _synthesized of synthesis")]
+    source = ("import threading\nimport functools\nfrom functools import lru_cache, reduce\n"
+              "from threading import Lock\n@functools.cache\ndef f():\n    pass\n")
+    assert violations(source) == [(1, "imports threading"), (3, "imports functools.lru_cache"),
+                                  (4, "imports threading.Lock"), (5, "reads functools.cache")]

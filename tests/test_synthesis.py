@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import whirlcurves as wc
 from whirlcurves.errors import DomainError
 from whirlcurves.numerics import EPS
-from reference import integrate
-from conftest import congruent_distances, random_whirl_model
+from reference import gauss_cumulative, integrate
+from conftest import congruent_distances, random_whirl_model, stencil_window
 
 
 def test_bound_hand_value():
@@ -171,7 +172,7 @@ def test_synthesize_unit_speed_and_frenet_recovery():
     tr = wc.synthesize(spec, 0.0, 1.0, 65)
     assert len(tr) == 65
     assert np.array_equal(tr.points[0], [0.0, 0.0, 0.0])
-    curve = wc.WhirlCurve(spec, origin=0.0)
+    curve = wc.WhirlCurve(spec, window=(0.0, 1.0))
     assert wc.unit_speed_residual(curve.position, tr.s[1:-1]) < 1e-6
     for s in (0.25, 0.5, 0.75):
         f = wc.frenet_at(curve.position, s)
@@ -183,7 +184,7 @@ def test_synthesize_unit_speed_and_frenet_recovery():
 def test_synthesize_z_rate():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0), z_sign=-1)
-    curve = wc.WhirlCurve(spec, origin=0.0)
+    curve = wc.WhirlCurve(spec, window=(0.0, 1.0))
     for s in (0.3, 0.9):
         zp = wc.derivative(curve.position, s, 1)[2]
         ref = -np.exp(curve.exponent(s)) / np.sqrt(2.0)
@@ -266,6 +267,69 @@ def test_windowed_curve_starts_at_its_window():
                           curve.position(np.linspace(0.25, 1.0, 9)))
 
 
+_FAMILIES = {   # kappa on (0, 1.5), lam and h0; the last is past its pole at s = 2
+    "const": (wc.kappa_constant(1.0, domain=(0.0, 1.5)), -1.0, 1.0),
+    "poly": (wc.kappa_polynomial([0.9, 0.05, -0.01], (0.0, 1.5)), -0.7, 1.1),
+    "linear-ratio": (wc.kappa_linear_ratio(-0.7, -1.0, 2.0, (0.0, 1.5)), -0.7, 2.0),
+}
+_CLOSED_FORMS = ("exponent", "torsion", "cos_polar", "axis_component", "azimuth",
+                 "azimuth_rate", "tangent", "spherical_tangent", "ratio_rate")
+
+
+@pytest.mark.parametrize("method", _CLOSED_FORMS)
+@pytest.mark.parametrize("window", [None, (0.0, 1.0)], ids=["windowless", "windowed"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_query_is_checked_against_the_window(family, window, method):
+    # a windowless curve's window is kappa's domain; torsion(3.0) of the
+    # linear-ratio curve returned -0.85 past the pole, with no error
+    kappa, lam, h0 = _FAMILIES[family]
+    curve = wc.WhirlCurve(wc.WhirlSpec(kappa=kappa, lam=lam, bound=wc.bound_from_ratio(h0, lam)),
+                          window=window)
+    lo, hi = window or kappa.domain
+    reach = wc.synthesis.REACH
+    ask = getattr(curve, method)
+    slack = 0.0 if method == "ratio_rate" else 0.5 * reach   # its stencil reaches REACH
+    assert np.all(np.isfinite(ask(np.array([lo - slack, hi + slack]))))
+    for bad in (lo - 2.0 * reach, hi + 2.0 * reach, 3.0, np.nan):
+        with pytest.raises(DomainError, match=re.escape(f"s={bad!r} is not finite or lies")):
+            ask(np.array([0.5, bad]))
+
+
+def test_a_curve_without_a_window_has_no_positions():
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5)
+    with pytest.raises(ValueError, match="positions need a window"):
+        wc.WhirlCurve(spec).position(0.5)
+    bare = dataclasses.replace(spec, kappa=wc.ScalarFn(spec.kappa.evaluator))
+    with pytest.raises(ValueError, match="without a closed-form cumulative needs a window"):
+        wc.WhirlCurve(bare)
+
+
+@pytest.mark.parametrize("s0, lam", [(0.0, -0.7), (2.0, 0.7)])
+def test_a_kappa_without_a_closed_form_is_sampled_only_on_its_domain(s0, lam):
+    # the one path whose kappa is integrated by quadrature, run as synth runs
+    # it: the domain is the window, and s0 sits at one of its ends
+    closed = wc.kappa_polynomial([0.9, 0.05, -0.01], (0.0, 2.0))
+    seen = []
+
+    def recorded(s):
+        seen.append(np.array(s, dtype=float).ravel())
+        return closed(s)
+
+    spec = wc.WhirlSpec(kappa=wc.ScalarFn(recorded, (0.0, 2.0)), lam=lam,
+                        bound=wc.bound_from_ratio(1.1, lam), s0=s0)
+    twin = dataclasses.replace(spec, kappa=closed)
+    tr = wc.synthesize(spec, 0.0, 2.0, 65)
+    assert np.max(np.abs(tr.points - wc.synthesize(twin, 0.0, 2.0, 65).points)) <= 1e-14
+    curve = wc.WhirlCurve(spec, window=(0.0, 2.0))
+    assert wc.intrinsic_residual_max(curve, 0.0, 2.0) <= 1e-9
+    reach = wc.synthesis.REACH
+    report = wc.verify_whirl(curve.position, np.linspace(reach, 2.0 - reach, 33), lam=lam,
+                             deriv=curve.tangent)
+    assert report.passes(1e-8)
+    s = np.concatenate(seen)
+    assert 0.0 <= s.min() and s.max() <= 2.0
+
+
 def test_synthesize_long_window():
     # 80k lattice panels: z saturates at e^-B / sqrt(1 + lam^2) as e^E -> 0
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
@@ -325,9 +389,9 @@ def test_synthesis_kappa_samples_stay_within_48_per_position():
 
 
 def test_intrinsic_residual_max_evaluates_the_ratio_once():
-    # each node makes five windowless kappa-cumulative queries (the ratio and
-    # its four stencil probes), each one 24-node Gauss panel; evaluating the
-    # ratio again beside ratio_rate would cost 24 kappa samples more per node
+    # the ratio and its four stencil probes are five batched queries of the
+    # kappa table, each rebuilding the series of the blocks it falls in;
+    # evaluating the ratio again beside ratio_rate would cost one more
     base = wc.kappa_polynomial([0.9, 0.05, -0.01], (-1.0, 4.0))
     points = [0]
 
@@ -338,15 +402,17 @@ def test_intrinsic_residual_max_evaluates_the_ratio_once():
     spec = wc.WhirlSpec(kappa=wc.ScalarFn(counted, base.domain), lam=-0.7,
                         bound=wc.bound_from_ratio(1.1, -0.7))
     n = 65
-    value = wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 2.0, n)
+    value = wc.intrinsic_residual_max(wc.WhirlCurve(spec, window=(0.0, 2.0)), 0.0, 2.0, n)
     once, points[0] = points[0], 0
     grid = np.linspace(wc.synthesis.REACH, 2.0 - wc.synthesis.REACH, n)
-    curve = wc.WhirlCurve(spec)
+    curve = wc.WhirlCurve(spec, window=(0.0, 2.0))
     kv = np.asarray(spec.kappa(grid), dtype=float)
     curve._ratio(grid)   # the ratio evaluated apart from ratio_rate
     rate = curve.ratio_rate(grid)
-    assert points[0] - once == 24 * n
-    # windowless queries do not depend on the batch: the same value, bit for bit
+    extra, points[0] = points[0] - once, 0
+    curve._ratio(grid)
+    assert extra == points[0] > 0
+    # windowed queries do not depend on the batch: the same value, bit for bit
     resid = wc.intrinsic_residual(kv, curve.torsion(grid), rate, spec.lam)
     assert value == float(np.max(np.abs(resid)))
 
@@ -385,14 +451,14 @@ def _family_around_s0(draw):
 @settings(max_examples=90, deadline=None, derandomize=True)
 @given(case=_family_around_s0())
 def test_closed_form_kappa_integrals_match_quadrature(case):
-    # the windowless quadrature of the bare evaluator is the oracle; the
-    # closed form is 0 at s0 exactly and differentiates back to kappa
+    # the Gauss panel sum of the bare evaluator is the oracle; the closed
+    # form is 0 at s0 exactly and differentiates back to kappa
     kappa, s0, lo, hi = case
     integral = kappa.cumulative(s0)
     assert integral(s0) == 0.0
     assert np.array_equal(integral(np.array([s0, s0])), [0.0, 0.0])
     grid = np.linspace(lo, hi, 65)
-    want = wc.SmoothCumulative(kappa.evaluator, anchor=s0)(grid)
+    want = gauss_cumulative(kappa.evaluator, s0, grid)
     assert np.all(np.abs(integral(grid) - want) <= 4.0 * EPS * np.maximum(1.0, np.abs(want)))
     inner = grid[2:-2:4]
     assert np.max(np.abs(wc.derivative(integral, inner, 1) / kappa(inner) - 1.0)) <= 1e-9
@@ -462,7 +528,7 @@ def test_closed_form_intrinsic_check_samples_kappa_twice_per_node(base, lo, hi):
 def test_closed_form_kappa_integral_rejects_a_non_finite_s():
     curve = wc.WhirlCurve(wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5))
     for bad in (np.nan, np.inf):
-        with pytest.raises(DomainError, match=f"^s={bad!r} is not finite$"):
+        with pytest.raises(DomainError, match=f"^s={bad!r} is not finite or lies farther"):
             curve.exponent(np.array([0.5, bad]))
 
 
@@ -546,8 +612,8 @@ def test_windowed_positions_do_not_depend_on_the_batch():
     single = wc.WhirlCurve(spec, origin=0.0, window=(0.0, 2.0))
     assert np.array_equal(np.array([single.position(s) for s in grid]), batched)
     assert np.array_equal(wc.synthesize(spec, 0.0, 2.0, 41).points, batched)
-    windowless = wc.WhirlCurve(spec, origin=0.0).position(grid)
-    assert np.max(np.abs(batched - windowless)) <= 1e-15
+    panel_sum = gauss_cumulative(single.tangent, 0.0, grid)
+    assert np.max(np.abs(batched - panel_sum)) <= 1e-15
     with pytest.raises(DomainError, match="s=2.5"):
         single.position(2.5)
 
@@ -771,7 +837,9 @@ def test_verification_is_shift_invariant(seed, c):
     spec, lo, hi, _ = random_whirl_model(np.random.default_rng(seed))
     moved = _shifted(spec, c)
     grid = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 9)
-    a, b = wc.WhirlCurve(spec, origin=lo), wc.WhirlCurve(moved, origin=lo + c)
+    window = stencil_window(spec, lo, hi)
+    a = wc.WhirlCurve(spec, origin=lo, window=window)
+    b = wc.WhirlCurve(moved, origin=lo + c, window=(window[0] + c, window[1] + c))
     fa, fb = wc.frenet_at(a.position, grid), wc.frenet_at(b.position, grid + c)
     for name in ("t", "n", "b"):
         assert np.max(np.abs(getattr(fa, name) - getattr(fb, name))) <= 1e-8
@@ -787,4 +855,5 @@ def test_unit_speed_residual_far_along_the_curve():
     # 1e3 from the start of a const-kappa curve: 6.1e-6 when the step grew with |s|
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
-    assert wc.unit_speed_residual(wc.WhirlCurve(spec).position, [1000.0]) < 1e-6
+    curve = wc.WhirlCurve(spec, window=(0.0, 1001.0))
+    assert wc.unit_speed_residual(curve.position, [1000.0]) < 1e-6

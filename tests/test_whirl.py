@@ -88,7 +88,7 @@ def test_proportionality_residual_requires_unit_d():
 def _synth_curve(lam=-1.0, h0=1.0, kappa=1.0):
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(kappa), lam=lam,
                         bound=wc.bound_from_ratio(h0, lam))
-    return spec, wc.WhirlCurve(spec, origin=0.0)
+    return spec, wc.WhirlCurve(spec, window=(0.0, 1.5))
 
 
 def test_verify_whirl_synthesized():
