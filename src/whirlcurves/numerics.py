@@ -309,8 +309,9 @@ def _series_at(a, z, anti, i, s):
     Each run of one panel's queries meets that panel's coefficients in one
     product without BLAS, so a value does not depend on the other queries.
     The series at the left edge comes from the same product of the exact
-    row P_j(-1) = (-1)^j, so it is 0 there exactly."""
-    x = (s - 0.5 * (a[i] + z[i])) / (0.5 * (z[i] - a[i]))
+    row P_j(-1) = (-1)^j, and x is exactly -1 at s = a (and +1 at s = z),
+    so it is 0 there exactly."""
+    x = ((s - a[i]) - (z[i] - s)) / (z[i] - a[i])
     out = np.empty(s.shape + anti.shape[1:-1])
     for lo in range(0, s.size, BLOCK):
         rows, ii = _legendre_rows(x[lo:lo + BLOCK]), i[lo:lo + BLOCK]

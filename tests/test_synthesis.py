@@ -258,13 +258,16 @@ def test_windowed_curve_checks_its_window_before_sampling(window, exc, message, 
     assert str(synthesized.value) == str(made.value)
 
 
-def test_windowed_curve_starts_at_its_window():
-    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5)
-    curve = wc.WhirlCurve(spec, window=(0.25, 1.0))
-    assert curve.origin == 0.25
-    assert np.array_equal(curve.position(0.25), [0.0, 0.0, 0.0])
-    assert np.array_equal(wc.synthesize(spec, 0.25, 1.0, 9).points,
-                          curve.position(np.linspace(0.25, 1.0, 9)))
+@pytest.mark.parametrize("s0, lo, hi", [(0.0, 0.25, 1.0), (1000.0, 1000.0, 1000.1)])
+def test_windowed_curve_starts_at_its_window(s0, lo, hi):
+    # far from 0 a window narrower than a panel is one panel whose series
+    # must vanish at its left edge, not 4.6e-14 off as a centred x gave
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5, s0=s0)
+    curve = wc.WhirlCurve(spec, window=(lo, hi))
+    assert curve.origin == lo
+    assert np.array_equal(curve.position(lo), [0.0, 0.0, 0.0])
+    assert np.array_equal(wc.synthesize(spec, lo, hi, 9).points,
+                          curve.position(np.linspace(lo, hi, 9)))
 
 
 _FAMILIES = {   # kappa on (0, 1.5), lam and h0; the last is past its pole at s = 2
