@@ -1,9 +1,10 @@
 """Quadrature and differentiation utilities shared by the geometry modules.
 
 All routines work in 64-bit floating point.  The curve constructions
-integrate with :class:`SmoothCumulative`, which reads F on a window off one
-adaptively split Legendre series per panel; it is the library's only
-integrator.  Every derivative comes from :func:`diff_weights`, applied to a
+integrate with :class:`SmoothCumulative`, the library's only integrator: it
+keeps a window's panel lattice and the integral at each block edge, and reads
+F off one adaptively split Legendre series per panel of the blocks a call
+falls in.  Every derivative comes from :func:`diff_weights`, applied to a
 callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
 """
 
@@ -176,24 +177,29 @@ class SmoothCumulative:
     Panels of width ``PANEL`` lie on a lattice through ``anchor``, clipped to
     the window, and F is read off one Legendre series per panel (Greengard
     1991): the 24 Gauss samples become coefficients c_j by the inverse
-    Legendre-Vandermonde matrix, and F(s) is the prefix at the panel's left
-    edge plus the antiderivative series at s.  A panel is bisected until its
-    series is resolved (chopping as in Aurentz & Trefethen, 2017): its last
-    three |c_j| are at most ``CHOP_TOL`` * max(scale, 1), scale = max |c_j|,
-    or they are at most EPS**(2/3) * scale and no longer decay (at least a
-    tenth of |c_15..17|).  A child whose tail is not below 0.9 of its
-    parent's, or ``MAX_SPLITS`` bisections down, is kept as it is.  The table
-    holds the prefix only and is built on the first call, ``BLOCK`` lattice
-    panels at a time; a later call rebuilds the series of the blocks its
-    queries fall in, so F(s) depends on s and the window alone, never on the
-    batch.  Threads whose first calls race each build the same table, and it
-    is set in one assignment, so no lock is needed.
+    Legendre-Vandermonde matrix.  A panel is bisected until its series is
+    resolved (chopping as in Aurentz & Trefethen, 2017): its last three |c_j|
+    are at most ``CHOP_TOL`` * max(scale, 1), scale = max |c_j|, or they are
+    at most EPS**(2/3) * scale and no longer decay (at least a tenth of
+    |c_15..17|).  A child whose tail is not below 0.9 of its parent's, or
+    ``MAX_SPLITS`` bisections down, is kept as it is.
+
+    P(s), the integral from the window's left end, is P at s's panel's left
+    edge plus that panel's antiderivative series at s, and F(s) = P(s) -
+    P(anchor), so F(anchor) is exactly 0.  The table is the lattice, P at
+    the edge of each block of ``BLOCK`` lattice panels, and P(anchor).  The
+    first call builds it block by block; a block's P at its panel edges is a
+    running sum, left to right, from its left edge.  A later call rebuilds
+    the series and that sum for the blocks its queries fall in, so F(s)
+    depends on s and the window alone, never on the batch.  Threads whose
+    first calls race each build the same table, and it is set in one
+    assignment, so no lock is needed.
     """
 
     def __init__(self, f, anchor: float, window):
         self.f = f
         self.anchor = float(anchor)
-        self._table = None   # lattice, prefix, first panels; built on the first call
+        self._table = None   # lattice, P at block edges, P(anchor), panels
         self.window = lo, hi = float(window[0]), float(window[1])
         for end in self.window:
             if not abs(end - self.anchor) / PANEL <= MAX_PANELS:
@@ -206,7 +212,7 @@ class SmoothCumulative:
     @property
     def panels(self) -> int:
         """Panels of the series table; 0 until it is built."""
-        return 0 if self._table is None else len(self._table[1])
+        return 0 if self._table is None else self._table[3]
 
     def _samples(self, mids, halves):
         """f at the 24 Gauss nodes of each of at most BLOCK intervals
@@ -248,9 +254,9 @@ class SmoothCumulative:
 
     def __call__(self, s):
         """F at ``s``, a float or an array of points of the window.  The first
-        call builds the table, block by block, and reads its own queries off
-        each block's series as it goes; a later call rebuilds the series of
-        the blocks it falls in."""
+        call builds every block, recording P at its edges and P(anchor), and
+        reads its own queries off each block's series as it goes; a later call
+        rebuilds the blocks it falls in."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         lo, hi = self.window
         outside = ~((s_arr >= lo) & (s_arr <= hi))
@@ -263,44 +269,43 @@ class SmoothCumulative:
                           np.ceil((hi - self.anchor) / PANEL) + 1)
             inside = self.anchor + PANEL * k
             lattice = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
-            edges, integrals, first = [], [], [0]
+            # the anchor is read as one more query, so F(anchor) is exactly 0
+            queries, starts, panels = np.append(s_arr, self.anchor), [0.0], 0
         else:
-            lattice, prefix, first = table
+            lattice, starts, at_anchor, panels = table
+            queries = s_arr
         # a query's block of lattice panels is known before the table is
-        blocks = np.minimum(np.searchsorted(lattice, s_arr, side="right") - 1,
+        blocks = np.minimum(np.searchsorted(lattice, queries, side="right") - 1,
                             lattice.size - 2) // BLOCK
         todo = (range(-(-(lattice.size - 1) // BLOCK)) if table is None
                 else np.flatnonzero(np.bincount(blocks)))
-        out, panel = None, np.empty(s_arr.size, dtype=int)   # each query's panel
+        P = None
         for b in todo:
             a, z, c = self._series(lattice[b * BLOCK:(b + 1) * BLOCK + 1])
+            # P at each panel edge, summed on from the block's left edge; the
+            # integral over [-1, 1] of sum c_j P_j is 2 c_0
+            steps = (z - a).reshape((-1,) + (1,) * (c.ndim - 2)) * c[..., 0]
+            edge = np.cumsum(np.insert(steps, 0, starts[b], axis=0), axis=0)
             if table is None:
-                edges.append(a)
-                # the integral over [-1, 1] of sum c_j P_j is 2 c_0
-                integrals.append((z - a).reshape((-1,) + (1,) * (c.ndim - 2)) * c[..., 0])
-                first.append(first[-1] + a.size)
+                starts.append(edge[-1].copy())   # not a view that keeps the block's sums
+                panels += a.size
             ours = np.flatnonzero(blocks == b)
             if not ours.size:
                 continue
-            i = np.searchsorted(a, s_arr[ours], side="right") - 1
+            i = np.searchsorted(a, queries[ours], side="right") - 1
             order = np.argsort(i, kind="stable")   # each panel's queries together
             ours, i = ours[order], i[order]
             anti = _transform(_INTEG, c) * (0.5 * (z - a)).reshape((-1,) + (1,) * (c.ndim - 1))
-            out = np.empty(s_arr.shape + c.shape[1:-1]) if out is None else out
-            out[ours] = _series_at(a, z, anti, i, s_arr[ours])
-            panel[ours] = first[b] + i
+            P = np.empty(queries.shape + c.shape[1:-1]) if P is None else P
+            at = _series_at(a, z, anti, i, queries[ours])
+            P[ours] = np.add(at, edge[i], out=at)
         if table is None:
-            integrals = np.concatenate(integrals)
-            # F(anchor) = 0: sum outward from the panel edge at the anchor
-            at = int(np.searchsorted(np.concatenate(edges), self.anchor))
-            zero = _zero_row(integrals)
-            prefix = np.concatenate([-_running_sum(zero, integrals[:at][::-1])[::-1],
-                                     zero, _running_sum(zero, integrals[at:])])[:-1]
-            self._table = (lattice, prefix, first)
-        if out is None:   # no queries
-            return np.empty(s_arr.shape + prefix.shape[1:])
-        out += prefix[panel]
-        return out if np.ndim(s) else out[0]
+            P, at_anchor = P[:-1], P[-1].copy()
+            self._table = (lattice, starts, at_anchor, panels)
+        if P is None:   # no queries
+            return np.empty(s_arr.shape + np.shape(at_anchor))
+        P -= at_anchor   # F = P - P(anchor), in place
+        return P if np.ndim(s) else P[0]
 
 
 def _series_at(a, z, anti, i, s):
@@ -340,11 +345,3 @@ def _legendre_rows(x):
         p[j + 1] += t
     return np.ascontiguousarray(p[1:].T)
 
-
-def _zero_row(rows):
-    return np.zeros((1,) + rows.shape[1:])
-
-
-def _running_sum(start, steps):
-    """start + steps[0], start + steps[0] + steps[1], ..., summed in order."""
-    return np.cumsum(np.concatenate([start, steps]), axis=0)[1:]

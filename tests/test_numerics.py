@@ -259,6 +259,41 @@ def test_windowed_cumulative_is_the_same_whatever_the_batch():
     assert np.max(np.abs(batched - ref)) <= 1e-12
 
 
+def _bumps(s):
+    s = np.asarray(s, float)
+    return np.stack([np.cos(s), np.sin(3.0 * s), np.exp(-s * s)], axis=-1)
+
+
+_THREE_BLOCKS = (-600.0, 700.0)
+
+
+@pytest.mark.parametrize("f", [lambda s: np.exp(-np.asarray(s, float) ** 2 / 50.0), _bumps],
+                         ids=["scalar", "vector"])
+# the block edge: lattice edge BLOCK from the window's left end
+@pytest.mark.parametrize("anchor", [-600.0, 0.3, 700.0, -600.0 + wc.numerics.BLOCK * wc.numerics.PANEL],
+                         ids=["lo", "inside", "hi", "block edge"])
+def test_windowed_cumulative_is_exactly_zero_at_its_anchor(f, anchor):
+    # F = P(s) - P(anchor), P summed from the window's left end: a query at
+    # the anchor reads P(anchor) itself, wherever the anchor lies
+    window = _THREE_BLOCKS
+    assert (window[1] - window[0]) / wc.numerics.PANEL > 2 * wc.numerics.BLOCK
+    grid = np.union1d(np.linspace(*window, 97), [anchor])
+    F = wc.SmoothCumulative(f, anchor=anchor, window=window)
+    first = F(grid)
+    assert not np.any(first[grid == anchor])
+    assert not np.any(F(anchor)) and not np.any(F(np.array([anchor])))
+    assert np.array_equal(np.array([F(s) for s in grid[::8]]), first[::8])
+    assert np.max(np.abs(first - gauss_cumulative(f, anchor, grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("f, trailing", [(np.cos, ()), (_bumps, (3,))], ids=["scalar", "vector"])
+def test_windowed_cumulative_answers_no_queries_in_its_shape(f, trailing):
+    F = wc.SmoothCumulative(f, anchor=0.3, window=_THREE_BLOCKS)
+    assert F(np.empty(0)).shape == (0,) + trailing
+    assert F.panels > 0
+    assert F(np.empty(0)).shape == (0,) + trailing
+
+
 def test_windowed_cumulative_shared_across_threads():
     # six threads (more than cores) make the first calls of one instance at
     # once; every value matches a single-threaded instance bit for bit
