@@ -94,10 +94,11 @@ class WhirlCurve:
     hi)`` or, without one, kappa's domain; it is checked before any sample:
     ValueError unless lo < hi and kappa's domain covers the hull of the
     window and ``spec.s0``.  Every query is checked against it: an ``s``
-    that is not finite or lies farther than ``REACH`` outside it raises
-    DomainError, so a stencil reaching REACH from a point of the window
-    (ratio_rate's, frenet_at's given the tangent) is answered.  The
-    cumulative curvature from ``spec.s0`` is ``spec.kappa.cumulative`` when
+    that is not finite or lies farther than ``REACH``, plus 4 ulps of the
+    window's larger finite end, outside it raises DomainError, so a stencil
+    reaching REACH from any point of the window, its ends included, with
+    rounded steps (ratio_rate's, frenet_at's given the tangent) is answered.
+    The cumulative curvature from ``spec.s0`` is ``spec.kappa.cumulative`` when
     kappa has that closed form, else a :class:`SmoothCumulative` over the
     hull of the window and ``s0``, widened by ``REACH`` and clipped to
     kappa's domain (a query past the domain reads F at its end); a kappa
@@ -248,13 +249,18 @@ class WhirlCurve:
 
 def _window_queries(integral, lo, hi):
     """``integral``, raising DomainError at the first query that is not
-    finite or lies farther than REACH outside [lo, hi]."""
+    finite or lies farther than REACH, plus 4 ulps of the window's larger
+    finite end, outside [lo, hi]: a stencil's rounded steps and node can
+    overshoot REACH by an ulp or two."""
+    ends = [abs(e) for e in (lo, hi) if np.isfinite(e)]
+    reach = REACH + 4.0 * np.spacing(max([REACH] + ends))
+
     def checked(s):
         s_arr = np.atleast_1d(s)
-        bad = ~(np.isfinite(s_arr) & (s_arr >= lo - REACH) & (s_arr <= hi + REACH))
+        bad = ~(np.isfinite(s_arr) & (s_arr >= lo - reach) & (s_arr <= hi + reach))
         if bad.any():
             raise DomainError(f"s={float(s_arr[bad][0])!r} is not finite or lies farther "
-                              f"than {REACH:.3g} outside the curve's window [{lo!r}, {hi!r}]")
+                              f"than {reach:.3g} outside the curve's window [{lo!r}, {hi!r}]")
         return integral(s)
     return checked
 

@@ -298,6 +298,25 @@ def test_every_query_is_checked_against_the_window(family, window, method):
             ask(np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("lo", [0.1, 1.0, 10.0, 1000.0, 1e5])
+def test_stencils_are_answered_from_the_window_ends(lo):
+    # rounded steps from an end overshoot REACH by about an ulp: on [1, 3],
+    # frenet_at(position, [1.0], deriv=tangent) probed s = 0.9985198080405171
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0), s0=lo)
+    reach = wc.synthesis.REACH
+    for width in (2.0, 0.01):
+        curve = wc.WhirlCurve(spec, window=(lo, lo + width))
+        ends = np.array([lo, lo + width])
+        frames = wc.frenet_at(curve.position, ends, deriv=curve.tangent)
+        assert np.max(np.abs(frames.kappa - 1.0)) <= 1e-11
+        assert np.max(np.abs(frames.tau - curve.torsion(ends))) <= 1e-8
+        assert np.all(np.isfinite(curve.ratio_rate(ends)))
+        for bad in (lo - 2.0 * reach, lo + width + 2.0 * reach):
+            with pytest.raises(DomainError, match=re.escape(f"s={bad!r} is not finite or lies")):
+                curve.tangent(bad)
+
+
 def test_a_curve_without_a_window_has_no_positions():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0, bound=0.5)
     with pytest.raises(ValueError, match="positions need a window"):
