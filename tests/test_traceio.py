@@ -1,6 +1,7 @@
 """CurveTrace container and CSV/JSON wire-format tests."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -351,3 +352,18 @@ def test_read_json_errors_name_the_file(tmp_path, capsys, body):
         traceio.read_json(bad)
     assert main(["verify", "--in", str(bad)]) == 3
     assert "bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    b'[0.5, "1", 2, 3]',       # a number as a string: np.asarray(..., float) read it
+    b'[0.5, true, 2, 3]',      # a bool among numbers: numpy reads it as 1.0
+    b'[true, false, true, false]',
+    b'["0.5", "1", "2", "3"]',
+])
+def test_read_json_rejects_samples_that_are_not_numbers(tmp_path, capsys, row):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"meta": {"param": "s"}, "samples": [[0, 1, 2, 3], ' + row + b']}')
+    with pytest.raises(ValueError, match=re.escape(f"malformed JSON samples in {bad}")):
+        traceio.read_json(bad)
+    assert main(["verify", "--in", str(bad)]) == 3
+    assert "malformed JSON samples" in capsys.readouterr().err
