@@ -1,0 +1,52 @@
+"""Tests of tools/same_behaviour.py's comparison, on records made up here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_behaviour.py"
+_SPEC = importlib.util.spec_from_file_location("same_behaviour", _PATH)
+same_behaviour = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_behaviour)
+
+
+def _record(key, **changes):
+    record = {"key": key, "exit": 0, "verdicts": ["verdict: PASS"], "stdout": "aa",
+              "stderr": "bb", "files": {"w/synth.csv": "cc"}}
+    record.update(changes)
+    return record
+
+
+def _compare(monkeypatch, base, head):
+    trees = {"BASE": base, "HEAD": head}
+
+    def records(tree, perfbench):
+        return {r["key"]: r for r in trees[tree]}, [r["key"] for r in trees[tree]]
+
+    monkeypatch.setattr(same_behaviour, "_records", records)
+    return same_behaviour.compare("BASE", "HEAD")
+
+
+@pytest.mark.parametrize("change, code", [
+    ({}, 0),
+    ({"files": {"w/synth.csv": "dd"}}, 0),            # a digest alone is printed
+    ({"stdout": "dd"}, 0),
+    ({"exit": 1}, 1),
+    ({"verdicts": ["verdict: FAIL"]}, 1),
+    ({"verdicts": []}, 1),
+])
+def test_only_an_exit_code_or_a_verdict_fails(monkeypatch, capsys, change, code):
+    base = [{"key": "inputs set-up", "files": {"in.csv": "ee"}}, _record("a synth"),
+            _record("b verify")]
+    head = base[:2] + [_record("b verify", **change)]
+    assert _compare(monkeypatch, base, head) == code
+    out = capsys.readouterr().out
+    assert ("head!" in out or "base!" in out) == bool(change)
+    assert out.splitlines()[-1].startswith(f"{1 if change else 2} of 2 commands byte-identical")
+
+
+def test_a_command_missing_from_one_tree_fails(monkeypatch, capsys):
+    assert _compare(monkeypatch, [_record("a synth")], [_record("a synth"),
+                                                         _record("b verify")]) == 1
+    assert "missing at base" in capsys.readouterr().out
