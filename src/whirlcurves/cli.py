@@ -4,7 +4,8 @@ curve traces.
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 domain error (the exponent bound or a branch/interval constraint), 3 I/O
 or parse error.  Every flag is validated by the parser, so a bad value exits
-3 with a message naming the flag before any file is written.
+3 with a message naming the flag before any file is written; so is a
+``figure1`` range outside the sphere curve's interval, which exits 2.
 """
 
 import argparse
@@ -117,7 +118,7 @@ def _build_parser():
     def command(name, func, about, min_samples=None):
         """A subcommand run by ``func``; one that writes a trace takes
         --samples (at least ``min_samples``), --format and --out."""
-        sp = sub.add_parser(name, help=about)
+        sp = sub.add_parser(name, help=about, allow_abbrev=False)
         sp.set_defaults(func=func)
         sp.add_argument("--tol", type=_parse_tol, action="append", metavar="NAME=VAL",
                         help="override a verification tolerance")
@@ -142,7 +143,6 @@ def _build_parser():
                     help="intercept of the linear-ratio family")
     sp.add_argument("--sign-z", dest="z_sign", type=int, choices=(1, -1), default=1)
     sp.add_argument("--sign-tau", dest="tau_sign", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--form", choices=("spherical", "combined"), default="spherical")
     # the verification stencils need REACH on both sides of their nodes
     sp.add_argument("--range", dest="srange", type=lambda t: _parse_range(t, REACH), required=True)
 
@@ -214,7 +214,7 @@ def _cmd_synth(args) -> int:
     spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
     # one curve: the checks read the written positions off its windowed table
-    curve = WhirlCurve(spec, form=args.form, window=(lo, hi))
+    curve = WhirlCurve(spec, window=(lo, hi))
     tr = trace(curve.position, lo, hi, args.samples, meta={
         **synthesis.trace_meta(curve), "command": "synth", "kappa": args.kappa[0],
         "samples": args.samples, "range": [lo, hi]})
@@ -321,6 +321,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure1(args) -> int:
     grid = np.linspace(*args.srange, args.samples)
+    # every sphere trace lives on the open interval (-d - pi/2, -d + pi/2):
+    # check the grid's ends against it before the first file is written
+    rectifying.extended_sphere_point(rectifying.RectifyingSpec(
+        a=args.a, b=args.b, lam=args.lambdas[0], d_shift=args.d_shift), grid[[0, -1]])
     worst_h = worst_s = 0.0
     for lam in args.lambdas:
         spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam,

@@ -34,12 +34,6 @@ EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
 # two steps of at most EPS**0.2 (ratio_rate; frenet_at given the tangent).
 REACH = 2.0 * EPS ** 0.2
 
-# Two congruent tangent arrangements: "combined" folds the arctan phase of
-# the (polar, azimuth) angles into the cos/sin coefficients; "spherical"
-# follows the angles, which is the same tangent turned a half turn about the
-# vertical axis when lam < 0, so traces agree up to a rigid motion.
-_FORMS = ("spherical", "combined")
-
 
 @dataclass(frozen=True)
 class WhirlSpec:
@@ -112,12 +106,8 @@ class WhirlCurve:
     ends must keep the exponent bound, else DomainError.
     """
 
-    def __init__(self, spec: WhirlSpec, origin: float = None,
-                 form: str = "spherical", window=None):
-        if form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}")
+    def __init__(self, spec: WhirlSpec, origin: float = None, window=None):
         self.spec = spec
-        self.form = form
         closed = spec.kappa.cumulative
         if closed is None and window is None:
             raise ValueError("a kappa without a closed-form cumulative needs a window")
@@ -210,15 +200,17 @@ class WhirlCurve:
     def tangent(self, s):
         """Closed-form unit tangent; rows of shape (3,) for array input.
 
-        The combined form, psi = arctanh(w)/lam; the spherical one is it
-        turned a half turn about the vertical axis when lam < 0."""
+        The tangent of :meth:`spherical_tangent`'s angles, without forming
+        them: the azimuth is arctan(w/lam) - psi with psi = arctanh(w)/lam, so
+        t = (sg (lam cos psi + w sin psi), sg z_sign tau_sign (w cos psi -
+        lam sin psi), z_sign e^E) / sqrt(1+lam^2), where sg = sign(lam)."""
         e, q, w = self._qw(self.exponent(s))
         lam, z_sign = self.spec.lam, self.spec.z_sign
         root = np.sqrt(1.0 + lam * lam)
         psi = (np.log1p(w) - e) / lam
-        turn = -1.0 if self.form == "spherical" and lam < 0 else 1.0
-        x = turn * (lam * np.cos(psi) + w * np.sin(psi)) / root
-        y = turn * z_sign * self.spec.tau_sign * (w * np.cos(psi) - lam * np.sin(psi)) / root
+        sg = 1.0 if lam > 0 else -1.0
+        x = sg * (lam * np.cos(psi) + w * np.sin(psi)) / root
+        y = sg * z_sign * self.spec.tau_sign * (w * np.cos(psi) - lam * np.sin(psi)) / root
         return np.stack(np.broadcast_arrays(x, y, z_sign * q / root), axis=-1)
 
     def position(self, s):
@@ -265,21 +257,21 @@ def _window_queries(integral, lo, hi):
     return checked
 
 
-def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int,
-               form: str = "spherical") -> CurveTrace:
+def synthesize(spec: WhirlSpec, s_lo: float, s_hi: float, n: int) -> CurveTrace:
     """Sample the curve with window [s_lo, s_hi] on a uniform n-point grid.
 
     The trace starts at the origin.  Raises what the windowed
     :class:`WhirlCurve` raises, and ValueError when n < 2.
     """
-    curve = WhirlCurve(spec, form=form, window=(s_lo, s_hi))
+    curve = WhirlCurve(spec, window=(s_lo, s_hi))
     return trace(curve.position, s_lo, s_hi, n, meta=trace_meta(curve))
 
 
 def trace_meta(curve: WhirlCurve) -> dict:
-    """Metadata of a trace of ``curve``: its form and its spec's constants."""
+    """Metadata of a trace of ``curve``: its spec's constants, and the
+    ``"form"`` key of older traces, always ``"spherical"``."""
     spec = curve.spec
-    return {"param": "s", "kind": "whirl_synth", "form": curve.form,
+    return {"param": "s", "kind": "whirl_synth", "form": "spherical",
             "lam": float(spec.lam), "bound": float(spec.bound), "s0": float(spec.s0),
             "z_sign": int(spec.z_sign), "tau_sign": int(spec.tau_sign)}
 

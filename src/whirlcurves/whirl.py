@@ -87,19 +87,12 @@ def proportionality_residual(frame: Frames, d: np.ndarray, lam: float):
 
 @dataclass
 class AxisReport:
-    """Per-sample axes of a candidate whirl curve and their spread."""
+    """Representative axis of a candidate whirl curve and the spread of its
+    per-sample axes."""
 
-    d: np.ndarray                # representative unit axis (normalized mean)
-    sign: int                    # branch chosen so <t(s_0), d> > 0
-    per_sample_axes: np.ndarray  # (n, 3)
-    max_deviation: float         # max_i |d_i - d_0|
-    max_residual: float          # max_i |<n_i, d> - lam <t_i, d>|
-
-    def __post_init__(self):
-        if abs(np.linalg.norm(self.d) - 1.0) > 1e-9:
-            raise ValueError("axis must be a unit vector")
-        if self.max_deviation < 0.0:
-            raise ValueError("max_deviation must be non-negative")
+    d: np.ndarray          # representative unit axis (normalized mean)
+    max_deviation: float   # max_i |d_i - d_0|
+    max_residual: float    # max_i |<n_i, d> - lam <t_i, d>|
 
     def passes(self, tol: float) -> bool:
         return self.max_deviation < tol and self.max_residual < tol
@@ -137,8 +130,7 @@ def verify_whirl(curve: Union[Callable, Frames], s_grid=None, lam: float = None,
     # first sample so the report stays well-formed
     d_mean = axes[0] if nm < 1e-9 else d_mean / nm
     resid = np.max(np.abs(proportionality_residual(frames, d_mean, lam)))
-    return AxisReport(d=d_mean, sign=sign, per_sample_axes=axes,
-                      max_deviation=dev, max_residual=float(resid))
+    return AxisReport(d=d_mean, max_deviation=dev, max_residual=float(resid))
 
 
 @dataclass

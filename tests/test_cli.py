@@ -104,6 +104,25 @@ def test_extend_sphere_outside_interval_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [["--range", "0:3"], ["--range=-0.5:1.5", "--d", 0.5]])
+def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, args):
+    # the range is checked against (-d - pi/2, -d + pi/2) before the first
+    # file; the first lambda's curve trace used to be written, then exit 2
+    code = run(["figure1"] + args + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("domain error: t outside the open interval (")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_has_no_form_flag(tmp_path, capsys):
+    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1", "--form", "spherical",
+                "--out", tmp_path])
+    assert code == 3
+    assert "unrecognized arguments: --form spherical" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure1_files_and_residuals(tmp_path, capsys):
     code = run(["figure1", "--out", tmp_path])
     out = capsys.readouterr().out

@@ -255,15 +255,19 @@ def test_ratio_derivative_needs_a_uniform_grid():
 @given(seed=st.integers(0, 2 ** 32 - 1), motion=st.integers(0, 2 ** 32 - 1))
 def test_trace_verification_is_invariant_under_rigid_motions(seed, motion):
     # a rotated and translated copy of a 513-sample synthesized trace has the
-    # same frames, fits and verdicts; the bounds are 7-15 times the
-    # worst seen over 2300 random examples (kappa 6.7e-8, tau 2.8e-5 relative;
-    # lam 2.8e-6 relative; axis 1.1e-7; c1 7.5e-6 relative, c2 1.4e-6)
+    # same frames turned by the rotation, fits and verdicts; the bounds are
+    # 7-15 times the worst seen over 2300 random examples (kappa 6.7e-8, tau
+    # 2.8e-5 relative; lam 2.8e-6 relative; axis 1.1e-7; c1 7.5e-6 relative,
+    # c2 1.4e-6) and, for t, n and b, over 4000 (7.4e-11, 1.4e-7, 1.2e-7)
     spec, lo, hi, _ = random_whirl_model(np.random.default_rng(seed))
     rng = np.random.default_rng(motion)
     rot, shift = random_rotation(rng), rng.uniform(-1.0, 1.0, 3)
     tr = wc.synthesize(spec, lo, hi, 513)
     fa = wc.trace_frames(tr)
     fb = wc.trace_frames(wc.CurveTrace(tr.s, tr.points @ rot.T + shift))
+    assert np.max(np.abs(fb.t - fa.t @ rot.T)) <= 1e-9
+    assert np.max(np.abs(fb.n - fa.n @ rot.T)) <= 1e-6
+    assert np.max(np.abs(fb.b - fa.b @ rot.T)) <= 1e-6
     assert np.max(np.abs(fb.kappa / fa.kappa - 1.0)) <= 1e-6
     assert np.max(np.abs(fb.tau / fa.tau - 1.0)) <= 2e-4
     wa, wb = wc.fit_lambda_axis(fa), wc.fit_lambda_axis(fb)
