@@ -22,6 +22,8 @@ from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
 MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; --lambdas and poly: entries
+# verify: frames skip three samples at each end, and the fit needs four
+VERIFY_MIN_SAMPLES = 10
 
 DEFAULT_TOLS = {
     "unit_speed": 1e-6,
@@ -300,6 +302,9 @@ def _cmd_extend(args) -> int:
 def _cmd_verify(args) -> int:
     tols = args.tol
     tr = traceio.read_trace(args.infile)
+    if len(tr) < VERIFY_MIN_SAMPLES:
+        raise ValueError(f"insufficient samples: need at least {VERIFY_MIN_SAMPLES} samples, "
+                         f"got {len(tr)} in {args.infile}")
     frames = trace_frames(tr)
     fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
     chen = rectifying.chen_ratio_fit(frames, rms_tol=tols["chen_rms"])

@@ -4,8 +4,9 @@ All routines work in 64-bit floating point.  The curve constructions
 integrate with :class:`SmoothCumulative`, the library's only integrator: it
 keeps a window's panel lattice and the integral at each block edge, and reads
 F off one adaptively split Legendre series per panel of the blocks a call
-falls in.  Every derivative comes from :func:`diff_weights`, applied to a
-callable by :func:`derivative`, to samples by :func:`grid_derivatives`.
+falls in, each evaluated to its resolved length.  Every derivative comes
+from :func:`diff_weights`, applied to a callable by :func:`derivative`, to
+samples by :func:`grid_derivatives`.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ MAX_PANELS = 2 ** 20
 _VINV = np.vstack([0.5 * _GAUSS_W, np.linalg.inv(_LEG.legvander(_GAUSS_X, 23))[1:]])
 _INTEG = _LEG.legint(np.eye(24), lbnd=-1)[1:]
 CHOP_TOL, MAX_SPLITS = 1e-14, 40
-_LEFT = (-1.0) ** np.arange(1, 25)[None]   # P_j(-1), j = 1..24
+_LEFT = (-1.0) ** np.arange(1, 25)   # P_j(-1), j = 1..24
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,10 @@ def diff_weights(width: int, degree: int, at=None) -> np.ndarray:
     return (dpow @ coef) / half ** k
 
 
+# the interpolating stencils of derivative, by width 2*max(order)+1
+STENCILS = {width: diff_weights(width, width - 1) for width in (3, 5, 7)}
+
+
 def derivative(f, s, order) -> np.ndarray:
     """Derivatives of a (vector-valued) function of one real at ``s``, a
     scalar or a 1-d grid sampled in one call (see :func:`sample`).
@@ -131,7 +136,7 @@ def derivative(f, s, order) -> np.ndarray:
     h = (x + EPS ** (1.0 / width)) - x   # an exactly representable step
     rows = np.split(sample(f, np.concatenate([x + k * h for k in offsets[used]])), used.sum())
     h = h.reshape(h.shape + (1,) * (rows[0].ndim - 1))
-    weights = np.vstack([offsets == 0, diff_weights(width, width - 1)])
+    weights = np.vstack([offsets == 0, STENCILS[width]])
     d = np.stack([sum(w * row for w, row in zip(ws[used], rows)) / h ** k for ws, k
                   in zip(weights[orders], orders)])
     d = d if np.ndim(s) else d[:, 0]
@@ -185,13 +190,17 @@ class SmoothCumulative:
     ``MAX_SPLITS`` bisections down, is kept as it is.
 
     P(s), the integral from the window's left end, is P at s's panel's left
-    edge plus that panel's antiderivative series at s, and F(s) = P(s) -
-    P(anchor), so F(anchor) is exactly 0.  The table is the lattice, P at
-    the edge of each block of ``BLOCK`` lattice panels, and P(anchor).  The
-    first call builds it block by block; a block's P at its panel edges is a
-    running sum, left to right, from its left edge.  A later call rebuilds
-    the series and that sum for the blocks its queries fall in, so F(s)
-    depends on s and the window alone, never on the batch.  Threads whose
+    edge plus that panel's antiderivative series at s, evaluated to its
+    resolved length: the trailing terms whose |coefficients| sum to at most
+    EPS/2 of the panel's largest are dropped (see :func:`_series_at`).
+    F(s) = P(s) - P(anchor), the anchor read as one more query, so F(anchor)
+    is exactly 0.  The table is the lattice, P at the edge of each block of
+    ``BLOCK`` lattice panels, and P(anchor).  The first call builds it block
+    by block; a block's P at its panel edges is a running sum, left to
+    right, from its left edge.  A call sorts its queries, unless they are
+    sorted already, so each block's are one run.  A later call rebuilds the
+    series and that sum for the blocks its queries fall in, so F(s) depends
+    on s and the window alone, never on the batch.  Threads whose
     first calls race each build the same table, and it is set in one
     assignment, so no lock is needed.
     """
@@ -241,6 +250,9 @@ class SmoothCumulative:
                   | (tail <= EPS ** (2.0 / 3.0) * scale) & (tail >= 0.1 * mag[:, 15:18].max(axis=1))
                   | (tail >= 0.9 * parent_tail) | (depth >= MAX_SPLITS)
                   | ~((a < mid) & (mid < z)))   # no representable midpoint
+            if ok.all():
+                done.append((a, z, c))
+                continue
             done.append((a[ok], z[ok], c[ok]))
             a, z = np.concatenate([a[~ok], mid[~ok]]), np.concatenate([mid[~ok], z[~ok]])
             tail = np.tile(tail[~ok], 2)
@@ -269,38 +281,41 @@ class SmoothCumulative:
                           np.ceil((hi - self.anchor) / PANEL) + 1)
             inside = self.anchor + PANEL * k
             lattice = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
-            # the anchor is read as one more query, so F(anchor) is exactly 0
-            queries, starts, panels = np.append(s_arr, self.anchor), [0.0], 0
+            starts, panels = [0.0], 0
         else:
             lattice, starts, at_anchor, panels = table
-            queries = s_arr
-        # a query's block of lattice panels is known before the table is
-        blocks = np.minimum(np.searchsorted(lattice, queries, side="right") - 1,
-                            lattice.size - 2) // BLOCK
-        todo = (range(-(-(lattice.size - 1) // BLOCK)) if table is None
-                else np.flatnonzero(np.bincount(blocks)))
+        # sorted, each block's queries are one run, cut at the blocks' left
+        # lattice edges: a query's block is known before the table is
+        order = None if np.all(s_arr[1:] >= s_arr[:-1]) else np.argsort(s_arr, kind="stable")
+        ordered = s_arr if order is None else s_arr[order]
+        lefts = lattice[:-1:BLOCK]
+        cuts = np.append(np.searchsorted(ordered, lefts), s_arr.size)
+        home = -1 if table is not None else np.searchsorted(lefts, self.anchor, "right") - 1
         P = None
-        for b in todo:
+        for b in range(cuts.size - 1):
+            ours = slice(cuts[b], cuts[b + 1])
+            if table is not None and ours.start == ours.stop:
+                continue
             a, z, c = self._series(lattice[b * BLOCK:(b + 1) * BLOCK + 1])
             # P at each panel edge, summed on from the block's left edge; the
             # integral over [-1, 1] of sum c_j P_j is 2 c_0
-            steps = (z - a).reshape((-1,) + (1,) * (c.ndim - 2)) * c[..., 0]
-            edge = np.cumsum(np.insert(steps, 0, starts[b], axis=0), axis=0)
+            edge = np.empty((a.size + 1,) + c.shape[1:-1])
+            edge[0], edge[1:] = starts[b], (z - a).reshape((-1,) + (1,) * (c.ndim - 2)) * c[..., 0]
+            edge = np.cumsum(edge, axis=0)
             if table is None:
                 starts.append(edge[-1].copy())   # not a view that keeps the block's sums
                 panels += a.size
-            ours = np.flatnonzero(blocks == b)
-            if not ours.size:
+            # the anchor is read as one more query, so F(anchor) is exactly 0
+            at = np.append(ordered[ours], self.anchor) if b == home else ordered[ours]
+            if not at.size:
                 continue
-            i = np.searchsorted(a, queries[ours], side="right") - 1
-            order = np.argsort(i, kind="stable")   # each panel's queries together
-            ours, i = ours[order], i[order]
             anti = _transform(_INTEG, c) * (0.5 * (z - a)).reshape((-1,) + (1,) * (c.ndim - 1))
-            P = np.empty(queries.shape + c.shape[1:-1]) if P is None else P
-            at = _series_at(a, z, anti, i, queries[ours])
-            P[ours] = np.add(at, edge[i], out=at)
+            vals = _series_at(a, z, anti, edge, at)
+            if b == home:
+                vals, at_anchor = vals[:-1], vals[-1].copy()
+            P = np.empty(s_arr.shape + c.shape[1:-1]) if P is None else P
+            P[ours if order is None else order[ours]] = vals
         if table is None:
-            P, at_anchor = P[:-1], P[-1].copy()
             self._table = (lattice, starts, at_anchor, panels)
         if P is None:   # no queries
             return np.empty(s_arr.shape + np.shape(at_anchor))
@@ -308,23 +323,49 @@ class SmoothCumulative:
         return P if np.ndim(s) else P[0]
 
 
-def _series_at(a, z, anti, i, s):
-    """The integral from a[i] to each s of panel i's series, ``anti`` being
-    each panel's antiderivative coefficients 1..24 on [a, z], for i sorted.
-    Each run of one panel's queries meets that panel's coefficients in one
-    product without BLAS, so a value does not depend on the other queries.
-    The series at the left edge comes from the same product of the exact
-    row P_j(-1) = (-1)^j, and x is exactly -1 at s = a (and +1 at s = z),
-    so it is 0 there exactly."""
+def _series_at(a, z, anti, edge, s):
+    """P at each ``s``: ``edge[i]``, P at the left edge of s's panel i,
+    plus the integral from a[i] to s of that panel's series, ``anti`` being
+    each panel's antiderivative coefficients 1..24 on [a, z].  Sorted
+    queries share panels in runs, which makes them cheaper.
+
+    Each panel's series is evaluated to its resolved length: the trailing
+    terms whose |coefficients| (the largest over the trailing axes) sum to
+    at most EPS/2 of the panel's largest are dropped, which moves it by no
+    more than that, as |P_j| <= 1 on [-1, 1].  edge[i] less the series at
+    the left edge, from the exact row P_j(-1) = (-1)^j, is one offset per
+    panel.  A query's terms, zero past its panel's length, are summed from
+    the last down, then its offset is added, each query on its own without
+    BLAS, so a value does not depend on the other queries."""
+    i = np.searchsorted(a, s, side="right") - 1
     x = ((s - a[i]) - (z[i] - s)) / (z[i] - a[i])
-    out = np.empty(s.shape + anti.shape[1:-1])
+    flat = anti.reshape(a.size, -1, 24)
+    mag = np.abs(flat).max(axis=1)
+    keep = np.cumsum(mag[:, ::-1], axis=1)[:, ::-1] > 0.5 * EPS * mag.max(axis=1, keepdims=True)
+    length = keep.sum(axis=1)
+    coef = (flat * keep[:, None]).T.copy()   # (term, component, panel)
+    offset = edge[:-1].reshape(a.size, -1).T - np.einsum("j,jkp->kp", _LEFT, coef)
+    out = np.empty((coef.shape[1], s.size))
+    rows = np.empty((25, min(s.size, BLOCK)))
+    terms = np.empty((24,) + out.shape[:1] + rows.shape[1:])
     for lo in range(0, s.size, BLOCK):
-        rows, ii = _legendre_rows(x[lo:lo + BLOCK]), i[lo:lo + BLOCK]
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(ii)) + 1, [ii.size]])
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            at = np.einsum("qj,...j->q...", rows[u:v], anti[ii[u]])
-            out[lo + u:lo + v] = at - np.einsum("qj,...j->q...", _LEFT, anti[ii[u]])
-    return out
+        ii = i[lo:lo + BLOCK]
+        m, n = ii.size, length[ii].max()
+        p = _legendre_rows(x[lo:lo + m], rows[:n + 1, :m])
+        runs = np.flatnonzero(np.append(True, ii[1:] != ii[:-1]))
+        if runs.size * 64 > m:   # runs under 64 queries: gather each query's coefficients
+            t = np.take(coef[:n], ii, axis=2)
+            t *= p[1:, None]
+        else:   # each run of one panel's queries times that panel's coefficients
+            t = terms[:n, :, :m]
+            for u, v in zip(runs, np.append(runs[1:], m)):
+                np.multiply(p[1:, None, u:v], coef[:n, :, ii[u], None], out=t[..., u:v])
+        acc = out[:, lo:lo + m]
+        acc[...] = 0.0
+        for j in range(n - 1, -1, -1):
+            acc += t[j]
+        acc += np.take(offset, ii, axis=1)
+    return out.T.reshape(s.shape + anti.shape[1:-1])
 
 
 def _transform(matrix, values):
@@ -333,15 +374,17 @@ def _transform(matrix, values):
     return (flat @ matrix.T).reshape(values.shape[:-1] + (-1,))
 
 
-def _legendre_rows(x):
-    """P_1(x) .. P_24(x), one row per point, from the three-term recurrence
-    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), exact at x = +-1."""
-    p, t = np.empty((25,) + x.shape), np.empty_like(x)
-    p[0], p[1] = 1.0, x
-    for j in range(1, 24):
+def _legendre_rows(x, p):
+    """P_0(x) .. P_n(x) into the n+1 rows of ``p``, one column per point,
+    from the three-term recurrence P_{j+1} = x P_j + j/(j+1) (x P_j -
+    P_{j-1}), exact at x = +-1; returns ``p``."""
+    t = np.empty_like(x)
+    p[0] = 1.0
+    if len(p) > 1:
+        p[1] = x
+    for j in range(1, len(p) - 1):
         np.multiply(x, p[j], out=p[j + 1])
         np.subtract(p[j + 1], p[j - 1], out=t)
         t *= j / (j + 1)
         p[j + 1] += t
-    return np.ascontiguousarray(p[1:].T)
-
+    return p

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .frenet import trace
-from .numerics import EPS, ScalarFn, SmoothCumulative, as_scalar_fn, diff_weights
+from .numerics import EPS, STENCILS, ScalarFn, SmoothCumulative, as_scalar_fn
 from .traceio import CurveTrace
 from .whirl import LAMBDA_FLOOR, intrinsic_residual
 
@@ -235,7 +235,7 @@ class WhirlCurve:
         rate = np.maximum(1.0, np.abs(self.spec.lam * np.asarray(self.spec.kappa(s)))
                           * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
         step = (s + 0.5 * REACH / rate) - s   # exactly representable
-        w = diff_weights(5, 4)[0]   # offsets -2..2; the centre's weight is zero
+        w = STENCILS[5][0]   # offsets -2..2; the centre's weight is zero
         return ratio, sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
 

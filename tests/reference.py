@@ -4,8 +4,11 @@ Adaptive Simpson quadrature, for the library's Legendre-series
 integration: it shares no code with :class:`whirlcurves.SmoothCumulative`,
 so agreement between the two is evidence for both.  A windowless
 Gauss-Legendre panel cumulative, where a bound of a few EPS needs the same
-rule as the library's panels.  A text-mode ``np.loadtxt`` CSV reader, for
-:func:`whirlcurves.traceio.read_csv`, which parses plain bodies with orjson.
+rule as the library's panels.  The full 24-term evaluation of a panel
+series, for the resolved-length one of ``whirlcurves.numerics._series_at``,
+and the resolved length itself, one panel at a time.  A text-mode
+``np.loadtxt`` CSV reader, for :func:`whirlcurves.traceio.read_csv`, which
+parses plain bodies with orjson.
 """
 
 from dataclasses import dataclass
@@ -103,6 +106,59 @@ def gauss_cumulative(f, anchor: float, s) -> np.ndarray:
                             np.zeros((1,) + panels.shape[1:]), np.cumsum(panels[-lo:], axis=0)])
     base = anchor + PANEL * k
     return table[k - lo] + _gauss(f, 0.5 * (base + s), 0.5 * (s - base))
+
+
+def _legendre_rows(x):
+    """P_1(x) .. P_24(x), one row per point, from the three-term recurrence
+    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), exact at x = +-1."""
+    p, t = np.empty((25,) + x.shape), np.empty_like(x)
+    p[0], p[1] = 1.0, x
+    for j in range(1, 24):
+        np.multiply(x, p[j], out=p[j + 1])
+        np.subtract(p[j + 1], p[j - 1], out=t)
+        t *= j / (j + 1)
+        p[j + 1] += t
+    return np.ascontiguousarray(p[1:].T)
+
+
+_LEFT = (-1.0) ** np.arange(1, 25)[None]   # P_j(-1), j = 1..24
+
+
+def full_series_at(a, z, anti, edge, s):
+    """P at each ``s`` as ``whirlcurves.numerics._series_at`` takes it, with
+    every panel's series to all 24 terms: ``edge[i]`` plus the integral from
+    a[i] to s of panel i's series, its antiderivative coefficients ``anti``
+    on [a, z], each run of one panel's queries in one product without BLAS,
+    less the same product of the row P_j(-1) = (-1)^j.  This is how the
+    library read its series before each was cut to its resolved length."""
+    i = np.searchsorted(a, s, side="right") - 1
+    order = np.argsort(i, kind="stable")
+    i, s = i[order], s[order]
+    x = ((s - a[i]) - (z[i] - s)) / (z[i] - a[i])
+    rows = _legendre_rows(x)
+    out = np.empty(s.shape + anti.shape[1:-1])
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(i)) + 1, [i.size]])
+    for u, v in zip(cuts[:-1], cuts[1:]):
+        at = np.einsum("qj,...j->q...", rows[u:v], anti[i[u]])
+        out[u:v] = at - np.einsum("qj,...j->q...", _LEFT, anti[i[u]])
+    out += edge[i]
+    back = np.empty_like(out)
+    back[order] = out
+    return back
+
+
+def resolved_lengths(anti):
+    """Each panel's resolved length, one panel and one term at a time: the
+    fewest leading terms such that the |coefficients| left out, the largest
+    over the trailing axes, sum to at most EPS/2 of the panel's largest."""
+    lengths = []
+    for panel in anti:
+        mag = np.abs(panel.reshape(-1, panel.shape[-1])).max(axis=0)
+        n = mag.size
+        while n and sum(mag[n - 1:][::-1]) <= 0.5 * np.finfo(float).eps * mag.max():
+            n -= 1
+        lengths.append(n)
+    return np.array(lengths)
 
 
 def read_csv(path) -> CurveTrace:

@@ -180,6 +180,21 @@ def test_verify_insufficient_samples(tmp_path, capsys):
     assert "insufficient samples" in err
 
 
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_verify_names_the_file_of_a_trace_too_short_to_fit(tmp_path, capsys, n):
+    # 8 samples frame a trace, but the fit needs 4 frames, 3 samples in from each end
+    assert run(["synth", "--kappa", "const:0.5", "--lambda", 1, "--h0", 1, "--range", "0:1",
+                "--samples", n, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    path = tmp_path / "synth.csv"
+    assert run(["verify", "--in", path]) == 3
+    assert capsys.readouterr().err == ("error: insufficient samples: need at least 10 "
+                                       f"samples, got {n} in {path}\n")
+    assert run(["synth", "--kappa", "const:0.5", "--lambda", 1, "--h0", 1, "--range", "0:1",
+                "--samples", 10, "--out", tmp_path]) == 0
+    assert run(["verify", "--in", path]) == 0
+
+
 def test_verify_missing_file_exit_3(tmp_path, capsys):
     assert run(["verify", "--in", tmp_path / "nope.csv"]) == 3
 

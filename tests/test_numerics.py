@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import whirlcurves as wc
-from reference import gauss_cumulative, integrate
+from reference import full_series_at, gauss_cumulative, integrate, resolved_lengths
 from whirlcurves.errors import DomainError, FrameError, QuadratureError
 
 
@@ -324,6 +324,58 @@ def test_windowed_cumulative_shared_across_threads():
         assert not any(t.is_alive() for t in threads)
         assert all(np.array_equal(o, r) for o, r in zip(out, ref))
         assert F.panels == single.panels
+
+
+def test_a_chunk_of_panels_of_different_lengths_reads_each_query_alone(monkeypatch):
+    # Runge's function needs more terms near 0 than near the window's ends;
+    # every query of the batch lies in one chunk, which spans them all, and
+    # a term past a panel's length would move some of the sums
+    def f(s):
+        s = np.asarray(s, float)
+        return np.stack([1.0 / (1.0 + 25.0 * s * s), np.cos(3.0 * s)], axis=-1)
+
+    grid = np.linspace(-1.0, 1.0, 1001)
+    assert grid.size <= wc.numerics.BLOCK
+    blocks = []
+
+    def spy(a, z, anti, edge, s):
+        blocks.append((a, anti))
+        return series_at(a, z, anti, edge, s)
+
+    series_at = wc.numerics._series_at
+    monkeypatch.setattr(wc.numerics, "_series_at", spy)
+    F = wc.SmoothCumulative(f, anchor=0.1, window=(-1.0, 1.0))
+    batched = F(grid)
+    (a, anti), = blocks
+    lengths = resolved_lengths(anti)[np.unique(np.searchsorted(a, grid, side="right") - 1)]
+    assert lengths.min() < lengths.max() < 24
+    assert np.array_equal(np.array([F(s) for s in grid]), batched)
+    shuffle = np.random.default_rng(5).permutation(grid.size)
+    assert np.array_equal(F(grid[shuffle]), batched[shuffle])
+    assert np.array_equal(F(grid[::-1]), batched[::-1])
+    assert not np.any(F(0.1))
+    monkeypatch.setattr(wc.numerics, "_series_at", full_series_at)
+    full = wc.SmoothCumulative(f, anchor=0.1, window=(-1.0, 1.0))(grid)
+    assert np.all(np.abs(batched - full) <= 4 * np.spacing(np.max(np.abs(full), axis=0)))
+
+
+def test_a_zero_integrand_keeps_no_terms():
+    # every coefficient is zero, so every panel's resolved length is 0
+    F = wc.SmoothCumulative(lambda s: np.zeros(np.shape(s)), anchor=0.3, window=(0.0, 1.0))
+    assert np.array_equal(F(np.linspace(0.0, 1.0, 9)), np.zeros(9))
+    assert F(0.7) == 0.0
+
+
+@pytest.mark.parametrize("f, anchor, window", [
+    (_bumps, 0.3, _THREE_BLOCKS),
+    (lambda s: np.sqrt(1.5 - np.asarray(s, float)), 0.0, (0.0, 1.5 - 1e-9)),
+], ids=["three blocks", "split panels"])
+def test_windowed_cumulative_matches_the_full_series(monkeypatch, f, anchor, window):
+    grid = np.linspace(*window, 2001)
+    got = wc.SmoothCumulative(f, anchor=anchor, window=window)(grid)
+    monkeypatch.setattr(wc.numerics, "_series_at", full_series_at)
+    full = wc.SmoothCumulative(f, anchor=anchor, window=window)(grid)
+    assert np.all(np.abs(got - full) <= 4 * np.spacing(np.max(np.abs(full), axis=0)))
 
 
 def test_windowed_cumulative_splits_only_unresolved_panels():

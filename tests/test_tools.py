@@ -46,6 +46,18 @@ def test_only_an_exit_code_or_a_verdict_fails(monkeypatch, capsys, change, code)
     assert out.splitlines()[-1].startswith(f"{1 if change else 2} of 2 commands byte-identical")
 
 
+@pytest.mark.parametrize("cmd, code", [("rect", 1), ("extend", 1), ("figure1", 1),
+                                       ("synth", 0), ("verify", 0)])
+def test_a_differing_file_fails_for_the_closed_form_commands(monkeypatch, capsys, cmd, code):
+    # rect, extend and figure1 files must stay byte-identical; a synth file may move
+    base = [_record(f"a {cmd}"), _record("b verify")]
+    head = [_record(f"a {cmd}", files={"w/synth.csv": "dd"}), base[1]]
+    assert _compare(monkeypatch, base, head) == code
+    out = capsys.readouterr().out
+    assert "head!   w/synth.csv dd" in out and "base!   w/synth.csv cc" in out
+    assert out.splitlines()[-1].endswith("exact file differs" if code else "exact files agree")
+
+
 def test_a_command_missing_from_one_tree_fails(monkeypatch, capsys):
     assert _compare(monkeypatch, [_record("a synth")], [_record("a synth"),
                                                          _record("b verify")]) == 1

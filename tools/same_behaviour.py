@@ -15,8 +15,10 @@ For each command this prints the exit code, the verdict lines, a digest of
 stdout and of stderr with the work directory's path replaced by ``<work>``,
 and a digest of each file the command wrote.  A line that differs between the
 trees is printed for both, marked ``base!`` and ``head!``.  The exit status is
-1 when an exit code or a verdict line differs, 2 when a tree could not run
-the commands, and 0 otherwise: output that differs only in its digests is
+1 when an exit code, a verdict line or a file written by ``rect``, ``extend``
+or ``figure1`` differs (those files come from closed forms and must stay
+byte-identical), 2 when a tree could not run the commands, and 0 otherwise:
+other output that differs only in its digests, a ``synth`` file among it, is
 printed and counted, not failed.
 """
 
@@ -31,6 +33,9 @@ import subprocess
 import sys
 import tempfile
 import traceback
+
+# the commands whose written files must be byte-identical
+EXACT_FILES = {"rect", "extend", "figure1"}
 
 # (workload, seed, rounds): the commands compared
 PLAN = ([("paper_sweep", seed, range(6)) for seed in (1, 7, 23)]
@@ -98,13 +103,14 @@ def run_tree(tree, perfbench):
 
 
 def _lines(record):
-    """The printed lines of one record: (line, whether a difference in it fails)."""
-    lines = []
+    """The printed lines of one record: (line, whether a difference in it fails).
+    A record's key ends with its command's name."""
+    lines, exact = [], record["key"].rsplit(" ", 1)[-1] in EXACT_FILES
     if "exit" in record:
         lines.append((f"exit {record['exit']}", True))
         lines += [(f"  {v}", True) for v in record["verdicts"]]
         lines += [(f"  stdout {record['stdout']}", False), (f"  stderr {record['stderr']}", False)]
-    lines += [(f"  {path} {d}", False) for path, d in sorted(record["files"].items())]
+    lines += [(f"  {path} {d}", exact) for path, d in sorted(record["files"].items())]
     return lines
 
 
@@ -147,7 +153,8 @@ def compare(base, head):
                 print(f"base! {line}")
                 failed |= fatal
     print(f"{identical} of {commands} commands byte-identical; "
-          + ("an exit code or verdict differs" if failed else "exit codes and verdicts agree"))
+          + ("an exit code, verdict or exact file differs" if failed
+             else "exit codes, verdicts and exact files agree"))
     return 1 if failed else 0
 
 
