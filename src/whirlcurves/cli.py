@@ -16,14 +16,14 @@ import numpy as np
 
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
-from .frenet import trace, trace_frames, unit_speed_residual
+from .frenet import FRAME_MARGIN, trace, trace_frames, unit_speed_residual
 from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
 
 MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; --lambdas and poly: entries
-# verify: frames skip three samples at each end, and the fit needs four
-VERIFY_MIN_SAMPLES = 10
+# verify: frames skip FRAME_MARGIN samples at each end, and the fit needs MIN_FIT_FRAMES
+VERIFY_MIN_SAMPLES = 2 * FRAME_MARGIN + whirl.MIN_FIT_FRAMES
 
 DEFAULT_TOLS = {
     "unit_speed": 1e-6,

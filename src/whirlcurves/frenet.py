@@ -20,6 +20,7 @@ from .traceio import CurveTrace
 FRAME_TOL = 1e-9
 KAPPA_FLOOR = 1e-9
 UNIT_SPEED_TOL = 1e-6
+FRAME_MARGIN = 3   # trace_frames: samples skipped at each end of a trace
 
 
 def _dot(u, v):
@@ -154,9 +155,9 @@ def trace(curve: Callable, s_lo: float, s_hi: float, n: int,
 
 def trace_frames(tr: CurveTrace) -> Frames:
     """Frenet frames, from :func:`whirlcurves.numerics.grid_derivatives`, at
-    all but the three outermost samples on each side of a uniform trace of at
-    least 8 samples; raises ValueError on a non-uniform grid."""
+    all but the ``FRAME_MARGIN`` outermost samples on each side of a uniform
+    trace of at least 8 samples; raises ValueError on a non-uniform grid."""
     if len(tr) < 8:
         raise ValueError("insufficient samples: need at least 8 to frame a trace")
-    d1, d2, d3 = grid_derivatives(tr.s, tr.points)[:, 3:-3]
-    return _frames(tr.s[3:-3], d1, d2, d3)
+    d1, d2, d3 = grid_derivatives(tr.s, tr.points)[:, FRAME_MARGIN:-FRAME_MARGIN]
+    return _frames(tr.s[FRAME_MARGIN:-FRAME_MARGIN], d1, d2, d3)

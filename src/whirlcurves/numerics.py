@@ -39,6 +39,11 @@ _VINV = np.vstack([0.5 * _GAUSS_W, np.linalg.inv(_LEG.legvander(_GAUSS_X, 23))[1
 _INTEG = _LEG.legint(np.eye(24), lbnd=-1)[1:]
 CHOP_TOL, MAX_SPLITS = 1e-14, 40
 _LEFT = (-1.0) ** np.arange(1, 25)   # P_j(-1), j = 1..24
+# _series_at: the mean number of queries per panel from which multiplying
+# each panel's run of queries by its coefficients beats gathering every
+# query's (measured on a shared 2-core machine: gathering wins up to 512,
+# the runs from 2048)
+LONG_RUN = 1024
 
 
 @dataclass(frozen=True)
@@ -326,17 +331,22 @@ class SmoothCumulative:
 def _series_at(a, z, anti, edge, s):
     """P at each ``s``: ``edge[i]``, P at the left edge of s's panel i,
     plus the integral from a[i] to s of that panel's series, ``anti`` being
-    each panel's antiderivative coefficients 1..24 on [a, z].  Sorted
-    queries share panels in runs, which makes them cheaper.
+    each panel's antiderivative coefficients 1..24 on [a, z].
 
     Each panel's series is evaluated to its resolved length: the trailing
     terms whose |coefficients| (the largest over the trailing axes) sum to
-    at most EPS/2 of the panel's largest are dropped, which moves it by no
-    more than that, as |P_j| <= 1 on [-1, 1].  edge[i] less the series at
-    the left edge, from the exact row P_j(-1) = (-1)^j, is one offset per
-    panel.  A query's terms, zero past its panel's length, are summed from
-    the last down, then its offset is added, each query on its own without
-    BLAS, so a value does not depend on the other queries."""
+    at most EPS/2 of the panel's largest are dropped.  edge[i] less the
+    series at the left edge, from the exact row P_j(-1) = (-1)^j, is one
+    offset per panel, so the value is the offset plus the series at s, and
+    the dropped tail moves the integral from a[i] to s by at most EPS of
+    the panel's largest coefficient (|P_j| <= 1 on [-1, 1], at s and at
+    -1).  At a panel's left edge the value matches edge[i] to within
+    rounding, no longer exactly.  A query's terms, zero past its panel's
+    length, are summed from the last down, then its offset is added, each
+    query on its own without BLAS, so a value does not depend on the other
+    queries.  Long runs of one panel's queries (see ``LONG_RUN``) are
+    multiplied by its coefficients run by run, other queries' coefficients
+    gathered one by one: the same products either way."""
     i = np.searchsorted(a, s, side="right") - 1
     x = ((s - a[i]) - (z[i] - s)) / (z[i] - a[i])
     flat = anti.reshape(a.size, -1, 24)
@@ -347,17 +357,17 @@ def _series_at(a, z, anti, edge, s):
     offset = edge[:-1].reshape(a.size, -1).T - np.einsum("j,jkp->kp", _LEFT, coef)
     out = np.empty((coef.shape[1], s.size))
     rows = np.empty((25, min(s.size, BLOCK)))
-    terms = np.empty((24,) + out.shape[:1] + rows.shape[1:])
+    terms = np.empty(24 * out.shape[0] * rows.shape[1])
     for lo in range(0, s.size, BLOCK):
         ii = i[lo:lo + BLOCK]
         m, n = ii.size, length[ii].max()
         p = _legendre_rows(x[lo:lo + m], rows[:n + 1, :m])
+        t = terms[:n * out.shape[0] * m].reshape(n, out.shape[0], m)   # (term, component, query)
         runs = np.flatnonzero(np.append(True, ii[1:] != ii[:-1]))
-        if runs.size * 64 > m:   # runs under 64 queries: gather each query's coefficients
-            t = np.take(coef[:n], ii, axis=2)
+        if runs.size * LONG_RUN > m:   # gather each query's coefficients
+            np.take(coef[:n], ii, axis=2, out=t, mode="clip")
             t *= p[1:, None]
         else:   # each run of one panel's queries times that panel's coefficients
-            t = terms[:n, :, :m]
             for u, v in zip(runs, np.append(runs[1:], m)):
                 np.multiply(p[1:, None, u:v], coef[:n, :, ii[u], None], out=t[..., u:v])
         acc = out[:, lo:lo + m]

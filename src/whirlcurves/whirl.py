@@ -26,6 +26,7 @@ from .numerics import grid_derivatives
 LAMBDA_FLOOR = 1e-12
 LAMBDA_BRACKET = 1e4
 TAU_FLOOR = 1e-9   # a fit over frames with |tau| below this is no whirl
+MIN_FIT_FRAMES = 4   # fit_lambda_axis: the fewest frames it fits
 
 
 def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
@@ -159,8 +160,8 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     small components cannot flip an axis near a coordinate direction.
     """
     frames = as_frames(curve, s_grid, deriv)
-    if len(frames) < 4:
-        raise FrameError("no stable fit: need at least 4 frames")
+    if len(frames) < MIN_FIT_FRAMES:
+        raise FrameError(f"no stable fit: need at least {MIN_FIT_FRAMES} frames")
     T, N = frames.t, frames.n
     A = N.T @ N
     B = N.T @ T + T.T @ N

@@ -359,6 +359,26 @@ def test_a_chunk_of_panels_of_different_lengths_reads_each_query_alone(monkeypat
     assert np.all(np.abs(batched - full) <= 4 * np.spacing(np.max(np.abs(full), axis=0)))
 
 
+@pytest.mark.parametrize("window, n", [((-0.2, 0.3), 5000), ((-40.0, 60.0), 900)],
+                         ids=["long runs", "one query per panel"])
+def test_the_run_and_gather_contractions_agree_bit_for_bit(monkeypatch, window, n):
+    # _series_at multiplies a long run of one panel's queries by its
+    # coefficients and gathers them for short runs; either way gives the
+    # same products, summed in the same order
+    def f(s):
+        s = np.asarray(s, float)
+        return np.stack([np.cos(3.0 * s), np.exp(-s * s), 1.0 / (2.0 + np.sin(s))], axis=-1)
+
+    grid = np.linspace(*window, n)
+    values = []
+    for long_run in (1, 2 * n):   # every chunk by runs; every chunk gathered
+        monkeypatch.setattr(wc.numerics, "LONG_RUN", long_run)
+        values.append(wc.SmoothCumulative(f, anchor=0.1, window=window)(grid))
+    monkeypatch.undo()
+    assert np.array_equal(values[0], values[1])
+    assert np.array_equal(wc.SmoothCumulative(f, anchor=0.1, window=window)(grid), values[0])
+
+
 def test_a_zero_integrand_keeps_no_terms():
     # every coefficient is zero, so every panel's resolved length is 0
     F = wc.SmoothCumulative(lambda s: np.zeros(np.shape(s)), anchor=0.3, window=(0.0, 1.0))
