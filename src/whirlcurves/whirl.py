@@ -145,19 +145,103 @@ class WhirlFit:
     note: str = ""
 
 
+# the scan's candidates: 513 magnitudes geometric over [LAMBDA_FLOOR,
+# LAMBDA_BRACKET], each with both signs, in increasing order
+_CANDIDATES = np.concatenate([-np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)[::-1],
+                              np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)])
+_TINY = np.finfo(float).tiny
+
+
+def _smallest_eigenvalues(N, T, lams) -> np.ndarray:
+    """Smallest eigenvalue of M(lam) = A - lam*B + lam^2*C for each lam, in
+    one vectorized pass with no eigensolver.
+
+    M(lam) is the Gram matrix of N - lam*T, so its eigenvalues are the
+    squared singular values of W = R[:, :3] - lam*R[:, 3:], R the triangular
+    factor of [N T].  Modified Gram-Schmidt writes W's columns as w0,
+    w1 = b1*w0 + w1', w2 = b2*w0 + g*w1' + w2'' with w0, w1' and w2''
+    orthogonal, so with a2, d2, f2 their squared norms the eigenvalues are
+    the roots of x^3 - F*x^2 + G*x - P, where P = a2*d2*f2 and F and G sum
+    the squares of the triangular factor's entries and of its 2x2 minors.
+    The largest root comes from the trigonometric closed form (Smith 1961),
+    the other two from the quadratic left once it is divided out, the
+    smallest as a quotient.  So the smallest keeps its accuracy relative to
+    itself, where M formed in floating point loses all of it below EPS times
+    the largest (on a nearly straight trace, that hides the minimum); a
+    planar trace gives exactly 0.
+    """
+    R = np.linalg.qr(np.hstack([N, T]), mode="r")
+    w0, w1, w2 = (R[:, k, None] - lams * R[:, k + 3, None] for k in range(3))
+    a2 = np.maximum(np.einsum("jk,jk->k", w0, w0), _TINY)
+    b1, b2 = np.einsum("jk,jk->k", w0, w1) / a2, np.einsum("jk,jk->k", w0, w2) / a2
+    w1 -= b1 * w0
+    w2 -= b2 * w0
+    d2 = np.maximum(np.einsum("jk,jk->k", w1, w1), _TINY)
+    g = np.einsum("jk,jk->k", w1, w2) / d2
+    w2 -= g * w1
+    f2 = np.einsum("jk,jk->k", w2, w2)
+    F = a2 * (1.0 + b1 * b1 + b2 * b2) + d2 * (1.0 + g * g) + f2
+    G = a2 * d2 * (1.0 + g * g + (b1 * g - b2) ** 2) + f2 * (a2 * (1.0 + b1 * b1) + d2)
+    P = a2 * d2 * f2
+    m = F / 3.0
+    p = np.sqrt(np.maximum(m * m - G / 3.0, 0.0))
+    r = np.clip((P - G * m + 2.0 * m ** 3) / np.maximum(2.0 * p ** 3, _TINY), -1.0, 1.0)
+    x1 = np.maximum(m + 2.0 * p * np.cos(np.arccos(r) / 3.0), _TINY)
+    prod = P / x1                    # x2 * x3
+    total = (G - prod) / x1          # x2 + x3
+    x2 = 0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * prod, 0.0)))
+    return prod / np.maximum(x2, _TINY)
+
+
+def _illinois_root(f, lo, hi, f_lo, f_hi) -> float:
+    """A root of ``f`` in [lo, hi], where f(lo) < 0 < f(hi), by Illinois
+    regula falsi: a step that would leave the bracket bisects it, and the
+    value at an end the bracket keeps twice in a row is halved, so both
+    ends converge.  Stops when the bracket is at most 4 ulps wide.
+    """
+    x, kept = lo, 0
+    for _ in range(200):
+        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
+            break
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return x
+
+
 def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
                     rms_tol: float = 1e-3) -> WhirlFit:
     """Fit ``lam`` and a unit axis minimizing sum(<n_i,d> - lam <t_i,d>)^2.
 
     The normal matrix is quadratic in lam, M(lam) = A - lam*B + lam^2*C with
-    fixed 3x3 blocks, and d is its bottom eigenvector; lam itself is found by
-    a deterministic scan of +-[1e-12, 1e4], then by bisection inside the
-    scan's bracket on the sign of the eigenvalue's slope d'(2*lam*C - B)d
-    (Hellmann-Feynman), which resolves lam where the flat eigenvalue cannot;
-    a bracket the slope does not change sign across keeps the scan's best.
-    Ties break toward the smallest |lam|, then the positive sign; the axis
-    sign makes its largest-magnitude component positive, so noise in the
-    small components cannot flip an axis near a coordinate direction.
+    fixed 3x3 blocks, and d is its bottom eigenvector.  A scan evaluates the
+    smallest eigenvalue of M at 1026 candidates, 513 geometric magnitudes
+    over [1e-12, 1e4] with both signs, in one vectorized closed form (no
+    eigensolver call per candidate); ties break toward the smallest |lam|,
+    then the positive sign.  The best candidate's two neighbours bracket
+    the root of the eigenvalue's slope d'(2*lam*C - B)d (Hellmann-Feynman),
+    which resolves lam where the flat eigenvalue cannot; Illinois regula
+    falsi narrows that bracket to 4 ulps with one 3x3 eigensolve per step.
+    A bracket the slope does not change sign across keeps the scan's best.
+    At the ends of the scan: a lam within 4e-12 of zero is no whirl (the
+    definition needs lam != 0), and a best candidate at +-1e4 whose bracket
+    holds no root is no whirl either, since the minimum lies beyond the
+    bound.  The axis sign makes its largest-magnitude component positive,
+    so noise in the small components cannot flip an axis near a coordinate
+    direction; the rms comes from the residuals themselves.
     """
     frames = as_frames(curve, s_grid, deriv)
     if len(frames) < MIN_FIT_FRAMES:
@@ -174,11 +258,8 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
         d = _fit_objective(lam)[1][:, 0]
         return d @ (2.0 * lam * C - B) @ d
 
-    mags = np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)
-    cands = np.concatenate([-mags[::-1], mags])
-    stack = (A[None, :, :] - cands[:, None, None] * B[None, :, :]
-             + (cands * cands)[:, None, None] * C[None, :, :])
-    vals = np.linalg.eigvalsh(stack)[:, 0]
+    cands = _CANDIDATES
+    vals = _smallest_eigenvalues(N, T, cands)
     floor = vals.min()
     # deterministic tie-breaking: smallest |lam|, then positive lam
     near = np.nonzero(vals <= floor + 1e-18 + 1e-12 * abs(floor))[0]
@@ -186,15 +267,10 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     lo = cands[max(best_idx - 1, 0)]
     hi = cands[min(best_idx + 1, cands.size - 1)]
     lam = cands[best_idx]
-    if slope(lo) < 0.0 < slope(hi):
-        for _ in range(200):
-            lam = 0.5 * (lo + hi)
-            if not lo < lam < hi:
-                break
-            if slope(lam) < 0.0:
-                lo = lam
-            else:
-                hi = lam
+    slope_lo, slope_hi = slope(lo), slope(hi)
+    rooted = slope_lo < 0.0 < slope_hi
+    if rooted:
+        lam = _illinois_root(slope, lo, hi, slope_lo, slope_hi)
     if abs(lam) < LAMBDA_FLOOR:
         lam = LAMBDA_FLOOR if lam >= 0 else -LAMBDA_FLOOR
     vals3, vecs = _fit_objective(lam)
@@ -218,6 +294,10 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
         # lam != 0
         is_whirl = False
         note = "not a whirl curve: fitted constant is indistinguishable from zero"
+    elif not rooted and best_idx in (0, cands.size - 1):
+        # the eigenvalue still falls at the scan's end: lam lies beyond it
+        is_whirl = False
+        note = f"not a whirl curve: fitted constant lies beyond the scan bound {LAMBDA_BRACKET:g}"
     elif not is_whirl:
         note = "no axis satisfies the proportionality within tolerance"
     return WhirlFit(lam=float(lam), axis=d, rms=rms, is_whirl=is_whirl, note=note)

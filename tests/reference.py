@@ -8,15 +8,18 @@ rule as the library's panels.  The full 24-term evaluation of a panel
 series, for the resolved-length one of ``whirlcurves.numerics._series_at``,
 and the resolved length itself, one panel at a time.  A text-mode
 ``np.loadtxt`` CSV reader, for :func:`whirlcurves.traceio.read_csv`, which
-parses plain bodies with orjson.
+parses plain bodies with orjson.  The whirl fit by an eigensolver scan and
+bisection, for :func:`whirlcurves.fit_lambda_axis`, which scans in closed
+form and finds the slope's root by regula falsi.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from whirlcurves import CurveTrace
-from whirlcurves.errors import QuadratureError
+from whirlcurves import CurveTrace, Frames
+from whirlcurves.errors import FrameError, QuadratureError
+from whirlcurves.whirl import LAMBDA_BRACKET, LAMBDA_FLOOR, TAU_FLOOR, WhirlFit
 
 
 @dataclass
@@ -185,3 +188,60 @@ def read_csv(path) -> CurveTrace:
         return CurveTrace(data[:, 0], data[:, 1:], meta={"param": header[0]})
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
+
+
+def fit_lambda_bisect(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
+    """The whirl fit of ``frames`` as the library made it before its closed-form
+    scan: the smallest eigenvalue of M(lam) = A - lam*B + lam^2*C from one
+    batched ``eigvalsh`` over the 1026 candidates of +-[1e-12, 1e4], ties to the
+    smallest |lam| and then to positive lam, and bisection of the slope
+    d'(2*lam*C - B)d inside the best candidate's bracket down to one ulp (one
+    ``eigh`` per halving).  The axis, rms, verdict and notes follow as in
+    :func:`whirlcurves.fit_lambda_axis`, without its note for a lam beyond the
+    scan's bound."""
+    T, N = frames.t, frames.n
+    A = N.T @ N
+    B = N.T @ T + T.T @ N
+    C = T.T @ T
+
+    def slope(lam):
+        d = np.linalg.eigh(A - lam * B + lam * lam * C)[1][:, 0]
+        return d @ (2.0 * lam * C - B) @ d
+
+    mags = np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)
+    cands = np.concatenate([-mags[::-1], mags])
+    stack = (A[None, :, :] - cands[:, None, None] * B[None, :, :]
+             + (cands * cands)[:, None, None] * C[None, :, :])
+    vals = np.linalg.eigvalsh(stack)[:, 0]
+    floor = vals.min()
+    near = np.nonzero(vals <= floor + 1e-18 + 1e-12 * abs(floor))[0]
+    best_idx = min(near, key=lambda i: (abs(cands[i]), -np.sign(cands[i])))
+    lo = cands[max(best_idx - 1, 0)]
+    hi = cands[min(best_idx + 1, cands.size - 1)]
+    lam = cands[best_idx]
+    if slope(lo) < 0.0 < slope(hi):
+        for _ in range(200):
+            lam = 0.5 * (lo + hi)
+            if not lo < lam < hi:
+                break
+            if slope(lam) < 0.0:
+                lo = lam
+            else:
+                hi = lam
+    if abs(lam) < LAMBDA_FLOOR:
+        lam = LAMBDA_FLOOR if lam >= 0 else -LAMBDA_FLOOR
+    vals3, vecs = np.linalg.eigh(A - lam * B + lam * lam * C)
+    if vals3[1] <= 1e-12 * max(float(vals3[-1]), 1.0):
+        raise FrameError("no stable fit: degenerate normal system")
+    d = vecs[:, 0]
+    if d[np.argmax(np.abs(d))] < 0:
+        d = -d
+    rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
+    is_whirl, note = rms < rms_tol, ""
+    if np.min(np.abs(frames.tau)) < TAU_FLOOR:
+        is_whirl, note = False, "not a whirl curve: torsion vanishes on the grid"
+    elif abs(lam) <= 4.0 * LAMBDA_FLOOR:
+        is_whirl, note = False, "not a whirl curve: fitted constant is indistinguishable from zero"
+    elif not is_whirl:
+        note = "no axis satisfies the proportionality within tolerance"
+    return WhirlFit(lam=float(lam), axis=d, rms=rms, is_whirl=is_whirl, note=note)

@@ -494,3 +494,20 @@ def test_verify_prints_an_axis_component_that_rounds_to_zero_unsigned(tmp_path, 
         lines.append(_verify_line(capsys.readouterr().out, "fitted axis"))
     assert lines[0] == lines[1]
     assert "-0." not in lines[0]
+
+
+@pytest.mark.parametrize("lam, code, verdict", [
+    (2e4, 1, "NEGATIVE  (not a whirl curve: fitted constant lies beyond the scan bound 10000)"),
+    (-2e4, 1, "NEGATIVE  (not a whirl curve: fitted constant lies beyond the scan bound 10000)"),
+    (5e3, 0, "POSITIVE"),
+])
+def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code, verdict):
+    # a nearly straight trace fits any lam to rms ~1e-7: a lam past +-1e4 is
+    # clamped to the scan's end, which is no fit of it, while 5e3 is resolved
+    run(["synth", "--kappa", "const:2e-5", f"--lambda={lam:g}", "--h0", 1, "--range", "0:1",
+         "--samples", 513, "--format", "csv", "--out", tmp_path])
+    capsys.readouterr()
+    assert run(["verify", "--in", tmp_path / "synth.csv"]) == code
+    out = capsys.readouterr().out
+    assert float(_verify_line(out, "fitted lambda").split()[-1]) == np.clip(lam, -1e4, 1e4)
+    assert _verify_line(out, "whirl verdict:").split(None, 2)[2] == verdict

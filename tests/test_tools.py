@@ -62,3 +62,17 @@ def test_a_command_missing_from_one_tree_fails(monkeypatch, capsys):
     assert _compare(monkeypatch, [_record("a synth")], [_record("a synth"),
                                                          _record("b verify")]) == 1
     assert "missing at base" in capsys.readouterr().out
+
+
+def test_a_differing_stdout_prints_the_lines_that_differ(monkeypatch, capsys):
+    lines = ["fitted lambda         -1", "fit rms residual      2.264e-14  (tol 0.001)"]
+    base = [_record("a verify", out=lines + [f"extra {i}" for i in range(6)])]
+    head = [_record("a verify", stdout="dd",
+                    out=[lines[0], "fit rms residual      2.249e-14  (tol 0.001)"])]
+    assert _compare(monkeypatch, base, head) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "base!   | fit rms residual      2.264e-14  (tol 0.001)" in out
+    assert "head!   | fit rms residual      2.249e-14  (tol 0.001)" in out
+    # the shared line is not repeated, and each tree shows at most SHOWN_LINES
+    assert not any("fitted lambda" in ln for ln in out)
+    assert sum(ln.startswith("base!   |") for ln in out) == same_behaviour.SHOWN_LINES

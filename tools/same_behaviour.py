@@ -14,7 +14,9 @@ each tree's own library, and their digests are compared too.
 For each command this prints the exit code, the verdict lines, a digest of
 stdout and of stderr with the work directory's path replaced by ``<work>``,
 and a digest of each file the command wrote.  A line that differs between the
-trees is printed for both, marked ``base!`` and ``head!``.  The exit status is
+trees is printed for both, marked ``base!`` and ``head!``; when the stdout
+digests differ, so are up to ``SHOWN_LINES`` of each tree's stdout lines that
+the other tree did not print, after ``|``.  The exit status is
 1 when an exit code, a verdict line or a file written by ``rect``, ``extend``
 or ``figure1`` differs (those files come from closed forms and must stay
 byte-identical), 2 when a tree could not run the commands, and 0 otherwise:
@@ -36,6 +38,9 @@ import traceback
 
 # the commands whose written files must be byte-identical
 EXACT_FILES = {"rect", "extend", "figure1"}
+
+# the most differing stdout lines printed per command and tree
+SHOWN_LINES = 4
 
 # (workload, seed, rounds): the commands compared
 PLAN = ([("paper_sweep", seed, range(6)) for seed in (1, 7, 23)]
@@ -95,6 +100,7 @@ def run_tree(tree, perfbench):
                         "exit": code,
                         "verdicts": [ln for ln in out.splitlines() if "verdict" in ln],
                         "stdout": _digest(out.encode()), "stderr": _digest(err.encode()),
+                        "out": out.splitlines(),
                         "files": {p: d for p, d in after.items() if before.get(p) != d}}))
                     before = after
                 shutil.rmtree(outdir)
@@ -152,6 +158,10 @@ def compare(base, head):
             if (line, fatal) not in b:
                 print(f"base! {line}")
                 failed |= fatal
+        base_out, head_out = old[key].get("out", []), new[key].get("out", [])
+        for tag, mine, theirs in (("base!", base_out, head_out), ("head!", head_out, base_out)):
+            for line in [ln for ln in mine if ln not in theirs][:SHOWN_LINES]:
+                print(f"{tag}   | {line}")
     print(f"{identical} of {commands} commands byte-identical; "
           + ("an exit code, verdict or exact file differs" if failed
              else "exit codes, verdicts and exact files agree"))
