@@ -156,19 +156,16 @@ def _smallest_eigenvalues(N, T, lams) -> np.ndarray:
     """Smallest eigenvalue of M(lam) = A - lam*B + lam^2*C for each lam, in
     one vectorized pass with no eigensolver.
 
-    M(lam) is the Gram matrix of N - lam*T, so its eigenvalues are the
-    squared singular values of W = R[:, :3] - lam*R[:, 3:], R the triangular
-    factor of [N T].  Modified Gram-Schmidt writes W's columns as w0,
-    w1 = b1*w0 + w1', w2 = b2*w0 + g*w1' + w2'' with w0, w1' and w2''
-    orthogonal, so with a2, d2, f2 their squared norms the eigenvalues are
-    the roots of x^3 - F*x^2 + G*x - P, where P = a2*d2*f2 and F and G sum
-    the squares of the triangular factor's entries and of its 2x2 minors.
-    The largest root comes from the trigonometric closed form (Smith 1961),
-    the other two from the quadratic left once it is divided out, the
-    smallest as a quotient.  So the smallest keeps its accuracy relative to
-    itself, where M formed in floating point loses all of it below EPS times
-    the largest (on a nearly straight trace, that hides the minimum); a
-    planar trace gives exactly 0.
+    M(lam) is the Gram matrix of N - lam*T, whose singular values are those
+    of W = R[:, :3] - lam*R[:, 3:], R the triangular factor of [N T].
+    Modified Gram-Schmidt splits W's columns into orthogonal parts of
+    squared norms a2, d2 and f2 (coefficients b1, b2 and g), which give the
+    characteristic cubic x^3 - F*x^2 + G*x - P of W'W, P = a2*d2*f2.  Its
+    largest root comes from the trigonometric form (Smith 1961), the
+    smallest as a quotient of the quadratic left.  So the smallest is
+    accurate relative to itself; M formed in floating point loses all below
+    EPS times its largest eigenvalue, which on a nearly straight trace hides
+    the minimum.  A planar trace gives exactly 0.
     """
     R = np.linalg.qr(np.hstack([N, T]), mode="r")
     w0, w1, w2 = (R[:, k, None] - lams * R[:, k + 3, None] for k in range(3))
