@@ -72,6 +72,18 @@ def _entries(text, what):
     return items
 
 
+def _parse_lambdas(text):
+    """--lambdas -> nonzero values, MAX_ENTRIES at most; two distinct values that
+    print alike under :g would write the same figure1 files, so they are refused."""
+    lams, seen = tuple(map(_nonzero, _entries(text, "values"))), {}
+    for lam in lams:
+        first = seen.setdefault(f"{lam:g}", lam)
+        if first != lam:
+            raise argparse.ArgumentTypeError(
+                f"{first} and {lam} both write omega_lambda{lam:g} and upsilon_lambda{lam:g}")
+    return lams
+
+
 def _parse_range(text, inset=0.0):
     try:
         lo, hi = (float(p) for p in text.split(":"))
@@ -169,8 +181,7 @@ def _build_parser():
     sp.add_argument("--a", type=_nonzero, default=0.65)
     sp.add_argument("--b", type=_finite, default=0.0)
     sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
-    sp.add_argument("--lambdas", type=lambda text: tuple(map(_nonzero, _entries(text, "values"))),
-                    default=FIGURE1_LAMBDAS,
+    sp.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
                     help="comma-separated overrides for the lambda sweep")
     sp.add_argument("--range", dest="srange", type=_parse_range,
                     default=(-np.pi / 4, np.pi / 4))
@@ -305,8 +316,14 @@ def _cmd_verify(args) -> int:
     if len(tr) < VERIFY_MIN_SAMPLES:
         raise ValueError(f"insufficient samples: need at least {VERIFY_MIN_SAMPLES} samples, "
                          f"got {len(tr)} in {args.infile}")
-    frames = trace_frames(tr)
-    fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
+    try:
+        frames = trace_frames(tr)
+        fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
+    except FrameError as exc:   # e.g. a straight stretch: no frame, so neither kind of curve
+        print(f"samples               {len(tr)}")
+        print(f"whirl verdict:        NEGATIVE  ({exc})")
+        print(f"rectifying verdict:   NEGATIVE  ({exc})")
+        return 1
     chen = rectifying.chen_ratio_fit(frames, rms_tol=tols["chen_rms"])
     # a component printed as 0. would flip its sign under 1-ulp changes of the trace
     unsigned = [c if float(np.format_float_positional(c, precision=6)) else 0.0

@@ -115,6 +115,21 @@ def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_figure1_refuses_lambdas_that_share_a_file_name(tmp_path, capsys):
+    # the files are named by f"{lam:g}": two distinct values printing alike
+    # would overwrite each other's traces, while an exact repeat writes the same
+    code = run(["figure1", "--lambdas=-1.0000001,-1.0000002,-1", "--samples", 9,
+                "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert ("argument --lambdas: -1.0000001 and -1.0000002 both write omega_lambda-1 "
+            "and upsilon_lambda-1") in err
+    assert list(tmp_path.iterdir()) == []
+    assert run(["figure1", "--lambdas=-1,-1.0", "--samples", 9, "--out", tmp_path]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["omega_lambda-1.csv",
+                                                          "upsilon_lambda-1.csv"]
+
+
 def test_synth_has_no_form_flag(tmp_path, capsys):
     code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1", "--form", "spherical",
                 "--out", tmp_path])
@@ -169,6 +184,21 @@ def test_verify_helix_negative(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "whirl verdict:        NEGATIVE" in out
+
+
+def test_verify_finds_a_straight_trace_negative(tmp_path, capsys):
+    # no Frenet frame where the curvature vanishes: a failed verification
+    # (exit 1), not an I/O error, with the frame error as the reason
+    s = np.linspace(0.0, 1.0, 50)
+    traceio.write_csv(wc.CurveTrace(s, np.column_stack([s, 0 * s, 0 * s])),
+                      tmp_path / "line.csv")
+    code = run(["verify", "--in", tmp_path / "line.csv"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    why = f"(undefined frame: vanishing curvature at s={s[cli.FRAME_MARGIN]})"
+    assert captured.out == (f"samples               50\n"
+                            f"whirl verdict:        NEGATIVE  {why}\n"
+                            f"rectifying verdict:   NEGATIVE  {why}\n")
 
 
 def test_verify_insufficient_samples(tmp_path, capsys):
