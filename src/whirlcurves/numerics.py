@@ -18,8 +18,11 @@ from .errors import DomainError, FrameError, QuadratureError
 
 EPS = float(np.finfo(float).eps)
 
-# grid_derivatives: least-squares degree and the bounds of the window width
+# grid_derivatives: least-squares degree, the bounds of the window width, and
+# the spread of the spacing it takes as uniform, relative to max |s| and, at
+# most, to the step
 DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
+S_DIGITS, MAX_SPREAD = 1e-7, 1e-3
 
 # SmoothCumulative: lattice panel width, 24-node Gauss-Legendre rule, the
 # number of intervals one call of the integrand covers, and the farthest a
@@ -157,10 +160,17 @@ def grid_derivatives(s, y) -> np.ndarray:
     W = 2*round(r/h) + 1, clamped to [7, 201] and to the node count, for
     spacing h and half-width r = (EPS*M)**(1/9), M = max |y|: this r balances
     third-derivative roundoff, ~EPS*M/r**3, against truncation, ~r**6.
+
+    The spacing may spread by ``S_DIGITS`` of max |s|, the rounding of an s
+    column printed with 8 significant digits, or by 1e-9 of the step, but
+    never by more than ``MAX_SPREAD`` of the step (else ValueError).
     """
-    dx, y = np.diff(np.asarray(s, dtype=float)), np.asarray(y, dtype=float)
-    if np.ptp(dx) > 1e-9 * np.max(np.abs(dx)):
-        raise ValueError("derivatives of samples need a uniform grid")
+    s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+    dx = np.diff(s)
+    step, spread = np.max(np.abs(dx)), np.ptp(dx)
+    if spread > min(max(1e-9 * step, S_DIGITS * np.max(np.abs(s))), MAX_SPREAD * step):
+        raise ValueError(f"derivatives of samples need a uniform grid: the spacing "
+                         f"strays by {spread / step:.2g} of the step")
     h = float(np.mean(dx))
     r = (EPS * np.max(np.abs(y))) ** (1.0 / (DEGREE + 1))
     width = min(len(y), int(np.clip(2 * np.round(r / abs(h)) + 1, MIN_WIDTH, MAX_WIDTH)))
@@ -176,12 +186,13 @@ class SmoothCumulative:
     """Cumulative integral ``F(s) = ∫_anchor^s f`` on a window, read off one
     Legendre series per panel.
 
-    ``f`` must accept numpy arrays; it may return scalars or rows of one fixed
-    length, and is called on at most ``BLOCK`` intervals (24 points each) at a
-    time.  A sample of f that is not finite raises :class:`QuadratureError`
-    at once.  ``window=(lo, hi)`` must hold the anchor (else ValueError) and
-    lie within ``MAX_PANELS`` panels of it (else :class:`DomainError` at
-    once); f is sampled only inside it, and a query outside it raises
+    ``f`` is sampled by :func:`sample`, on at most ``BLOCK`` intervals (24
+    points each) at a time: one call on the batch, else one per point.  It
+    may return scalars or rows of one fixed length.  A sample of f that is
+    not finite raises :class:`QuadratureError` at once.  ``window=(lo,
+    hi)`` must hold the anchor (else ValueError) and lie within
+    ``MAX_PANELS`` panels of it (else :class:`DomainError` at once); f is
+    sampled only inside it, and a query outside it raises
     :class:`DomainError`.
 
     Panels of width ``PANEL`` lie on a lattice through ``anchor``, clipped to
@@ -230,13 +241,10 @@ class SmoothCumulative:
 
     def _samples(self, mids, halves):
         """f at the 24 Gauss nodes of each of at most BLOCK intervals
-        [mids - halves, mids + halves], shape (intervals, 24, ...); raises
-        :class:`QuadratureError` at the first node where f is not finite."""
+        [mids - halves, mids + halves], shape (intervals, 24, ...), sampled
+        by :func:`sample`."""
         pts = mids[:, None] + halves[:, None] * _GAUSS_X
-        vals = np.asarray(self.f(pts.ravel()), dtype=float)
-        if not np.isfinite(vals).all():
-            bad = float(pts.ravel()[~np.isfinite(vals.reshape(pts.size, -1)).all(axis=1)][0])
-            raise QuadratureError(f"non-finite integrand sample at s={bad!r}")
+        vals = sample(self.f, pts.ravel())
         return vals.reshape(pts.shape + vals.shape[1:])
 
     def _series(self, lattice):

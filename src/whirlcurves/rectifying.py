@@ -23,7 +23,9 @@ from .numerics import derivative
 from .whirl import LAMBDA_FLOOR, as_frames
 
 HALF_PI = 0.5 * np.pi
-SLOPE_FLOOR = 1e-3   # a ratio line flatter than this is constant, not rectifying
+# a ratio line that changes by at most this over the frames' s-span, |c1| *
+# span, is constant, not rectifying: a bound free of the unit of length
+SLOPE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,15 @@ class RectifyingSpec:
 
 def _phase(h, lam: float):
     """(sqrt(1+lam^2), G, A) with G = 1+h^2+lam^2 and the azimuth
-    A = arctanh(sqrt((1+lam^2)/G)) / lam, arctanh in the stable log form."""
-    G = 1.0 + h * h + lam * lam
+    A = arctanh(sqrt((1+lam^2)/G)) / lam, arctanh in the stable log form;
+    DomainError where G overflows."""
+    with np.errstate(over="ignore"):
+        G = 1.0 + h * h + lam * lam
+    over = np.atleast_1d(np.isinf(G))
+    if over.any():
+        bad = np.atleast_1d(h)[over][0]
+        raise DomainError(f"1 + h^2 + lambda^2 overflows at tau/kappa = h = {float(bad)!r} "
+                          f"with lambda = {lam!r}")
     x = np.sqrt((1.0 + lam * lam) / G)
     A = (np.log1p(x) + 0.5 * np.log(G) - 0.5 * np.log(h * h)) / lam
     return np.sqrt(1.0 + lam * lam), G, A
@@ -196,7 +205,9 @@ def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
     """Fit tau/kappa = c1*s + c2 over Frames, or over a callable's grid.
 
     The rectifying-compatible verdict requires the fit to be tight
-    (rms < rms_tol) and genuinely nonconstant (|c1| > SLOPE_FLOOR).
+    (rms < rms_tol) and genuinely nonconstant: the ratio changes by more
+    than SLOPE_FLOOR over the frames, |c1| * (s_max - s_min) > SLOPE_FLOOR,
+    so scaling s and positions alike keeps the verdict.
     """
     frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 3:
@@ -207,9 +218,10 @@ def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
     resid = ratios - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     c1, c2 = float(coef[0]), float(coef[1])
-    ok = rms < rms_tol and abs(c1) > SLOPE_FLOOR
+    change = abs(c1) * np.ptp(frames.s)
+    ok = rms < rms_tol and change > SLOPE_FLOOR
     note = "" if ok else (
-        "ratio is constant" if abs(c1) <= SLOPE_FLOOR else "ratio is not linear")
+        "ratio is constant" if change <= SLOPE_FLOOR else "ratio is not linear")
     return ChenFit(c1=c1, c2=c2, rms=rms, is_rectifying=ok, note=note)
 
 

@@ -235,6 +235,11 @@ class WhirlCurve:
         rate = np.maximum(1.0, np.abs(self.spec.lam * np.asarray(self.spec.kappa(s)))
                           * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
         step = (s + 0.5 * REACH / rate) - s   # exactly representable
+        zero = np.atleast_1d(step == 0.0)
+        if zero.any():
+            at = float(np.atleast_1d(s)[zero][0])
+            raise DomainError(f"tau/kappa changes too fast to difference at s={at!r}: "
+                              f"its stencil step underflows to zero")
         w = STENCILS[5][0]   # offsets -2..2; the centre's weight is zero
         return ratio, sum(w[k + 2] * self._ratio(s + k * step) for k in (-2, -1, 1, 2)) / step
 
@@ -327,13 +332,14 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
         h = a * np.asarray(s, dtype=float) + b
         return (1.0 + lam * lam) * a / (lam * h * (1.0 + lam * lam + h * h))
 
+    # the pole first: kappa at an end on it would divide by zero
+    if (a * lo + b) * (a * hi + b) <= 0:
+        raise ValueError("domain crosses the a*s + b = 0 pole")
     for edge in (lo, hi):
         if not ev(edge) > 0:
             raise ValueError(
                 "kappa is not positive on the requested domain "
                 "(need sign(a*s+b) = sign(a/lam) throughout)")
-    if (a * lo + b) * (a * hi + b) <= 0:
-        raise ValueError("domain crosses the a*s + b = 0 pole")
     c = 1.0 + lam * lam
 
     def cumulative(s0):

@@ -72,9 +72,14 @@ def whirl_axis(frame: Frames, lam: float, sign: int = 1) -> np.ndarray:
         raise ValueError("lam must be nonzero")
     if np.any(frame.tau == 0.0):
         raise FrameError("axis undefined: zero torsion")
-    r = np.asarray(frame.kappa / frame.tau)[..., None]
-    num = frame.t + lam * frame.n + (1.0 + lam * lam) * r * frame.b
-    return sign * num / np.linalg.norm(num, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # a subnormal tau overflows r
+        r = np.asarray(frame.kappa / frame.tau)[..., None]
+        num = frame.t + lam * frame.n + (1.0 + lam * lam) * r * frame.b
+        norm = np.linalg.norm(num, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norm)):
+        raise FrameError("axis undefined: torsion too small against curvature, "
+                         f"kappa/tau = {float(np.max(np.abs(r))):.3g}")
+    return sign * num / norm
 
 
 def proportionality_residual(frame: Frames, d: np.ndarray, lam: float):

@@ -541,3 +541,57 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
     out = capsys.readouterr().out
     assert float(_verify_line(out, "fitted lambda").split()[-1]) == np.clip(lam, -1e4, 1e4)
     assert _verify_line(out, "whirl verdict:").split(None, 2)[2] == verdict
+
+
+@pytest.mark.parametrize("args, code, says", [
+    (["synth", "--kappa", "linear-ratio", "--a=1", "--b=0", "--lambda=1", "--h0=1",
+      "--range=0:1", "--samples", 9], 3, "error: domain crosses the a*s + b = 0 pole"),
+    (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1", "--lambda=1", "--h0=1",
+      "--range=-1:0", "--samples", 9], 3, "error: domain crosses the a*s + b = 0 pole"),
+    (["synth", "--kappa", "const:1e300", "--lambda=-1", "--h0=1", "--range=0:2"], 2,
+     "domain error: tau/kappa changes too fast to difference at s="),
+    (["rect", "--a=1e300", "--lambda=-1", "--range=0.2:1.2"], 2,
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 2e+299"),
+    (["rect", "--a=0.65", "--lambda=1e300", "--range=0.2:1.2"], 2,
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 0.13 with lambda = 1e+300"),
+    (["extend", "--kind", "curve", "--a=1e300", "--lambda=-1", "--range=0.2:1.2"], 2,
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 2e+299"),
+    (["figure1", "--lambdas=1e300"], 2,
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = "),
+    # tau/kappa ~ 1e-300: the axis formula's kappa/tau term overflows its norm;
+    # ~1e-310, a subnormal torsion, overflows kappa/tau itself
+    (["synth", "--kappa", "const:1", "--lambda=-1", "--h0=1e-300", "--range=0:2"], 1,
+     "axis check failed: axis undefined: torsion too small against curvature"),
+    (["synth", "--kappa", "const:1", "--lambda=-1", "--h0=1e-310", "--range=0:2"], 1,
+     "axis check failed: axis undefined: torsion too small against curvature, kappa/tau = inf"),
+])
+def test_overflowing_inputs_exit_with_one_line_and_no_warning(tmp_path, capsys, args, code,
+                                                               says):
+    # a numpy RuntimeWarning is an error under the suite's warning filter
+    assert run(args + ["--out", tmp_path]) == code
+    out, err = capsys.readouterr()
+    if code == 1:   # the trace is written; the axis lines read nan and say why
+        assert err == ""
+        assert "axis max deviation    nan  (tol 1e-06)" in out
+        assert says in out
+    else:
+        assert err.startswith(says)
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("digits, code", [(8, 0), (7, 3)])
+def test_verify_takes_an_s_column_rounded_to_8_digits(tmp_path, capsys, digits, code):
+    assert run(["synth", "--kappa", "const:1", "--lambda=-1", "--h0", 1, "--range", "0:2",
+                "--samples", 513, "--out", tmp_path]) == 0
+    tr = traceio.read_csv(tmp_path / "synth.csv")
+    s = np.array([float(f"{v:.{digits}g}") for v in tr.s])
+    traceio.write_csv(wc.CurveTrace(s, tr.points), tmp_path / "rounded.csv")
+    capsys.readouterr()
+    assert run(["verify", "--in", tmp_path / "rounded.csv"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "whirl verdict:        POSITIVE" in out
+        assert float(_verify_line(out, "fitted lambda").split()[-1]) == -1.0
+    else:   # 7 digits leave 5e-7 of max |s|, more than rounding to 8 does
+        assert err == ("error: derivatives of samples need a uniform grid: "
+                       "the spacing strays by 0.00026 of the step\n")

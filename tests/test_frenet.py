@@ -159,6 +159,12 @@ def test_trace_line_two_points():
     assert np.array_equal(tr.points, [[0, 0, 0], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+def test_trace_needs_an_increasing_range(lo, hi):
+    with pytest.raises(ValueError, match="^need s_lo < s_hi$"):
+        wc.trace(lambda s: np.array([s, 0.0, 0.0]), lo, hi, 3)
+
+
 def test_trace_midpoint():
     tr = wc.trace(lambda s: np.array([s, 0.0, 0.0]), 0.0, 1.0, 3)
     assert tr.s[1] == 0.5

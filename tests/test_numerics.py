@@ -100,6 +100,15 @@ def test_derivative_step_does_not_grow_with_s():
         assert np.allclose(d, _wave_derivative(1000.4 - 1000.0, k), atol=tol)
 
 
+def test_as_scalar_fn_wraps_a_bare_callable():
+    f = lambda s: 2.0 * s
+    wrapped = wc.as_scalar_fn(f)
+    assert isinstance(wrapped, wc.ScalarFn)
+    assert wrapped.evaluator is f and wrapped.domain == (-np.inf, np.inf)
+    assert wrapped.cumulative is None
+    assert wc.as_scalar_fn(wrapped) is wrapped
+
+
 def test_grid_derivatives_exact_on_polynomial_at_every_node():
     # a degree-6 fit (the 7-node minimum window) is exact on sextics,
     # including the off-centre windows at both ends
@@ -124,6 +133,19 @@ def test_grid_derivatives_dense_helix_third_derivative():
 def test_grid_derivatives_rejects_non_uniform_grid():
     with pytest.raises(ValueError, match="uniform grid"):
         wc.grid_derivatives([0.0, 0.1, 0.3, 0.4], np.zeros(4))
+
+
+def test_grid_derivatives_takes_a_grid_printed_with_8_digits():
+    # rounding to 8 digits spreads the spacing by 2.6e-5 of the step, 5e-8
+    # of max |s|; moving one node by 1% of a step is no rounding
+    s = np.linspace(0.0, 2.0, 513)
+    y = np.column_stack([np.cos(s), np.sin(s), s])
+    rounded = np.array([float("%.8g" % v) for v in s])
+    assert np.allclose(wc.grid_derivatives(rounded, y), wc.grid_derivatives(s, y), atol=1e-7)
+    moved = s.copy()
+    moved[200] += 0.01 * (s[1] - s[0])
+    with pytest.raises(ValueError, match="uniform grid: the spacing strays by 0.02 of the step"):
+        wc.grid_derivatives(moved, y)
 
 
 def test_smooth_cumulative_matches_adaptive():
@@ -228,6 +250,26 @@ def test_cumulative_rejects_a_non_finite_integrand_at_once():
     with pytest.raises(QuadratureError, match=re.escape(f"s={float(nodes[nodes > 0.3][0])!r}")):
         F(0.5)
     assert len(sizes) == 1
+
+
+def test_cumulative_samples_a_scalar_only_integrand_point_by_point():
+    # float() of an array raises TypeError: sample() falls back to one call per
+    # node, as derivative() and trace() do for a scalar-only curve
+    calls = []
+
+    def scalar(s):
+        calls.append(s)
+        return np.exp(-float(s) ** 2)
+
+    vector = wc.SmoothCumulative(lambda s: np.exp(-s ** 2), anchor=0.0, window=(-1.0, 1.0))
+    pointwise = wc.SmoothCumulative(scalar, anchor=0.0, window=(-1.0, 1.0))
+    q = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(pointwise(q), vector(q), rtol=0, atol=1e-15)
+    assert len(calls) > 24 and all(np.ndim(s) == 0 for s in calls[1:])
+    bad = wc.SmoothCumulative(lambda s: np.nan if float(s) > 0.3 else 1.0, anchor=0.0,
+                              window=(0.0, 1.0))
+    with pytest.raises(QuadratureError, match="^non-finite sample at s=0.30"):
+        bad(0.5)
 
 
 def test_windowed_cumulative_checks_its_window_before_any_work():

@@ -98,6 +98,24 @@ def test_chen_fit_rigid_motion_invariant(rng):
     assert moved.c2 == pytest.approx(base.c2, abs=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_chen_verdict_is_free_of_the_unit_of_length(rng, scale):
+    # s and positions scaled alike: c1 scales as 1/scale, and |c1| times
+    # the frames' s-span, the ratio's change over the trace, does not
+    grid = np.linspace(0.2, 1.2, 513)
+    randoms = [random_rectifying_spec(rng) for _ in range(3)]
+    cases = [(wc.RectifyingSpec(a=0.65, b=0.0, lam=-1.0), grid)] + [
+        (spec, branch_grid(spec, n=513)) for spec in randoms]
+    for spec, s in cases:
+        tr = wc.CurveTrace(scale * s, scale * wc.curve_point(spec, s))
+        fit = wc.chen_ratio_fit(wc.trace_frames(tr))
+        assert fit.is_rectifying, (spec, fit)
+    helix = wc.CurveTrace(scale * grid, scale * unit_speed_helix(1.0, 1.0)(grid))
+    fit = wc.chen_ratio_fit(wc.trace_frames(helix))
+    assert not fit.is_rectifying
+    assert fit.note == "ratio is constant"
+
+
 def test_hyperboloid_residual_hand_cases(rng):
     # apex: exact zero when a*a is exactly representable
     assert wc.hyperboloid_residual(np.array([0.0, 0.0, 2.0]), -1.3, 0.5) == 0.0
@@ -337,3 +355,15 @@ def test_rectifying_spec_validation():
         wc.RectifyingSpec(a=1.0, b=0.0, lam=1.0, branch=0)
     with pytest.raises(ValueError, match="u must be positive"):
         wc.cone_point(wc.RectifyingSpec(a=1.0, b=0.0, lam=1.0), 0.4, 0.0)
+
+
+def test_geodesic_residual_refuses_a_cone_point_at_the_apex():
+    # u = sqrt(1 + h^2)/|a| >= 1/|a|, below 1e-12 only for |a| > 1e12
+    with pytest.raises(DomainError, match=r"^degenerate surface normal: u -> 0$"):
+        wc.geodesic_residual(wc.RectifyingSpec(a=1e13, b=0.5, lam=-1.0), 0.0)
+
+
+def test_chen_fit_needs_three_frames():
+    frames = wc.frenet_at(lambda s: wc.curve_point(REF, s), np.array([0.5, 0.6]))
+    with pytest.raises(wc.FrameError, match="^need at least 3 frames for a line fit$"):
+        wc.chen_ratio_fit(frames)

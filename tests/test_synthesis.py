@@ -904,6 +904,19 @@ def test_kappa_families_check_their_domain(make, domain, rule):
         make(domain)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: wc.kappa_linear_ratio(-1.0, 0.0, 1.0, (0.0, 1.0)), "need a != 0 and lam != 0"),
+    (lambda: wc.kappa_linear_ratio(0.0, 1.0, 1.0, (0.0, 1.0)), "need a != 0 and lam != 0"),
+    (lambda: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (1.0, 1.0)), "empty domain"),
+    (lambda: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (1.0, 3.0)),
+     "domain crosses the a*s + b = 0 pole"),
+    (lambda: wc.kappa_polynomial([1.0], (2.0, 1.0)), "empty domain"),
+])
+def test_kappa_families_check_their_parameters(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_kappa_constant_keeps_the_whole_line():
     assert wc.kappa_constant(1.0).domain == (-np.inf, np.inf)
     assert wc.kappa_constant(1.0, domain=(-np.inf, 0.0)).domain == (-np.inf, 0.0)

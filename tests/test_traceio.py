@@ -29,6 +29,11 @@ def test_trace_validation():
         wc.CurveTrace([0.0, 1.0], [[0, 0, 0], [np.nan, 0, 0]])
 
 
+def test_trace_parameter_column_must_be_1d():
+    with pytest.raises(ValueError, match="^parameter column must be 1-d$"):
+        wc.CurveTrace([[0.0, 1.0]], np.zeros((2, 3)))
+
+
 def test_csv_round_trip_byte_identical(tmp_path):
     tr = _sample_trace()
     p1 = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 """Whirl-property primitive tests: intrinsic equation, axis, verification, fit."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,53 @@ def test_trace_verification_is_invariant_under_rigid_motions(seed, motion):
     assert abs(cb.c1 - ca.c1) <= 1e-4 * abs(ca.c1)
     assert abs(cb.c2 - ca.c2) <= 1e-5
     assert (wb.is_whirl, cb.is_rectifying) == (wa.is_whirl, ca.is_rectifying)
+
+
+def _exact_helix_frames():
+    """Closed-form frames of a helix about z: n is orthogonal to the axis."""
+    u = np.linspace(0.0, 3.0, 40)
+    a, b = 1.0, 0.7
+    c = np.hypot(a, b)
+    t = np.column_stack([-a * np.sin(u), a * np.cos(u), np.full(u.size, b)]) / c
+    n = np.column_stack([-np.cos(u), -np.sin(u), 0.0 * u])
+    return wc.Frames(s=u * c, t=t, n=n, b=np.cross(t, n), kappa=np.full(u.size, a / c ** 2),
+                     tau=np.full(u.size, b / c ** 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 0.0), "lam must be nonzero"),
+    (lambda: wc.ratio_derivative([0.0, 1.0], [1.0, 2.0]), "need at least 3 grid points"),
+    (lambda: wc.ratio_derivative([0.0, 1.0, 2.0], [1.0, 2.0]), "need at least 3 grid points"),
+    (lambda: wc.whirl_axis(_exact_helix_frames()[0], 1.0, sign=0), "sign must be +1 or -1"),
+    (lambda: wc.whirl_axis(_exact_helix_frames()[0], 0.0), "lam must be nonzero"),
+    (lambda: wc.verify_whirl(_exact_helix_frames()), "lam is required"),
+    (lambda: wc.verify_whirl(_exact_helix_frames()[:0], lam=1.0), "empty grid"),
+])
+def test_whirl_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_fit_of_a_lam_zero_helix_is_clamped_to_the_floor():
+    # exact frames put the slope's root at lam = 0, inside the floor
+    fit = wc.fit_lambda_axis(_exact_helix_frames())
+    assert abs(fit.lam) == wc.whirl.LAMBDA_FLOOR
+    assert not fit.is_whirl
+    assert fit.note == "not a whirl curve: fitted constant is indistinguishable from zero"
+
+
+def test_fit_of_identical_frames_is_degenerate():
+    # every row alike: N - lam*T has rank 1 for every lam
+    f = _exact_helix_frames()
+    same = wc.Frames(s=f.s, t=np.tile(f.t[0], (len(f), 1)), n=np.tile(f.n[0], (len(f), 1)),
+                     b=np.tile(f.b[0], (len(f), 1)), kappa=f.kappa, tau=f.tau)
+    with pytest.raises(FrameError, match="^no stable fit: degenerate normal system$"):
+        wc.fit_lambda_axis(same)
+
+
+def test_illinois_root_stops_on_an_exact_zero():
+    # the first secant step of a line lands on its root
+    calls = []
+    f = lambda x: calls.append(x) or x - 0.5
+    assert wc.whirl._illinois_root(f, 0.0, 1.0, -0.5, 0.5) == 0.5
+    assert calls == [0.5]
