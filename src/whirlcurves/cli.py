@@ -4,7 +4,7 @@ curve traces.
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 domain error (the exponent bound or a branch/interval constraint), 3 I/O
 or parse error.  Every flag is validated by the parser, so a bad value exits
-3 with a message naming the flag before any file is written; so is a
+3 with one stderr line naming the flag before any file is written; so is a
 ``figure1`` range outside the sphere curve's interval, which exits 2.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
 from .frenet import FRAME_MARGIN, trace, trace_frames, unit_speed_residual
+from .numerics import derivative
 from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
@@ -95,15 +96,19 @@ def _parse_range(text, inset=0.0):
     return lo, hi
 
 
-def _parse_tol(item):
-    """--tol NAME=VAL -> (name, value), the name known and the value positive."""
-    name, eq, val = item.partition("=")
-    if not eq:
-        raise argparse.ArgumentTypeError(f"expected NAME=VAL, got {item!r}")
-    if name not in DEFAULT_TOLS:
-        raise argparse.ArgumentTypeError(
-            f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLS)}")
-    return name, _positive(val)
+def _parse_tol(names):
+    """argparse type for --tol NAME=VAL: (name, value), the name one of
+    ``names`` (the tolerances the subcommand compares against) and the value
+    positive."""
+    def parse(item):
+        name, eq, val = item.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"expected NAME=VAL, got {item!r}")
+        if name not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown tolerance {name!r}; this command reads {', '.join(names)}")
+        return name, _positive(val)
+    return parse
 
 
 def _parse_kappa(text):
@@ -122,20 +127,36 @@ def _parse_kappa(text):
         f"expected const:V (V > 0), poly:c0,c1,... or linear-ratio, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a one-line error for every bad command line."""
+
+    def error(self, message):
+        """A bad command line: one stderr line, without the usage text."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the "--" of --flag=-- and would hand on an empty list
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser():
     """The command-line parser; it holds no state between parses."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="whirlcurves",
         description="Synthesize, verify and export whirl and whirl-rectifying curves.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about, min_samples=None):
-        """A subcommand run by ``func``; one that writes a trace takes
-        --samples (at least ``min_samples``), --format and --out."""
+    def command(name, func, about, tols, min_samples=None):
+        """A subcommand run by ``func`` that compares against the ``tols``
+        entries of DEFAULT_TOLS; one that writes a trace takes --samples (at
+        least ``min_samples``), --format and --out."""
         sp = sub.add_parser(name, help=about, allow_abbrev=False)
         sp.set_defaults(func=func)
-        sp.add_argument("--tol", type=_parse_tol, action="append", metavar="NAME=VAL",
-                        help="override a verification tolerance")
+        sp.add_argument("--tol", type=_parse_tol(tols), action="append", metavar="NAME=VAL",
+                        help="override a verification tolerance: "
+                        + ", ".join(f"{t} (default {DEFAULT_TOLS[t]:g})" for t in tols))
         if min_samples is not None:
             sp.add_argument("--samples", type=_at_least(min_samples), default=513,
                             help=f"grid size, {min_samples} to {MAX_SAMPLES} (default 513)")
@@ -143,7 +164,8 @@ def _build_parser():
             sp.add_argument("--out", default=".", help="output directory")
         return sp
 
-    sp = command("synth", _cmd_synth, "synthesize a whirl curve from a curvature function", 2)
+    sp = command("synth", _cmd_synth, "synthesize a whirl curve from a curvature function",
+                 ("unit_speed", "intrinsic", "axis"), 2)
     sp.add_argument("--kappa", type=_parse_kappa, default="const:1.0",
                     help="const:VALUE | linear-ratio (ratio a*s+b, uses --a/--b) | poly:c0,c1,...")
     sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
@@ -160,9 +182,11 @@ def _build_parser():
     # the verification stencils need REACH on both sides of their nodes
     sp.add_argument("--range", dest="srange", type=lambda t: _parse_range(t, REACH), required=True)
 
-    rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve", 3)
+    rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve",
+                   ("unit_speed", "hyperboloid", "chen_rms"), 3)
     rect.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
-    extend = command("extend", _cmd_extend, "sample a continuous extension", 1)
+    extend = command("extend", _cmd_extend, "sample a continuous extension",
+                     ("hyperboloid", "sphere"), 1)
     extend.add_argument("--kind", choices=("curve", "sphere"), default="curve",
                         help="curve: whole-line extension; sphere: radial projection")
     for sp in (rect, extend):
@@ -172,12 +196,12 @@ def _build_parser():
         sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
         sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
 
-    sp = command("verify", _cmd_verify,
-                 "verify the whirl/rectifying properties of a trace file")
+    sp = command("verify", _cmd_verify, "verify the whirl/rectifying properties of a trace file",
+                 ("fit_rms", "chen_rms"))
     sp.add_argument("--in", dest="infile", required=True)
 
-    sp = command("figure1", _cmd_figure1,
-                 "reproduce the reference parameter sweep (12 traces)", 1)
+    sp = command("figure1", _cmd_figure1, "reproduce the reference parameter sweep (12 traces)",
+                 ("hyperboloid", "sphere"), 1)
     sp.add_argument("--a", type=_nonzero, default=0.65)
     sp.add_argument("--b", type=_finite, default=0.0)
     sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
@@ -223,6 +247,9 @@ def _make_kappa(args, lo, hi):
 
 def _cmd_synth(args) -> int:
     lo, hi = args.srange
+    # the unit-speed check's end nodes: where its step rounds to zero, refused
+    # before any panel is built or file written
+    derivative(lambda s: s, np.array([lo + REACH, hi - REACH]), 1)
     bound = args.bound if args.bound is not None else bound_from_ratio(args.h0, args.lam)
     spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)

@@ -68,12 +68,13 @@ class Frames:
             np.asarray(v, dtype=float)[()]
             for v in (self.s, self.t, self.n, self.b, self.kappa, self.tau))
         t, n, b = self.t, self.n, self.b
-        checks = [(np.abs(_norm(v) - 1.0) > FRAME_TOL,
+        # each test fails on NaN: not (x <= tol)
+        checks = [(~(np.abs(_norm(v) - 1.0) <= FRAME_TOL),
                    f"{name} is not a unit vector") for name, v in (("t", t), ("n", n), ("b", b))]
-        off = [np.abs(_dot(u, v)) > FRAME_TOL for u, v in ((t, n), (t, b), (n, b))]
+        off = [~(np.abs(_dot(u, v)) <= FRAME_TOL) for u, v in ((t, n), (t, b), (n, b))]
         _raise_first(self.s, checks + [
             (off[0] | off[1] | off[2], "frame is not orthogonal"),
-            (_norm(b - np.cross(t, n)) > FRAME_TOL, "b != t x n"),
+            (~(_norm(b - np.cross(t, n)) <= FRAME_TOL), "b != t x n"),
             (~(self.kappa > 0), "kappa must be positive")])
 
     def __len__(self) -> int:
@@ -90,10 +91,10 @@ def _frames(s, d1, d2, d3) -> Frames:
     and tau = (d1 x d2 . d3)/|d1 x d2|^2.  Every length is :func:`_norm`'s,
     bit for bit ``np.linalg.norm``'s.
     """
-    speed = _norm(d1)
-    cr = np.cross(d1, d2)
-    crn2 = _dot(cr, cr)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):   # a zero or overflowing derivative fails a check below
+        speed = _norm(d1)
+        cr = np.cross(d1, d2)
+        crn2 = _dot(cr, cr)
         t = d1 / speed[:, None]
         kappa = np.sqrt(crn2) / speed ** 3
         n = np.cross(cr, d1)
@@ -102,7 +103,9 @@ def _frames(s, d1, d2, d3) -> Frames:
         n = n - _dot(n, t)[:, None] * t
         n = n / _norm(n)[:, None]
         tau = _dot(cr, d3) / crn2
-    _raise_first(s, [(speed == 0.0, "undefined frame: zero velocity"),
+    _raise_first(s, [(~(np.isfinite(speed) & np.isfinite(crn2)),
+                      "undefined frame: a derivative overflows"),
+                     (speed == 0.0, "undefined frame: zero velocity"),
                      ((kappa < KAPPA_FLOOR) | (crn2 == 0.0),
                       "undefined frame: vanishing curvature")])
     return Frames(s, t, n, np.cross(t, n), kappa, tau)

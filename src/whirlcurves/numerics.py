@@ -133,15 +133,19 @@ def derivative(f, s, order) -> np.ndarray:
     on a new first axis), all from one stencil: W = 2*max(order)+1 samples
     EPS**(1/W) apart on a unit length scale, whatever ``s`` is, less the
     centre when every order is odd (its weight is zero).  Order 0 in a tuple
-    returns the centre sample itself."""
+    returns the centre sample itself.  DomainError names the first s where
+    the step rounds to zero, the float spacing there exceeding twice it."""
     orders = np.atleast_1d(order)
-    if not np.all(np.isin(orders, (0, 1, 2, 3))) or orders.max() == 0:
+    if not set(orders.tolist()) <= {0, 1, 2, 3} or orders.max() == 0:
         raise ValueError("order must be 1, 2 or 3 (0 only alongside them)")
     width = 2 * int(orders.max()) + 1
     offsets = np.arange(width) - width // 2
     used = (offsets != 0) | np.any(orders % 2 == 0)
     x = np.atleast_1d(np.asarray(s, dtype=float))
     h = (x + EPS ** (1.0 / width)) - x   # an exactly representable step
+    if not h.all():
+        raise DomainError(f"s={float(x[h == 0][0])!r} is too large to difference: "
+                          f"the stencil step rounds to zero")
     rows = np.split(sample(f, np.concatenate([x + k * h for k in offsets[used]])), used.sum())
     h = h.reshape(h.shape + (1,) * (rows[0].ndim - 1))
     weights = np.vstack([offsets == 0, STENCILS[width]])
@@ -179,7 +183,8 @@ def grid_derivatives(s, y) -> np.ndarray:
     mid = [[np.correlate(col, wk, "valid") for col in cols.T] for wk in w[c]]
     d = np.concatenate([np.moveaxis(w[:c] @ cols[:width], 0, 1), np.transpose(mid, (0, 2, 1)),
                         np.moveaxis(w[c + 1:] @ cols[-width:], 0, 1)], axis=1)
-    return (d / h ** np.arange(1, 4)[:, None, None]).reshape((3,) + y.shape)
+    with np.errstate(over="ignore"):   # samples near the float range: infinite derivatives
+        return (d / h ** np.arange(1, 4)[:, None, None]).reshape((3,) + y.shape)
 
 
 class SmoothCumulative:

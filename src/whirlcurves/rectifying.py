@@ -66,15 +66,26 @@ def _phase(h, lam: float):
     A = arctanh(sqrt((1+lam^2)/G)) / lam, arctanh in the stable log form;
     DomainError where G overflows."""
     with np.errstate(over="ignore"):
-        G = 1.0 + h * h + lam * lam
+        hh = h * h
+        G = 1.0 + hh + lam * lam
     over = np.atleast_1d(np.isinf(G))
     if over.any():
         bad = np.atleast_1d(h)[over][0]
         raise DomainError(f"1 + h^2 + lambda^2 overflows at tau/kappa = h = {float(bad)!r} "
                           f"with lambda = {lam!r}")
     x = np.sqrt((1.0 + lam * lam) / G)
-    A = (np.log1p(x) + 0.5 * np.log(G) - 0.5 * np.log(h * h)) / lam
+    with np.errstate(divide="ignore"):
+        log_h = 0.5 * np.log(hh)
+    if not hh.all():   # h^2 underflows to 0 for |h| below ~1e-162
+        log_h = np.where(hh == 0.0, np.log(np.abs(h)), log_h)
+    A = (np.log1p(x) + 0.5 * np.log(G) - log_h) / lam
     return np.sqrt(1.0 + lam * lam), G, A
+
+
+def _ratio(spec: RectifyingSpec, s):
+    """h = a*s + b; one that overflows is infinite, which _phase rejects."""
+    with np.errstate(over="ignore"):
+        return spec.a * np.asarray(s, dtype=float) + spec.b
 
 
 def _check_branch(spec: RectifyingSpec, h, what: str):
@@ -99,15 +110,14 @@ def _omega(spec: RectifyingSpec, h):
 
 def curve_point(spec: RectifyingSpec, s) -> np.ndarray:
     """Position of the whirl-rectifying curve (unit-speed parameter s)."""
-    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    h = _ratio(spec, s)
     _check_branch(spec, h, "curve")
     return _omega(spec, h)
 
 
 def curve_velocity(spec: RectifyingSpec, s) -> np.ndarray:
     """Analytic first derivative of :func:`curve_point` (a unit vector)."""
-    s = np.asarray(s, dtype=float)
-    h = spec.a * s + spec.b
+    h = _ratio(spec, s)
     _check_branch(spec, h, "curve")
     lam = spec.lam
     root, G, A = _phase(h, lam)
@@ -153,7 +163,7 @@ def _sphere_formula(spec: RectifyingSpec, t):
 def cone_coords(spec: RectifyingSpec, s):
     """Change of variables s -> (t, u) with u * w(t) = curve_point(s): two
     arrays shaped like ``s`` (u > 0 always)."""
-    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    h = _ratio(spec, s)
     return -spec.d_shift + np.arctan(h), np.sqrt(1.0 + h * h) / abs(spec.a)
 
 
@@ -233,7 +243,7 @@ def extended_point(spec: RectifyingSpec, s) -> np.ndarray:
     Off the seam it equals curve_point on the corresponding branch; at
     s = -b/a it takes the value (0, 0, 1/a).
     """
-    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    h = _ratio(spec, s)
     out = np.empty(h.shape + (3,))
     seam = h == 0.0
     out[seam] = np.array([0.0, 0.0, 1.0 / spec.a])

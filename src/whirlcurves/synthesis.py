@@ -61,6 +61,8 @@ class WhirlSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if abs(self.lam) < LAMBDA_FLOOR:
             raise ValueError("lam must be nonzero")
+        if not np.isfinite(1.0 + self.lam * self.lam):
+            raise ValueError(f"1 + lam^2 overflows at lam = {self.lam!r}")
         if self.z_sign not in (1, -1) or self.tau_sign not in (1, -1):
             raise ValueError("z_sign and tau_sign must be +1 or -1")
 
@@ -140,11 +142,19 @@ class WhirlCurve:
 
     def exponent(self, s):
         """lam * int_{s0}^{s} kappa - bound; must stay below zero."""
-        val = self.spec.lam * self._kcum(s) - self.spec.bound
-        over = np.atleast_1d(val > EXPONENT_CEIL)
-        if over.any():
-            raise DomainError("domain bound lam*int(kappa) < bound violated at "
-                              f"s={np.atleast_1d(s)[over][0]}")
+        with np.errstate(all="ignore"):   # checked below
+            val = self.spec.lam * self._kcum(s) - self.spec.bound
+            # 2E (in w) and the tangent's azimuth, about -E/lam, must be finite;
+            # below the ceiling a NaN or the least E decides, so the mask is
+            # formed only when one fails
+            low = np.min(val, initial=0.0)   # 0.0: an empty query
+            far = (False if np.isfinite((low + low) / self.spec.lam)
+                   else ~np.isfinite((val + val) / self.spec.lam))
+        for bad, why in ((val > EXPONENT_CEIL, "domain bound lam*int(kappa) < bound violated"),
+                         (far, "the exponent E = lam*int(kappa) - bound, over lam, overflows")):
+            bad = np.atleast_1d(bad)
+            if bad.any():
+                raise DomainError(f"{why} at s={np.atleast_1d(s)[bad][0]}")
         return val
 
     @staticmethod
@@ -232,8 +242,9 @@ class WhirlCurve:
         s = np.asarray(s, dtype=float)
         lam2 = self.spec.lam ** 2
         ratio = self._ratio(s)
-        rate = np.maximum(1.0, np.abs(self.spec.lam * np.asarray(self.spec.kappa(s)))
-                          * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
+        with np.errstate(over="ignore"):   # an infinite rate leaves no step: refused below
+            rate = np.maximum(1.0, np.abs(self.spec.lam * np.asarray(self.spec.kappa(s)))
+                              * (1.0 + lam2 + 3.0 * ratio * ratio) / (1.0 + lam2))
         step = (s + 0.5 * REACH / rate) - s   # exactly representable
         zero = np.atleast_1d(step == 0.0)
         if zero.any():
@@ -293,6 +304,17 @@ def _domain_ends(domain, finite: bool = True):
     return lo, hi
 
 
+def _kappa_on(ev, s, domain):
+    """``ev(s)``, kappa on the points ``s`` of ``domain``; ValueError where a
+    step of it overflows, so numpy neither warns nor returns what is left."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return ev(s)
+        except FloatingPointError:
+            raise ValueError(f"kappa overflows on the requested domain "
+                             f"[{domain[0]!r}, {domain[1]!r}]") from None
+
+
 def kappa_constant(value: float,
                    domain=(-np.inf, np.inf)) -> ScalarFn:
     """Constant curvature function."""
@@ -333,10 +355,10 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
         return (1.0 + lam * lam) * a / (lam * h * (1.0 + lam * lam + h * h))
 
     # the pole first: kappa at an end on it would divide by zero
-    if (a * lo + b) * (a * hi + b) <= 0:
+    if not np.sign(a * lo + b) * np.sign(a * hi + b) > 0:   # a product may over- or underflow
         raise ValueError("domain crosses the a*s + b = 0 pole")
     for edge in (lo, hi):
-        if not ev(edge) > 0:
+        if not _kappa_on(ev, edge, (lo, hi)) > 0:
             raise ValueError(
                 "kappa is not positive on the requested domain "
                 "(need sign(a*s+b) = sign(a/lam) throughout)")
@@ -373,7 +395,7 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
             out = out * s + c
         return out if out.ndim else float(out)
 
-    probe = ev(np.linspace(lo, hi, 1001))
+    probe = _kappa_on(ev, np.linspace(lo, hi, 1001), (lo, hi))
     if np.min(probe) <= 0:
         raise ValueError("polynomial curvature is not positive on the domain")
 

@@ -125,3 +125,11 @@ def congruent_distances(points_a, points_b, atol):
     da = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=-1)
     db = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=-1)
     return float(np.max(np.abs(da - db))) <= atol
+
+
+# the tolerances each subcommand compares against: what its --tol accepts
+TOLERANCES_READ = {"synth": ("unit_speed", "intrinsic", "axis"),
+                   "rect": ("unit_speed", "hyperboloid", "chen_rms"),
+                   "extend": ("hyperboloid", "sphere"),
+                   "verify": ("fit_rms", "chen_rms"),
+                   "figure1": ("hyperboloid", "sphere")}

@@ -10,7 +10,7 @@ import whirlcurves as wc
 from whirlcurves import cli
 from whirlcurves.cli import main
 from whirlcurves import traceio
-from conftest import unit_speed_helix
+from conftest import TOLERANCES_READ, unit_speed_helix
 
 
 def run(args):
@@ -330,10 +330,10 @@ SYNTH = ["synth", "--lambda", -1, "--range", "0:1", "--samples", 5]
 @pytest.mark.parametrize("args", [
     RECT + ["--tol", "foo"],
     RECT + ["--tol", "bogus=1"],
-    RECT + ["--tol", "axis=abc"],
-    RECT + ["--tol", "axis=nan"],
-    RECT + ["--tol", "axis=0"],
-    RECT + ["--tol", "axis=-1"],
+    RECT + ["--tol", "hyperboloid=abc"],
+    RECT + ["--tol", "hyperboloid=nan"],
+    RECT + ["--tol", "hyperboloid=0"],
+    RECT + ["--tol", "hyperboloid=-1"],
     ["verify", "--in", "missing.csv", "--tol", "fit_rms=0"],
 ])
 def test_bad_tol_exit_3(tmp_path, capsys, args):
@@ -342,6 +342,52 @@ def test_bad_tol_exit_3(tmp_path, capsys, args):
     assert code == 3
     assert "argument --tol:" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# a command line each subcommand runs
+RUNS = {"synth": SYNTH + ["--h0", 1], "rect": RECT + ["--samples", 33],
+        "extend": ["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--samples", 9],
+        "verify": ["verify", "--in"], "figure1": ["figure1", "--lambdas=-1", "--samples", 9]}
+
+
+def _command_line(command, tmp_path):
+    """A command line for ``command`` that writes into, or reads from, ``tmp_path``."""
+    if command == "verify":
+        return RUNS[command] + [tmp_path / "rect.csv"]
+    return RUNS[command] + ["--out", tmp_path]
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, reads in TOLERANCES_READ.items()
+                                           for n in cli.DEFAULT_TOLS if n not in reads])
+def test_a_tolerance_the_subcommand_does_not_read_exit_3(tmp_path, capsys, command, name):
+    code = run(_command_line(command, tmp_path) + ["--tol", f"{name}=1e-300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+    assert err == (f"whirlcurves {command}: error: argument --tol: unknown tolerance "
+                   f"{name!r}; this command reads {', '.join(TOLERANCES_READ[command])}\n")
+
+
+@pytest.mark.parametrize("command", TOLERANCES_READ)
+def test_tol_help_lists_the_subcommand_tolerances(capsys, command):
+    assert run([command, "-h"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "override a verification tolerance: " + ", ".join(
+        f"{n} (default {cli.DEFAULT_TOLS[n]:g})" for n in TOLERANCES_READ[command]) in help_text
+
+
+@pytest.mark.parametrize("command, name, extra", [
+    (c, n, []) for c, reads in TOLERANCES_READ.items() if c != "extend" for n in reads] + [
+    ("extend", "hyperboloid", ["--kind", "curve"]), ("extend", "sphere", ["--kind", "sphere"])])
+def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys, command, name,
+                                                               extra):
+    if command == "verify":   # a rectifying trace, whose chen fit passes by default
+        assert run(RECT + ["--out", tmp_path]) == 0
+    argv = _command_line(command, tmp_path) + extra
+    run(argv)
+    default = capsys.readouterr().out
+    run(argv + ["--tol", f"{name}=1e-300"])
+    assert capsys.readouterr().out != default
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -564,6 +610,39 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
      "axis check failed: axis undefined: torsion too small against curvature"),
     (["synth", "--kappa", "const:1", "--lambda=-1", "--h0=1e-310", "--range=0:2"], 1,
      "axis check failed: axis undefined: torsion too small against curvature, kappa/tau = inf"),
+    # far from 0 the float spacing exceeds twice the stencil step of numerics.derivative
+    (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9], 2,
+     "domain error: s=1000000000000.0 is too large to difference: the stencil step rounds"),
+    (["synth", "--kappa", "poly:1,1e-3", "--lambda=-1", "--h0", 1,
+      "--range=1e15:1.0000000001e15", "--samples", 9], 2,
+     "domain error: s=1000000000000000.0 is too large to difference"),
+    (["synth", "--kappa", "const:1e-12", "--lambda=-1", "--h0", 1, "--s0=1e12",
+      "--range=1e12:1.00000001e12", "--samples", 9], 2,
+     "domain error: s=1000000000000.0015 is too large to difference"),
+    # the curvature families: a step of kappa that overflows on the domain
+    (["synth", "--kappa", "linear-ratio", "--a=1e300", "--b=1", "--lambda=1", "--h0=1",
+      "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
+    (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1", "--lambda=1e300", "--h0=1",
+      "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
+    (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1e300", "--lambda=1", "--h0=1",
+      "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
+    (["synth", "--kappa", "poly:1e308,1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 3,
+     "error: kappa overflows on the requested domain [-1.0, 3.0]"),
+    (["synth", "--kappa", "poly:1,0,1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 3,
+     "error: kappa overflows on the requested domain [-1.0, 3.0]"),
+    # found by the fuzzed command line (test_cli_fuzz.py)
+    (["synth", "--kappa", "poly:1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 2,
+     "domain error: the exponent E = lam*int(kappa) - bound, over lam, overflows at s=2.0"),
+    (["synth", "--kappa", "const:0.5", "--lambda=1e-3", "--B=9.99e306", "--range=0:10"], 2,
+     "domain error: the exponent E = lam*int(kappa) - bound, over lam, overflows at s=0.0"),
+    (["synth", "--kappa", "const:1e300", "--lambda=-1e10", "--h0=1", "--range=0:0.004"], 2,
+     "domain error: tau/kappa changes too fast to difference at s="),
+    (["synth", "--lambda=-3.3e301", "--B=1", "--range=0:1"], 3,
+     "error: 1 + lam^2 overflows at lam = -3.3e+301"),
+    (["synth", "--kappa", "linear-ratio", "--a=1e300", "--lambda=-1", "--B=17",
+      "--range=1:1e10"], 3, "error: domain crosses the a*s + b = 0 pole"),
+    (["extend", "--kind", "curve", "--a=1e300", "--lambda=-1", "--range=1e10:1e11"], 2,
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = inf"),
 ])
 def test_overflowing_inputs_exit_with_one_line_and_no_warning(tmp_path, capsys, args, code,
                                                                says):
@@ -577,6 +656,26 @@ def test_overflowing_inputs_exit_with_one_line_and_no_warning(tmp_path, capsys, 
     else:
         assert err.startswith(says)
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--a", "--range", "--tol", "--samples"])
+def test_a_flag_given_as_its_own_end_marker_exit_3(tmp_path, capsys, flag):
+    # argparse drops the "--" of --a=-- and would hand the command an empty list
+    assert run(RECT + [f"{flag}=--", "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == (f"whirlcurves rect: error: argument {flag}: "
+                                       f"expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_of_a_trace_whose_derivatives_overflow_is_negative(tmp_path, capsys):
+    assert run(RECT + ["--samples", 24, "--out", tmp_path]) == 0
+    tr = traceio.read_csv(tmp_path / "rect.csv")
+    tr.points[5, 1] = -1e308
+    traceio.write_csv(tr, tmp_path / "huge.csv")
+    capsys.readouterr()
+    assert run(["verify", "--in", tmp_path / "huge.csv"]) == 1
+    out = capsys.readouterr().out
+    assert "whirl verdict:        NEGATIVE  (undefined frame: a derivative overflows at s=" in out
 
 
 @pytest.mark.parametrize("digits, code", [(8, 0), (7, 3)])

@@ -300,6 +300,11 @@ def _frame_rows(n=5):
     ("n", [0.6, 0.8, 0.0], "not orthogonal"),
     ("b", [0.0, 0.0, -1.0], r"b != t x n"),
     ("kappa", 0.0, "kappa must be positive"),
+    # every check fails on NaN
+    ("t", [np.nan, 0.0, 0.0], "t is not a unit vector"),
+    ("n", [0.0, np.nan, 0.0], "n is not a unit vector"),
+    ("b", [0.0, 0.0, np.nan], "b is not a unit vector"),
+    ("kappa", np.nan, "kappa must be positive"),
 ])
 def test_frames_validator_names_first_bad_row(field, row, match):
     rows = _frame_rows()

@@ -100,6 +100,16 @@ def test_derivative_step_does_not_grow_with_s():
         assert np.allclose(d, _wave_derivative(1000.4 - 1000.0, k), atol=tol)
 
 
+def test_derivative_refuses_a_step_that_rounds_to_zero():
+    # at 1e15 the float spacing, 0.125, exceeds twice EPS**(1/3) ~ 6e-6
+    with pytest.raises(DomainError, match=r"^s=1000000000000000\.0 is too large to difference: "
+                                          r"the stencil step rounds to zero$"):
+        wc.derivative(np.sin, 1e15, 1)
+    with pytest.raises(DomainError, match=r"^s=2000000000000000\.0 is too large"):
+        wc.derivative(np.sin, np.array([0.0, 1e10, 2e15, 3e15]), 1)
+    assert np.isfinite(wc.derivative(np.sin, np.array([0.0, 1e10]), 1)).all()
+
+
 def test_as_scalar_fn_wraps_a_bare_callable():
     f = lambda s: 2.0 * s
     wrapped = wc.as_scalar_fn(f)

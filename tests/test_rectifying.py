@@ -270,6 +270,17 @@ def test_extended_point_seam_and_continuity():
     assert np.all(np.diff(gaps) < 0)
 
 
+def test_closed_forms_hold_where_h_squared_underflows():
+    # within ~1e-162 of the seam h*h is 0: the azimuth takes ln|h| itself
+    for h in (1e-200, -1e-300):
+        p = wc.extended_point(REF, np.array([h / REF.a]))[0]
+        q = wc.extended_sphere_point(REF, np.array([h]))[0]
+        assert np.all(np.abs([p[:2], q[:2]]) <= 2.0 * abs(h))
+        assert p[2] == pytest.approx(1.0 / REF.a, rel=1e-15) and q[2] == pytest.approx(1.0)
+    p = wc.curve_point(REF, 1e-250)
+    assert np.all(np.abs(p[:2]) <= 1e-249) and p[2] == pytest.approx(1.0 / REF.a, rel=1e-15)
+
+
 def test_extended_point_vectorized_matches_branches():
     grid = np.linspace(-1.0, 1.0, 21)   # includes the seam at 0
     pts = wc.extended_point(REF, grid)

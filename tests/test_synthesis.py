@@ -868,6 +868,44 @@ def test_whirlspec_validation():
         wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=1.0, bound=1.0, z_sign=2)
 
 
+def test_whirlspec_rejects_a_lam_whose_square_overflows():
+    # 1 + lam^2 enters every closed form; Python's lam ** 2 would raise OverflowError
+    with pytest.raises(ValueError, match=r"^1 \+ lam\^2 overflows at lam = -1e\+200$"):
+        wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1e200, bound=1.0)
+    assert wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1e150, bound=1.0).lam == -1e150
+
+
+@pytest.mark.parametrize("make, domain", [
+    (lambda d: wc.kappa_linear_ratio(1.0, 1e300, 1.0, d), (0.0, 1.0)),
+    (lambda d: wc.kappa_linear_ratio(1e300, 1.0, 1.0, d), (0.0, 1.0)),
+    (lambda d: wc.kappa_linear_ratio(1.0, 1.0, 1e300, d), (0.0, 1.0)),
+    (lambda d: wc.kappa_polynomial([1e308, 1e308], d), (-1.0, 3.0)),
+    (lambda d: wc.kappa_polynomial([1.0, 0.0, 1e308], d), (-1.0, 3.0)),
+])
+def test_kappa_families_refuse_a_kappa_that_overflows(make, domain):
+    # numpy's overflow warnings are errors under the suite's filter
+    with pytest.raises(ValueError, match=re.escape(
+            f"kappa overflows on the requested domain [{domain[0]!r}, {domain[1]!r}]")):
+        make(domain)
+
+
+def test_the_pole_check_survives_an_overflowing_end():
+    # a*s + b overflows at s = 1e10 and is 0 at s = 0: the product of the two was nan
+    with pytest.raises(ValueError, match=r"^domain crosses the a\*s \+ b = 0 pole$"):
+        wc.kappa_linear_ratio(-1.0, 1e300, 0.0, (0.0, 1e10))
+
+
+@pytest.mark.parametrize("kappa, lam, bound, s", [
+    (wc.kappa_polynomial([1e308], (-1.0, 3.0)), -1.0, 1.0, 2.0),   # int kappa overflows
+    (wc.kappa_constant(0.5), 1e-3, 9.99e306, 0.0),                   # E/lam overflows
+])
+def test_exponent_refuses_what_the_tangent_cannot_use(kappa, lam, bound, s):
+    spec = wc.WhirlSpec(kappa=kappa, lam=lam, bound=bound)
+    with pytest.raises(DomainError, match=re.escape(
+            f"the exponent E = lam*int(kappa) - bound, over lam, overflows at s={s}")):
+        wc.WhirlCurve(spec, window=(0.0, 2.0))
+
+
 @pytest.mark.parametrize("field, value", [
     ("lam", np.nan), ("lam", np.inf), ("s0", np.nan), ("bound", np.inf)])
 def test_whirlspec_rejects_non_finite_numbers(field, value):
