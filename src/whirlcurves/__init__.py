@@ -15,8 +15,8 @@ from .numerics import (EPS, ScalarFn, SmoothCumulative, as_scalar_fn, derivative
 from .traceio import CurveTrace, read_csv, read_json, read_trace, write_csv, write_json
 from .frenet import Frames, frenet_at, trace, trace_frames, unit_speed_residual
 from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,
-                    intrinsic_residual_grid, proportionality_residual,
-                    ratio_derivative, verify_whirl, whirl_axis)
+                    intrinsic_residual_grid, proportionality_residual, verify_whirl,
+                    whirl_axis)
 from .synthesis import (WhirlCurve, WhirlSpec, axis_bound, bound_from_ratio,
                         intrinsic_residual_max, kappa_constant, kappa_linear_ratio,
                         kappa_polynomial, synthesize, trace_meta)

@@ -4,8 +4,8 @@ curve traces.
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 domain error (the exponent bound or a branch/interval constraint), 3 I/O
 or parse error.  Every flag is validated by the parser, so a bad value exits
-3 with one stderr line naming the flag before any file is written; so is a
-``figure1`` range outside the sphere curve's interval, which exits 2.
+3 with one stderr line naming the flag.  Every check runs before the first
+file is written, so a command that exits 2 or 3 writes no file.
 """
 
 import argparse
@@ -255,15 +255,16 @@ def _cmd_synth(args) -> int:
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
     # one curve: the checks read the written positions off its windowed table
     curve = WhirlCurve(spec, window=(lo, hi))
+    # from the closed forms alone, so a ratio it cannot difference is refused
+    # before any panel is built
+    ires = synthesis.intrinsic_residual_max(curve, lo, hi)
     tr = trace(curve.position, lo, hi, args.samples, meta={
         **synthesis.trace_meta(curve), "command": "synth", "kappa": args.kappa[0],
         "samples": args.samples, "range": [lo, hi]})
-    path = _write(tr, args.out, "synth", args.format)
     # nodes REACH inside the window: tangent and ratio probes reach REACH, or
     # an ulp past the window for a rounded step, which the curve answers
     usr = unit_speed_residual(curve.position, np.linspace(lo + REACH, hi - REACH,
                                                           min(args.samples, 65)))
-    ires = synthesis.intrinsic_residual_max(curve, lo, hi)
     inner = np.linspace(lo + REACH, hi - REACH, min(args.samples, 33))
     try:
         report = whirl.verify_whirl(curve.position, inner, lam=spec.lam,
@@ -271,6 +272,7 @@ def _cmd_synth(args) -> int:
         axis, why = (report.max_deviation, report.max_residual), []
     except FrameError as exc:  # e.g. the torsion underflows to zero far out
         axis, why = (np.nan, np.nan), [f"axis check failed: {exc}"]
+    path = _write(tr, args.out, "synth", args.format)
     print(f"wrote {path} ({len(tr)} samples)")
     return _verdict([("unit-speed residual", usr, args.tol["unit_speed"]),
                      ("intrinsic residual", ires, args.tol["intrinsic"]),
@@ -292,13 +294,13 @@ def _cmd_rect(args) -> int:
         "param": "s", "command": "rect", "a": args.a, "b": args.b,
         "lam": args.lam, "d": args.d_shift, "branch": branch,
         "samples": args.samples, "range": [lo, hi]})
-    path = _write(tr, args.out, "rect", args.format)
     usr = unit_speed_residual(lambda s: rectifying.curve_point(spec, s), grid)
     hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
     chen = rectifying.chen_ratio_fit(
         lambda s: rectifying.curve_point(spec, s), grid,
         deriv=lambda s: rectifying.curve_velocity(spec, s),
         rms_tol=args.tol["chen_rms"])
+    path = _write(tr, args.out, "rect", args.format)
     print(f"wrote {path} ({len(tr)} samples)")
     return _verdict(
         [("unit-speed residual", usr, args.tol["unit_speed"]),
@@ -370,18 +372,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure1(args) -> int:
     grid = np.linspace(*args.srange, args.samples)
-    # every sphere trace lives on the open interval (-d - pi/2, -d + pi/2):
-    # check the grid's ends against it before the first file is written
-    rectifying.extended_sphere_point(rectifying.RectifyingSpec(
-        a=args.a, b=args.b, lam=args.lambdas[0], d_shift=args.d_shift), grid[[0, -1]])
+    specs = [rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam, d_shift=args.d_shift)
+             for lam in args.lambdas]
+    # a trace refused anywhere is refused at an end of the grid (outside the
+    # sphere's open interval, or where 1 + h^2 + lambda^2 overflows): check
+    # every lambda's ends before the first file is written
+    for spec in specs:
+        rectifying.extended_point(spec, grid[[0, -1]])
+        rectifying.extended_sphere_point(spec, grid[[0, -1]])
     worst_h = worst_s = 0.0
-    for lam in args.lambdas:
-        spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam,
-                                         d_shift=args.d_shift)
+    for spec in specs:
         path, hres = _extension(args, spec, "curve", grid)
         spath, sres = _extension(args, spec, "sphere", grid)
         worst_h, worst_s = max(worst_h, hres), max(worst_s, sres)
-        print(f"lambda={lam:<6g} {os.path.basename(path)} (hyperboloid {hres:.2e})  "
+        print(f"lambda={spec.lam:<6g} {os.path.basename(path)} (hyperboloid {hres:.2e})  "
               f"{os.path.basename(spath)} (sphere {sres:.2e})")
     return _verdict([("worst hyperboloid residual", worst_h, args.tol["hyperboloid"]),
                      ("worst sphere residual", worst_s, args.tol["sphere"])],

@@ -372,7 +372,15 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
         def integral(s):
             delta = a * (np.asarray(s, dtype=float) - s0)
             h = h0 + delta
-            return np.log1p((delta / h0) * ((h0 + h) / h0) * (c / (c + h * h))) / (2.0 * lam)
+            with np.errstate(over="ignore"):
+                arg = (delta / h0) * ((h0 + h) / h0) * (c / (c + h * h))
+            out = np.log1p(arg) / (2.0 * lam)
+            over = ~np.isfinite(arg)
+            if over.any():   # a tiny h0 overflows the quotients: the logs apart
+                logs = (np.log(np.abs(h)) - np.log(abs(h0))
+                        - 0.5 * (np.log(c + h * h) - np.log(c + h0 * h0))) / lam
+                out = np.where(over, logs, out)[()]
+            return out
 
         return integral
 

@@ -47,27 +47,21 @@ def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
     return out if np.ndim(out) else float(out)
 
 
-def ratio_derivative(s_grid, ratios) -> np.ndarray:
-    """d(ratio)/ds at every node of a uniform grid: the first row of
+def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
+    """Intrinsic residual at every node of a uniform grid, d(tau/kappa)/ds from
     :func:`~whirlcurves.numerics.grid_derivatives`.  Raises ValueError on a
     non-uniform grid.
     """
-    s, r = np.asarray(s_grid, dtype=float), np.asarray(ratios, dtype=float)
-    if s.size != r.size or s.size < 3:
-        raise ValueError("need at least 3 grid points")
-    return grid_derivatives(s, r)[0]
-
-
-def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
-    """Intrinsic residual at every grid node, ratio derivative from the grid."""
+    s = np.asarray(s_grid, dtype=float)
     kappas, taus = np.asarray(kappas, dtype=float), np.asarray(taus, dtype=float)
-    return intrinsic_residual(kappas, taus, ratio_derivative(s_grid, taus / kappas), lam)
+    ratios = taus / kappas
+    if s.size != ratios.size or s.size < 3:
+        raise ValueError("need at least 3 grid points")
+    return intrinsic_residual(kappas, taus, grid_derivatives(s, ratios)[0], lam)
 
 
-def whirl_axis(frame: Frames, lam: float, sign: int = 1) -> np.ndarray:
+def whirl_axis(frame: Frames, lam: float) -> np.ndarray:
     """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if abs(lam) < LAMBDA_FLOOR:
         raise ValueError("lam must be nonzero")
     if np.any(frame.tau == 0.0):
@@ -79,7 +73,7 @@ def whirl_axis(frame: Frames, lam: float, sign: int = 1) -> np.ndarray:
     if not np.all(np.isfinite(norm)):
         raise FrameError("axis undefined: torsion too small against curvature, "
                          f"kappa/tau = {float(np.max(np.abs(r))):.3g}")
-    return sign * num / norm
+    return num / norm
 
 
 def proportionality_residual(frame: Frames, d: np.ndarray, lam: float):
@@ -114,15 +108,13 @@ def as_frames(curve: Union[Callable, Frames], s_grid=None,
                      deriv=deriv, strict_unit_speed=False)
 
 
-def verify_whirl(curve: Union[Callable, Frames], s_grid=None, lam: float = None,
+def verify_whirl(curve: Union[Callable, Frames], s_grid=None, *, lam: float,
                  deriv: Optional[Callable] = None) -> AxisReport:
     """Check axis constancy of a candidate whirl curve for a given ``lam``.
 
     Accepts a position callable plus grid, or pre-computed Frames.
     The curve passes at tolerance tol when ``report.passes(tol)``.
     """
-    if lam is None:
-        raise ValueError("lam is required")
     frames = as_frames(curve, s_grid, deriv)
     if not len(frames):
         raise ValueError("empty grid")

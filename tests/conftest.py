@@ -38,10 +38,9 @@ def random_frame(rng, kappa=None, tau=None):
     """Random orthonormal Frenet frame with optional kappa/tau overrides."""
     q = random_rotation(rng)
     t, n = q[:, 0], q[:, 1]
-    b = np.cross(t, n)
     kappa = float(rng.uniform(0.2, 3.0)) if kappa is None else kappa
     tau = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) if tau is None else tau
-    return wc.Frames(s=0.0, t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return wc.Frames(s=0.0, t=t, n=n, kappa=kappa, tau=tau)
 
 
 def random_whirl_model(rng, family=None):

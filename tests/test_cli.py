@@ -115,6 +115,32 @@ def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, says", [
+    # the ratio-rate check needs the closed forms only: no position panel is
+    # built (it built 339,460 for 5 s, then wrote synth.csv)
+    (["synth", "--kappa=const:1.7e290", "--lambda=-2", "--B=-3.3e-308",
+      "--range=3.0:9990.0", "--samples=9"],
+     "domain error: tau/kappa changes too fast to difference at s=3.001480191959483"),
+    (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9],
+     "domain error: s=1000000000000.0 is too large to difference"),
+    # the second lambda overflows 1 + h^2 + lambda^2 at the grid's ends
+    (["figure1", "--lambdas=-1,1e300"],
+     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = "),
+])
+def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, says):
+    built, series = [], wc.SmoothCumulative._series
+
+    def counted(self, lattice):
+        built.append(lattice.size - 1)
+        return series(self, lattice)
+
+    monkeypatch.setattr(wc.SmoothCumulative, "_series", counted)
+    assert run(args + ["--out", tmp_path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1) and err.startswith(says)
+    assert list(tmp_path.iterdir()) == [] and built == []
+
+
 def test_figure1_refuses_lambdas_that_share_a_file_name(tmp_path, capsys):
     # the files are named by f"{lam:g}": two distinct values printing alike
     # would overwrite each other's traces, while an exact repeat writes the same

@@ -2,7 +2,8 @@
 spawned) on argv built from the documented flags, each subcommand's ``--tol``
 names, junk tokens and numbers near 1e+-300 and 1e12-1e15, and ``verify`` reads
 mutated trace files.  Whatever the input, the exit code is 0-3, an exit of 2 or
-3 prints exactly one stderr line, and no traceback or RuntimeWarning escapes."""
+3 prints exactly one stderr line and writes no file into ``--out``, and no
+traceback or RuntimeWarning escapes."""
 
 import contextlib
 import io
@@ -184,9 +185,11 @@ def test_any_command_line_exits_0_to_3_with_one_error_line(traces, tmp_path_fact
     work = tmp_path_factory.mktemp("fuzz-run", numbered=True)
     (work / name).write_bytes(trace_bytes)
     argv = data.draw(command_lines(work / name))
-    argv += [] if argv[0] == "verify" else [f"--out={work / 'out'}"]
+    out = work / "out"
+    argv += [] if argv[0] == "verify" else [f"--out={out}"]
     try:
         code, _, err, caught = run_in_process(argv)
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     finally:
         shutil.rmtree(work)
     assert code in (0, 1, 2, 3), argv
@@ -194,3 +197,4 @@ def test_any_command_line_exits_0_to_3_with_one_error_line(traces, tmp_path_fact
     assert not caught, (argv, [str(w.message) for w in caught])
     if code in (2, 3):
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert written == [], (argv, err, written)

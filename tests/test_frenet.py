@@ -1,5 +1,7 @@
 """Frenet frame computation and trace sampling tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,11 +113,9 @@ def test_rigid_rotation_preserves_kappa_tau(rng):
 def test_frenet_apparatus_validates():
     e = np.eye(3)
     with pytest.raises(FrameError):
-        wc.Frames(0.0, 2.0 * e[0], e[1], e[2], 1.0, 1.0)
+        wc.Frames(0.0, 2.0 * e[0], e[1], 1.0, 1.0)
     with pytest.raises(FrameError):
-        wc.Frames(0.0, e[0], e[1], -e[2], 1.0, 1.0)   # b != t x n
-    with pytest.raises(FrameError):
-        wc.Frames(0.0, e[0], e[1], e[2], -1.0, 1.0)   # kappa <= 0
+        wc.Frames(0.0, e[0], e[1], -1.0, 1.0)   # kappa <= 0
 
 
 @pytest.mark.parametrize("v", [
@@ -291,19 +291,16 @@ def test_batched_frames_match_pointwise_synthesized():
 def _frame_rows(n=5):
     e = np.eye(3)
     return dict(s=np.linspace(0.0, 1.0, n), t=np.tile(e[0], (n, 1)),
-                n=np.tile(e[1], (n, 1)), b=np.tile(e[2], (n, 1)),
-                kappa=np.ones(n), tau=np.full(n, 0.5))
+                n=np.tile(e[1], (n, 1)), kappa=np.ones(n), tau=np.full(n, 0.5))
 
 
 @pytest.mark.parametrize("field, row, match", [
     ("t", [2.0, 0.0, 0.0], "t is not a unit vector"),
     ("n", [0.6, 0.8, 0.0], "not orthogonal"),
-    ("b", [0.0, 0.0, -1.0], r"b != t x n"),
     ("kappa", 0.0, "kappa must be positive"),
     # every check fails on NaN
     ("t", [np.nan, 0.0, 0.0], "t is not a unit vector"),
     ("n", [0.0, np.nan, 0.0], "n is not a unit vector"),
-    ("b", [0.0, 0.0, np.nan], "b is not a unit vector"),
     ("kappa", np.nan, "kappa must be positive"),
 ])
 def test_frames_validator_names_first_bad_row(field, row, match):
@@ -318,7 +315,6 @@ def test_frames_validator_names_first_bad_row(field, row, match):
 @pytest.mark.parametrize("field, row, match", [
     ("t", [2.0, 0.0, 0.0], "t is not a unit vector"),
     ("n", [0.6, 0.8, 0.0], "not orthogonal"),
-    ("b", [0.0, 0.0, -1.0], r"b != t x n"),
     ("kappa", 0.0, "kappa must be positive"),
 ])
 def test_a_single_row_is_validated_by_the_same_checks(field, row, match):
@@ -349,7 +345,7 @@ def test_rows_of_frames_agree_with_the_grid():
 
 def test_removed_record_types_are_not_exported():
     for name in ("FrenetApparatus", "Vec3", "ConePoint", "SphericalTangent",
-                 "integrate", "QuadratureResult"):
+                 "integrate", "QuadratureResult", "ratio_derivative"):
         assert not hasattr(wc, name) and name not in wc.__all__
 
 
@@ -359,3 +355,35 @@ def test_frames_indexing():
     tail = frames[::2]
     assert isinstance(tail, wc.Frames) and np.array_equal(tail.s, [0.0, 0.5, 1.0])
     assert [f.s for f in frames] == list(frames.s)
+
+
+def test_frames_hold_five_fields_and_derive_the_binormal():
+    assert [f.name for f in dataclasses.fields(wc.Frames)] == ["s", "t", "n", "kappa", "tau"]
+    rows = _frame_rows()
+    with pytest.raises(TypeError):
+        wc.Frames(**rows, b=np.tile([0.0, 0.0, 1.0], (5, 1)))
+    with pytest.raises(AttributeError):
+        wc.Frames(**rows).b = np.zeros((5, 3))
+
+
+def test_binormal_is_t_cross_n_bit_for_bit_on_grids_rows_and_slices():
+    spec = wc.RectifyingSpec(a=0.65, b=0.0, lam=-1.0)
+    grid = np.linspace(0.2, 1.2, 64)
+    frames = wc.trace_frames(wc.CurveTrace(grid, wc.curve_point(spec, grid)))
+    assert frames.b.shape == frames.t.shape
+    assert np.array_equal(frames.b, np.cross(frames.t, frames.n))
+    for i in range(len(frames)):
+        assert np.array_equal(frames[i].b, frames.b[i])
+    for part in (frames[3:17], frames[::-5], frames[-1:]):
+        assert np.array_equal(part.b, np.cross(part.t, part.n))
+
+
+def test_construction_evaluates_four_conditions(monkeypatch):
+    seen = []
+    raise_first = frenet._raise_first
+    monkeypatch.setattr(frenet, "_raise_first",
+                        lambda s, checks: seen.append(checks) or raise_first(s, checks))
+    wc.Frames(**_frame_rows())
+    assert [message for _, message in seen[0]] == [
+        "t is not a unit vector", "n is not a unit vector", "frame is not orthogonal",
+        "kappa must be positive"]

@@ -501,6 +501,17 @@ def test_closed_form_kappa_integrals_match_quadrature(case):
     assert np.max(np.abs(wc.derivative(integral, inner, 1) / kappa(inner) - 1.0)) <= 1e-9
 
 
+def test_linear_ratio_integral_from_a_tiny_ratio_is_finite():
+    # h0 = a*s0 + b = 1e-300: the log1p argument c (h^2 - h0^2) / (h0^2 (c + h^2))
+    # overflows, so there the integral is ln|h/h0| - ln sqrt((c + h^2)/(c + h0^2));
+    # at s = 1e-300 (h = 2 h0) the argument is 3 and log1p still answers
+    integral = wc.kappa_linear_ratio(1.0, 1.0, 1e-300, (0.0, 1.0)).cumulative(0.0)
+    assert integral(1.0) == pytest.approx(np.log(1e300) - 0.5 * np.log(1.5), rel=4.0 * EPS)
+    grid = np.array([0.0, 1e-300, 0.5, 1.0])
+    assert np.array_equal(integral(grid), [integral(s) for s in grid])
+    assert integral(grid)[:2].tolist() == [0.0, np.log1p(3.0) / 2.0]
+
+
 def _quadrature_twin(spec):
     """``spec`` with its kappa's closed-form integral dropped."""
     return dataclasses.replace(spec, kappa=wc.ScalarFn(spec.kappa.evaluator, spec.kappa.domain))

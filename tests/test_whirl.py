@@ -47,30 +47,31 @@ def test_intrinsic_residual_rejects_bad_kappa():
 
 def test_whirl_axis_hand_value():
     e = np.eye(3)
-    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=1.0)
-    d = wc.whirl_axis(frame, lam=1.0, sign=1)
+    frame = wc.Frames(0.0, e[0], e[1], kappa=1.0, tau=1.0)
+    d = wc.whirl_axis(frame, lam=1.0)
     assert np.allclose(d, np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0), atol=1e-14)
 
 
-def test_whirl_axis_unit_and_sign(rng):
+def test_whirl_axis_is_unit(rng):
     for _ in range(20):
         frame = random_frame(rng)
         lam = rng.uniform(0.2, 4.0) * rng.choice([-1, 1])
-        d = wc.whirl_axis(frame, lam, 1)
+        d = wc.whirl_axis(frame, lam)
         assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
-        assert np.allclose(wc.whirl_axis(frame, lam, -1), -d, atol=0)
+    with pytest.raises(TypeError):
+        wc.whirl_axis(frame, lam, -1)
 
 
 def test_whirl_axis_zero_torsion():
     e = np.eye(3)
-    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.0)
+    frame = wc.Frames(0.0, e[0], e[1], kappa=1.0, tau=0.0)
     with pytest.raises(FrameError, match="zero torsion"):
-        wc.whirl_axis(frame, 1.0, 1)
+        wc.whirl_axis(frame, 1.0)
 
 
 def test_proportionality_residual_cases(rng):
     e = np.eye(3)
-    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
+    frame = wc.Frames(0.0, e[0], e[1], kappa=1.0, tau=0.5)
     # d orthogonal to span(t, n)
     assert wc.proportionality_residual(frame, e[2], lam=3.7) == 0.0
     # d = t
@@ -79,13 +80,13 @@ def test_proportionality_residual_cases(rng):
     for _ in range(20):
         f = random_frame(rng)
         lam = rng.uniform(0.2, 4.0) * rng.choice([-1, 1])
-        d = wc.whirl_axis(f, lam, 1)
+        d = wc.whirl_axis(f, lam)
         assert abs(wc.proportionality_residual(f, d, lam)) <= 1e-10
 
 
 def test_proportionality_residual_requires_unit_d():
     e = np.eye(3)
-    frame = wc.Frames(0.0, e[0], e[1], e[2], kappa=1.0, tau=0.5)
+    frame = wc.Frames(0.0, e[0], e[1], kappa=1.0, tau=0.5)
     with pytest.raises(ValueError):
         wc.proportionality_residual(frame, np.array([2.0, 0.0, 0.0]), 1.0)
 
@@ -302,20 +303,26 @@ def test_fit_makes_a_few_dozen_single_3x3_solves(monkeypatch):
     assert len(shapes) <= 24
 
 
-def test_ratio_derivative_matches_polynomial():
+def test_intrinsic_residual_grid_differences_a_polynomial_ratio():
+    # kappa = 1, so tau is the ratio and the residual is tau*lam*(1+lam^2+tau^2)
+    # - (1+lam^2)*tau'; the cubic ratio is differenced exactly in the interior
     s = np.linspace(0.0, 1.0, 21)
-    vals = 0.3 * s ** 3 - s + 2.0
-    d = wc.ratio_derivative(s, vals)
+    tau = 0.3 * s ** 3 - s + 2.0
+    lam = 0.5
+    d = (tau * lam * (1.0 + lam * lam + tau * tau)
+         - wc.intrinsic_residual_grid(s, np.ones_like(s), tau, lam)) / (1.0 + lam * lam)
     assert np.allclose(d[2:-2], 0.9 * s[2:-2] ** 2 - 1.0, atol=1e-12)
     assert np.allclose(d, 0.9 * s ** 2 - 1.0, atol=5e-3)
 
 
-def test_ratio_derivative_needs_a_uniform_grid():
+def test_intrinsic_residual_grid_needs_a_uniform_grid():
     s = np.linspace(1.0, 0.0, 11)            # uniform but decreasing: fine
-    assert np.allclose(wc.ratio_derivative(s, s ** 3), 3 * s ** 2, atol=1e-12)
+    ones = np.ones_like(s)
+    assert np.allclose(wc.intrinsic_residual_grid(s, ones, s ** 3, 1.0),
+                       s ** 3 * (2.0 + s ** 6) - 2.0 * 3 * s ** 2, atol=1e-12)
     s = np.array([0.0, 0.1, 0.3, 0.4, 0.5])
     with pytest.raises(ValueError, match="uniform grid"):
-        wc.ratio_derivative(s, s ** 2)
+        wc.intrinsic_residual_grid(s, np.ones_like(s), s ** 2, 1.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -354,17 +361,17 @@ def _exact_helix_frames():
     c = np.hypot(a, b)
     t = np.column_stack([-a * np.sin(u), a * np.cos(u), np.full(u.size, b)]) / c
     n = np.column_stack([-np.cos(u), -np.sin(u), 0.0 * u])
-    return wc.Frames(s=u * c, t=t, n=n, b=np.cross(t, n), kappa=np.full(u.size, a / c ** 2),
+    return wc.Frames(s=u * c, t=t, n=n, kappa=np.full(u.size, a / c ** 2),
                      tau=np.full(u.size, b / c ** 2))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 0.0), "lam must be nonzero"),
-    (lambda: wc.ratio_derivative([0.0, 1.0], [1.0, 2.0]), "need at least 3 grid points"),
-    (lambda: wc.ratio_derivative([0.0, 1.0, 2.0], [1.0, 2.0]), "need at least 3 grid points"),
-    (lambda: wc.whirl_axis(_exact_helix_frames()[0], 1.0, sign=0), "sign must be +1 or -1"),
+    (lambda: wc.intrinsic_residual_grid([0.0, 1.0], [1.0, 1.0], [1.0, 2.0], 1.0),
+     "need at least 3 grid points"),
+    (lambda: wc.intrinsic_residual_grid([0.0, 1.0, 2.0], [1.0, 1.0], [1.0, 2.0], 1.0),
+     "need at least 3 grid points"),
     (lambda: wc.whirl_axis(_exact_helix_frames()[0], 0.0), "lam must be nonzero"),
-    (lambda: wc.verify_whirl(_exact_helix_frames()), "lam is required"),
     (lambda: wc.verify_whirl(_exact_helix_frames()[:0], lam=1.0), "empty grid"),
 ])
 def test_whirl_argument_checks(call, message):
@@ -384,7 +391,7 @@ def test_fit_of_identical_frames_is_degenerate():
     # every row alike: N - lam*T has rank 1 for every lam
     f = _exact_helix_frames()
     same = wc.Frames(s=f.s, t=np.tile(f.t[0], (len(f), 1)), n=np.tile(f.n[0], (len(f), 1)),
-                     b=np.tile(f.b[0], (len(f), 1)), kappa=f.kappa, tau=f.tau)
+                     kappa=f.kappa, tau=f.tau)
     with pytest.raises(FrameError, match="^no stable fit: degenerate normal system$"):
         wc.fit_lambda_axis(same)
 
@@ -395,3 +402,11 @@ def test_illinois_root_stops_on_an_exact_zero():
     f = lambda x: calls.append(x) or x - 0.5
     assert wc.whirl._illinois_root(f, 0.0, 1.0, -0.5, 0.5) == 0.5
     assert calls == [0.5]
+
+
+def test_verify_whirl_takes_lam_as_a_required_keyword():
+    frames = _exact_helix_frames()
+    for call in (lambda: wc.verify_whirl(frames), lambda: wc.verify_whirl(frames, None, 1.0)):
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(wc.whirl, "ratio_derivative")
