@@ -37,12 +37,12 @@ print("geodesic residuals:",
 # (a, b); the mirror branch carries the mirrored line.
 cons = wc.RectifyingSpec(a=a, b=b, lam=lam, branch=spec.consistent_branch())
 grid = np.sort((cons.branch * np.linspace(0.3, 2.0, 33) - cons.b) / cons.a)
-fit = wc.chen_ratio_fit(lambda s: wc.curve_point(cons, s), grid,
-                        deriv=lambda s: wc.curve_velocity(cons, s))
+frames = wc.frenet_at(lambda s: wc.curve_point(cons, s), grid,
+                      deriv=lambda s: wc.curve_velocity(cons, s), strict_unit_speed=False)
+fit = wc.chen_ratio_fit(frames)
 print(f"ratio line fit: c1={fit.c1:.6f} (a={a}), c2={fit.c2:.2e} (b={b}), "
       f"rectifying={fit.is_rectifying}")
 
 # and the curve is a whirl curve as well: fit the proportionality constant
-wf = wc.fit_lambda_axis(lambda s: wc.curve_point(cons, s), grid,
-                        deriv=lambda s: wc.curve_velocity(cons, s))
+wf = wc.fit_lambda_axis(frames)
 print(f"whirl fit: lam={wf.lam:.6f}, axis={np.round(wf.axis, 6)}, rms={wf.rms:.1e}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError, QuadratureError
-from .frenet import FRAME_MARGIN, trace, trace_frames, unit_speed_residual
+from .frenet import FRAME_MARGIN, frenet_at, trace, trace_frames, unit_speed_residual
 from .numerics import derivative
 from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 
@@ -296,10 +296,9 @@ def _cmd_rect(args) -> int:
         "samples": args.samples, "range": [lo, hi]})
     usr = unit_speed_residual(lambda s: rectifying.curve_point(spec, s), grid)
     hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
-    chen = rectifying.chen_ratio_fit(
-        lambda s: rectifying.curve_point(spec, s), grid,
-        deriv=lambda s: rectifying.curve_velocity(spec, s),
-        rms_tol=args.tol["chen_rms"])
+    frames = frenet_at(lambda s: rectifying.curve_point(spec, s), grid,
+                       deriv=lambda s: rectifying.curve_velocity(spec, s), strict_unit_speed=False)
+    chen = rectifying.chen_ratio_fit(frames, rms_tol=args.tol["chen_rms"])
     path = _write(tr, args.out, "rect", args.format)
     print(f"wrote {path} ({len(tr)} samples)")
     return _verdict(

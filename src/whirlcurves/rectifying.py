@@ -13,14 +13,13 @@ ln(1+x) + ln(sqrt(G)/|h|).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, FrameError
 from .frenet import Frames, frenet_at
 from .numerics import derivative
-from .whirl import LAMBDA_FLOOR, as_frames
+from .whirl import LAMBDA_FLOOR
 
 HALF_PI = 0.5 * np.pi
 # a ratio line that changes by at most this over the frames' s-span, |c1| *
@@ -210,16 +209,14 @@ class ChenFit:
     note: str = ""
 
 
-def chen_ratio_fit(curve: Union[Callable, Frames], s_grid=None,
-                   deriv: Optional[Callable] = None, rms_tol: float = 1e-3) -> ChenFit:
-    """Fit tau/kappa = c1*s + c2 over Frames, or over a callable's grid.
+def chen_ratio_fit(frames: Frames, rms_tol: float = 1e-3) -> ChenFit:
+    """Fit tau/kappa = c1*s + c2 over the rows of ``frames``.
 
     The rectifying-compatible verdict requires the fit to be tight
     (rms < rms_tol) and genuinely nonconstant: the ratio changes by more
     than SLOPE_FLOOR over the frames, |c1| * (s_max - s_min) > SLOPE_FLOOR,
     so scaling s and positions alike keeps the verdict.
     """
-    frames = as_frames(curve, s_grid, deriv)
     if len(frames) < 3:
         raise FrameError("need at least 3 frames for a line fit")
     ratios = frames.tau / frames.kappa

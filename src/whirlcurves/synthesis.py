@@ -70,12 +70,15 @@ class WhirlSpec:
 def bound_from_ratio(h0: float, lam: float) -> float:
     """Offset that anchors the construction to ratio tau/kappa = h0 at s0.
 
-    Equals -ln[(|h0|/sqrt(1+lam^2)) / sqrt(1 + h0^2/(1+lam^2))], always > 0.
+    Equals 0.5*log1p((1+lam^2)/h0^2), > 0 until it underflows, or, where that
+    ratio overflows (|h0| < ~1e-154), the equal 0.5*ln(1+lam^2+h0^2) - ln|h0|.
     """
     if h0 == 0.0:
         raise ValueError("initial ratio h0 must be nonzero")
-    lam2 = lam * lam
-    return 0.5 * np.log(1.0 + lam2 + h0 * h0) - np.log(abs(h0))
+    c = 1.0 + lam * lam
+    with np.errstate(over="ignore"):
+        q = (np.sqrt(c) / abs(h0)) ** 2   # c/h0^2, where h0*h0 would underflow
+    return 0.5 * np.log1p(q) if np.isfinite(q) else 0.5 * np.log(c + h0 * h0) - np.log(abs(h0))
 
 
 def axis_bound(bound: float, lam: float) -> float:

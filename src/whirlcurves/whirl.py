@@ -15,7 +15,7 @@ and d is recovered, up to sign, from one frame as
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,6 +40,8 @@ def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa <= 0):
         raise ValueError("kappa must be positive")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"lam must be finite, got {lam}")
     if np.any(np.abs(lam) < LAMBDA_FLOOR):
         raise ValueError("lam must be nonzero")
     ratio = tau / kappa
@@ -62,6 +64,8 @@ def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
 
 def whirl_axis(frame: Frames, lam: float) -> np.ndarray:
     """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3)."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if abs(lam) < LAMBDA_FLOOR:
         raise ValueError("lam must be nonzero")
     if np.any(frame.tau == 0.0):
@@ -98,29 +102,18 @@ class AxisReport:
         return self.max_deviation < tol and self.max_residual < tol
 
 
-def as_frames(curve: Union[Callable, Frames], s_grid=None,
-              deriv: Optional[Callable] = None) -> Frames:
-    """``curve`` itself when it is Frames, else the frames of the callable
-    on ``s_grid`` (``deriv``: its optional analytic first derivative)."""
-    if isinstance(curve, Frames):
-        return curve
-    return frenet_at(curve, np.atleast_1d(np.asarray(s_grid, dtype=float)),
-                     deriv=deriv, strict_unit_speed=False)
-
-
-def verify_whirl(curve: Union[Callable, Frames], s_grid=None, *, lam: float,
+def verify_whirl(curve: Callable, s_grid, *, lam: float,
                  deriv: Optional[Callable] = None) -> AxisReport:
-    """Check axis constancy of a candidate whirl curve for a given ``lam``.
+    """Check axis constancy of the position callable ``curve`` on ``s_grid``
+    for a given ``lam``; ``deriv`` is its optional analytic first derivative.
 
-    Accepts a position callable plus grid, or pre-computed Frames.
     The curve passes at tolerance tol when ``report.passes(tol)``.
     """
-    frames = as_frames(curve, s_grid, deriv)
+    frames = frenet_at(curve, np.atleast_1d(s_grid), deriv=deriv, strict_unit_speed=False)
     if not len(frames):
         raise ValueError("empty grid")
     axes = whirl_axis(frames, lam)
-    sign = -1 if frames.t[0] @ axes[0] < 0 else 1
-    axes = sign * axes
+    axes = -axes if frames.t[0] @ axes[0] < 0 else axes
     dev = float(np.max(np.linalg.norm(axes - axes[0], axis=1)))
     d_mean = axes.mean(axis=0)
     nm = float(np.linalg.norm(d_mean))
@@ -216,8 +209,7 @@ def _illinois_root(f, lo, hi, f_lo, f_hi) -> float:
     return x
 
 
-def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
-                    rms_tol: float = 1e-3) -> WhirlFit:
+def fit_lambda_axis(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     """Fit ``lam`` and a unit axis minimizing sum(<n_i,d> - lam <t_i,d>)^2.
 
     The normal matrix is quadratic in lam, M(lam) = A - lam*B + lam^2*C with
@@ -237,7 +229,6 @@ def fit_lambda_axis(curve, s_grid=None, deriv: Optional[Callable] = None,
     so noise in the small components cannot flip an axis near a coordinate
     direction; the rms comes from the residuals themselves.
     """
-    frames = as_frames(curve, s_grid, deriv)
     if len(frames) < MIN_FIT_FRAMES:
         raise FrameError(f"no stable fit: need at least {MIN_FIT_FRAMES} frames")
     T, N = frames.t, frames.n

@@ -115,7 +115,8 @@ def test_criterion_4_axis_constancy(models):
                                  deriv=curve.tangent)
         worst_dev = max(worst_dev, report.max_deviation)
         worst_prop = max(worst_prop, report.max_residual)
-        fit = wc.fit_lambda_axis(curve.position, tr.s[16:-16:24])
+        fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, tr.s[16:-16:24],
+                                              strict_unit_speed=False))
         worst_dlam = max(worst_dlam, abs(fit.lam - spec.lam))
     ok = worst_dev < 1e-6 and worst_prop < 1e-6 and worst_dlam < 1e-3
     _report(4, "axis constancy + lambda round-trip",
@@ -132,8 +133,9 @@ def test_criterion_5_rectifying_criterion():
         spec = wc.RectifyingSpec(a=base.a, b=base.b, lam=base.lam,
                                  branch=base.consistent_branch())
         grid = branch_grid(spec, n=65)
-        fit = wc.chen_ratio_fit(lambda s: wc.curve_point(spec, s), grid,
-                                deriv=lambda s: wc.curve_velocity(spec, s))
+        fit = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid,
+                                             deriv=lambda s: wc.curve_velocity(spec, s),
+                                             strict_unit_speed=False))
         worst = max(worst, abs(fit.c1 - spec.a), abs(fit.c2 - spec.b))
         assert fit.is_rectifying
     ok = worst < 1e-4

@@ -309,15 +309,20 @@ def test_samples_below_minimum_exit_3(tmp_path, capsys, args, minimum):
     assert run(args + ["--samples", minimum, "--out", tmp_path]) == 0
 
 
-@pytest.mark.parametrize("lam, h0", [(1, "1e300"), ("1e300", 1)])
-def test_synth_non_finite_bound_fails_fast(tmp_path, capsys, lam, h0):
-    # bound_from_ratio overflows to inf: the exponent would be -inf and every
-    # tangent sample NaN, each NaN panel bisected down to MAX_SPLITS
+@pytest.mark.parametrize("lam, h0, code, err", [
+    (1, "1e300", 2, "domain error: domain bound lam*int(kappa) < bound violated at s=0.0\n"),
+    (-1, "1e160", 2, "domain error: domain bound lam*int(kappa) < bound violated at s=0.0\n"),
+    ("1e300", 1, 3, "error: exponent offset bound must be finite, got inf\n"),
+])
+def test_synth_non_finite_bound_fails_fast(tmp_path, capsys, lam, h0, code, err):
+    # a huge h0 gives a bound below 1e-300, which the exponent ceiling refuses
+    # at once (exit 2); a huge lam overflows it to inf, refused as not finite
+    # (exit 3), where an exponent of -inf would make every tangent sample NaN,
+    # each NaN panel bisected down to MAX_SPLITS
     start = time.perf_counter()
-    code = run(["synth", "--lambda", lam, "--h0", h0, "--range", "0:1", "--out", tmp_path])
+    assert run(["synth", "--lambda", lam, "--h0", h0, "--range", "0:1", "--out", tmp_path]) == code
     assert time.perf_counter() - start < 10.0
-    assert code == 3
-    assert capsys.readouterr().err == "error: exponent offset bound must be finite, got inf\n"
+    assert capsys.readouterr().err == err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -66,22 +66,25 @@ def test_ratio_is_linear_on_consistent_branch():
 def test_chen_fit_recovers_line(rng):
     spec = REF_MINUS
     grid = branch_grid(spec, n=65)
-    fit = wc.chen_ratio_fit(lambda s: wc.curve_point(spec, s), grid,
-                            deriv=lambda s: wc.curve_velocity(spec, s))
+    fit = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid,
+                                         deriv=lambda s: wc.curve_velocity(spec, s),
+                                         strict_unit_speed=False))
     assert fit.is_rectifying
     assert fit.c1 == pytest.approx(0.65, abs=1e-4)
     assert fit.c2 == pytest.approx(0.0, abs=1e-4)
     for _ in range(3):
         rspec = random_rectifying_spec(rng)
         grid = branch_grid(rspec, n=65)
-        fit = wc.chen_ratio_fit(lambda s: wc.curve_point(rspec, s), grid,
-                                deriv=lambda s: wc.curve_velocity(rspec, s))
+        fit = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(rspec, s), grid,
+                                             deriv=lambda s: wc.curve_velocity(rspec, s),
+                                             strict_unit_speed=False))
         assert fit.c1 == pytest.approx(rspec.a, abs=1e-4)
         assert fit.c2 == pytest.approx(rspec.b, abs=1e-4)
 
 
 def test_chen_fit_rejects_helix():
-    fit = wc.chen_ratio_fit(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 33))
+    fit = wc.chen_ratio_fit(wc.frenet_at(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 33),
+                                         strict_unit_speed=False))
     assert abs(fit.c1) <= 1e-6
     assert not fit.is_rectifying
     assert "constant" in fit.note
@@ -92,8 +95,10 @@ def test_chen_fit_rigid_motion_invariant(rng):
     grid = branch_grid(spec, n=33)
     rot = random_rotation(rng)
     shift = rng.normal(size=3)
-    base = wc.chen_ratio_fit(lambda s: wc.curve_point(spec, s), grid)
-    moved = wc.chen_ratio_fit(lambda s: rot @ wc.curve_point(spec, s) + shift, grid)
+    base = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid,
+                                          strict_unit_speed=False))
+    moved = wc.chen_ratio_fit(wc.frenet_at(lambda s: rot @ wc.curve_point(spec, s) + shift,
+                                           grid, strict_unit_speed=False))
     assert moved.c1 == pytest.approx(base.c1, abs=1e-6)
     assert moved.c2 == pytest.approx(base.c2, abs=1e-6)
 
@@ -298,12 +303,13 @@ def test_extended_restrictions_are_whirl_rectifying():
         grid = branch_grid(spec, n=33)
         pos = lambda s: wc.curve_point(spec, s)
         vel = lambda s: wc.curve_velocity(spec, s)
-        fit = wc.fit_lambda_axis(pos, grid, deriv=vel)
+        frames = wc.frenet_at(pos, grid, deriv=vel, strict_unit_speed=False)
+        fit = wc.fit_lambda_axis(frames)
         assert fit.is_whirl
         assert abs(fit.lam) == pytest.approx(1.0, abs=1e-5)
         report = wc.verify_whirl(pos, grid, lam=fit.lam, deriv=vel)
         assert report.max_deviation < 1e-6
-        chen = wc.chen_ratio_fit(pos, grid, deriv=vel)
+        chen = wc.chen_ratio_fit(frames)
         assert chen.is_rectifying
 
 

@@ -1,7 +1,8 @@
 """Layout rules of the library source: every import at module level, no
-module reading another module's private (underscore) names, and no lock or
+module reading another module's private (underscore) names, no lock or
 process-global cache (neither ``threading`` nor ``functools.lru_cache`` or
-``functools.cache``)."""
+``functools.cache``), and no module-level import that nothing in the module
+reads (``__init__.py`` is exempt: it re-exports)."""
 
 import ast
 from pathlib import Path
@@ -67,9 +68,27 @@ def violations(source):
     return found
 
 
+def unread_imports(source):
+    """(line, what) for each name a module-level import binds that nothing in
+    the module reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(node.lineno, f"{name} is imported and never read")
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_at_top_and_reads_no_private_names(path):
     assert violations(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_reads_every_name_it_imports(path):
+    assert unread_imports(path.read_text()) == []
 
 
 def test_the_rules_catch_what_they_name():
@@ -82,3 +101,6 @@ def test_the_rules_catch_what_they_name():
               "from threading import Lock\n@functools.cache\ndef f():\n    pass\n")
     assert violations(source) == [(1, "imports threading"), (3, "imports functools.lru_cache"),
                                   (4, "imports threading.Lock"), (5, "reads functools.cache")]
+    source = ("from typing import Callable, Union\nimport numpy as np\nimport os.path\n"
+              "def f(g: Callable):\n    return np.ndim(g), os.sep\n")
+    assert unread_imports(source) == [(1, "Union is imported and never read")]

@@ -139,14 +139,6 @@ def test_verify_whirl_equivariant_under_rotation(rng):
     assert np.linalg.norm(moved2.d - rot @ base.d) <= 1e-6
 
 
-def test_verify_whirl_accepts_frames():
-    spec, curve = _synth_curve(lam=-1.0)
-    grid = np.linspace(0.1, 0.9, 7)
-    frames = wc.frenet_at(curve.position, grid)
-    report = wc.verify_whirl(frames, lam=spec.lam)
-    assert report.max_deviation < 1e-6
-
-
 def test_axis_report_sign_convention():
     # z_sign = -1 flips the tangent's vertical component; the reported axis
     # follows <t(s_0), d> > 0 and lands on (0, 0, -1)
@@ -163,7 +155,7 @@ def test_axis_report_sign_convention():
 def test_fit_round_trip_lambda():
     spec, curve = _synth_curve(lam=-0.5)
     grid = np.linspace(0.05, 1.4, 15)
-    fit = wc.fit_lambda_axis(curve.position, grid)
+    fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, grid, strict_unit_speed=False))
     assert fit.is_whirl
     assert abs(fit.lam - (-0.5)) <= 1e-4
     assert np.allclose(np.abs(fit.axis), [0.0, 0.0, 1.0], atol=1e-5)
@@ -178,9 +170,10 @@ def test_fit_axis_sign_ignores_tiny_tilts(axis, angle):
     c, s = np.cos(angle), np.sin(angle)
     rot = (np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) if axis == 0
            else np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]))
-    fit = wc.fit_lambda_axis(lambda u: curve.position(u) @ rot.T,
-                             np.linspace(0.05, 1.4, 15),
-                             deriv=lambda u: curve.tangent(u) @ rot.T)
+    fit = wc.fit_lambda_axis(wc.frenet_at(lambda u: curve.position(u) @ rot.T,
+                                          np.linspace(0.05, 1.4, 15),
+                                          deriv=lambda u: curve.tangent(u) @ rot.T,
+                                          strict_unit_speed=False))
     assert fit.axis[2] > 0
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-6
 
@@ -192,15 +185,16 @@ def test_fit_resolves_lambda_from_closed_form_frames(seed):
     # flat to rounding, but its slope still resolves lam
     spec, lo, hi, _ = random_whirl_model(np.random.default_rng([seed, 9]))
     curve = wc.WhirlCurve(spec, origin=lo, window=(lo, hi))
-    fit = wc.fit_lambda_axis(curve.position, np.linspace(lo, hi, 513)[3:-3],
-                             deriv=curve.tangent)
+    fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(lo, hi, 513)[3:-3],
+                                          deriv=curve.tangent, strict_unit_speed=False))
     assert abs(fit.lam / spec.lam - 1.0) <= 1e-8
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-8
 
 
 def test_fit_flags_planar_circle():
     circle = lambda s: np.array([np.cos(s), np.sin(s), 0.0])
-    fit = wc.fit_lambda_axis(circle, np.linspace(0.0, 3.0, 9))
+    fit = wc.fit_lambda_axis(wc.frenet_at(circle, np.linspace(0.0, 3.0, 9),
+                                          strict_unit_speed=False))
     assert not fit.is_whirl
     assert "torsion" in fit.note
     assert fit.rms < 1e-6   # the proportionality itself is satisfied trivially
@@ -238,7 +232,8 @@ def test_fit_rms_is_stable_under_one_ulp_perturbations():
 def test_fit_needs_four_frames():
     spec, curve = _synth_curve()
     with pytest.raises(FrameError, match="no stable fit"):
-        wc.fit_lambda_axis(curve.position, np.linspace(0.2, 0.6, 3))
+        wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(0.2, 0.6, 3),
+                                        strict_unit_speed=False))
 
 
 def _fit_input(kind, seed):
@@ -367,12 +362,17 @@ def _exact_helix_frames():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 0.0), "lam must be nonzero"),
+    (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.nan), "lam must be finite, got nan"),
+    (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.inf), "lam must be finite, got inf"),
     (lambda: wc.intrinsic_residual_grid([0.0, 1.0], [1.0, 1.0], [1.0, 2.0], 1.0),
      "need at least 3 grid points"),
     (lambda: wc.intrinsic_residual_grid([0.0, 1.0, 2.0], [1.0, 1.0], [1.0, 2.0], 1.0),
      "need at least 3 grid points"),
     (lambda: wc.whirl_axis(_exact_helix_frames()[0], 0.0), "lam must be nonzero"),
-    (lambda: wc.verify_whirl(_exact_helix_frames()[:0], lam=1.0), "empty grid"),
+    (lambda: wc.whirl_axis(_exact_helix_frames()[0], np.nan), "lam must be finite, got nan"),
+    (lambda: wc.verify_whirl(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 9), lam=np.inf),
+     "lam must be finite, got inf"),
+    (lambda: wc.verify_whirl(unit_speed_helix(1.0, 1.0), [], lam=1.0), "empty grid"),
 ])
 def test_whirl_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -405,8 +405,8 @@ def test_illinois_root_stops_on_an_exact_zero():
 
 
 def test_verify_whirl_takes_lam_as_a_required_keyword():
-    frames = _exact_helix_frames()
-    for call in (lambda: wc.verify_whirl(frames), lambda: wc.verify_whirl(frames, None, 1.0)):
+    helix, grid = unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 9)
+    for call in (lambda: wc.verify_whirl(helix, grid), lambda: wc.verify_whirl(helix, grid, 1.0)):
         with pytest.raises(TypeError):
             call()
     assert not hasattr(wc.whirl, "ratio_derivative")
