@@ -6,7 +6,9 @@ keeps a window's panel lattice and the integral at each block edge, and reads
 F off one adaptively split Legendre series per panel of the blocks a call
 falls in, each evaluated to its resolved length.  Every derivative comes
 from :func:`diff_weights`, applied to a callable by :func:`derivative`, to
-samples by :func:`grid_derivatives`.
+samples by :func:`grid_derivatives`, which takes the centred nodes of a
+trace as block rows of one banded matrix product on samples centred at
+each block's middle sample.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,11 @@ EPS = float(np.finfo(float).eps)
 # most, to the step
 DEGREE, MIN_WIDTH, MAX_WIDTH = 8, 7, 201
 S_DIGITS, MAX_SPREAD = 1e-7, 1e-3
+# grid_derivatives: centred nodes per block row of the banded product, and
+# the most float64 values in one chunk's temporaries (64 KB each, under
+# malloc's mmap threshold, so they reuse freed heap instead of faulting in
+# fresh pages)
+BLOCK_ROWS, CHUNK_VALUES = 32, 8192
 
 # SmoothCumulative: lattice panel width, 24-node Gauss-Legendre rule, the
 # number of intervals one call of the integrand covers, and the farthest a
@@ -163,7 +170,17 @@ def grid_derivatives(s, y) -> np.ndarray:
     centred window of W nodes, or near an end on the first or last window.
     W = 2*round(r/h) + 1, clamped to [7, 201] and to the node count, for
     spacing h and half-width r = (EPS*M)**(1/9), M = max |y|: this r balances
-    third-derivative roundoff, ~EPS*M/r**3, against truncation, ~r**6.
+    the third-derivative roundoff of uncentred sums, ~EPS*M/r**3, against
+    truncation, ~r**6 (the centred sums below round less; the rule stays).
+
+    The centred nodes go in block rows of B = ``BLOCK_ROWS`` consecutive
+    nodes.  A block row takes the span of B + W - 1 samples its windows
+    read, subtracts the span's middle sample, and multiplies it by one
+    banded (B + W - 1) x 3B matrix of the centre weights, in chunks of block
+    rows whose temporaries hold at most ``CHUNK_VALUES`` values each.  Every
+    weight row sums to zero, since a derivative of a constant vanishes, so
+    the subtraction is exact but for rounding; it shrinks the summed terms
+    from about max |y| to about W*h*|y'|, and the roundoff with them.
 
     The spacing may spread by ``S_DIGITS`` of max |s|, the rounding of an s
     column printed with 8 significant digits, or by 1e-9 of the step, but
@@ -180,11 +197,32 @@ def grid_derivatives(s, y) -> np.ndarray:
     width = min(len(y), int(np.clip(2 * np.round(r / abs(h)) + 1, MIN_WIDTH, MAX_WIDTH)))
     w, c = diff_weights(width, min(DEGREE, width - 1), np.arange(width)), width // 2
     cols = y.reshape(len(y), -1)
-    mid = [[np.correlate(col, wk, "valid") for col in cols.T] for wk in w[c]]
-    d = np.concatenate([np.moveaxis(w[:c] @ cols[:width], 0, 1), np.transpose(mid, (0, 2, 1)),
-                        np.moveaxis(w[c + 1:] @ cols[-width:], 0, 1)], axis=1)
+    (n, p), m = cols.shape, len(y) - width + 1   # m centred nodes, c .. c + m - 1
+    b = min(BLOCK_ROWS, m)
+    blocks, span, j = -(-m // b), b + width - 1, np.arange(b)
+    band = np.zeros((span, b, 3))   # band[j + t, j, k] = w[c, k, t]: node j's window
+    band[np.add.outer(np.arange(width), j), j] = w[c].T[:, None]
+    band = band.reshape(span, 3 * b)
+    # each column of y as one row, its last sample repeated past the end,
+    # where only the dropped nodes of the last block row read
+    series = np.empty((p, blocks * b + width - 1))
+    series[:, :n], series[:, n:] = cols.T, cols[-1:].T
+    item = series.itemsize
+    spans = np.lib.stride_tricks.as_strided(   # spans[q, i] = series[q, i*b:i*b + span]
+        series, (p, blocks, span), (series.strides[0], b * item, item), writeable=False)
+    per = max(1, CHUNK_VALUES // (p * max(span, 3 * b)))
+    out = np.empty((3, n, p))
+    out[:, :c] = (w[:c] @ cols[:width]).transpose(1, 0, 2)
+    out[:, c + m:] = (w[c + 1:] @ cols[-width:]).transpose(1, 0, 2)
     with np.errstate(over="ignore"):   # samples near the float range: infinite derivatives
-        return (d / h ** np.arange(1, 4)[:, None, None]).reshape((3,) + y.shape)
+        for k in range(0, blocks, per):
+            v = spans[:, k:k + per]
+            x = (v - v[:, :, span // 2, None]).reshape(-1, span)
+            done = min(v.shape[1] * b, m - k * b)
+            # a product row per (column, block row), a column per (node, order)
+            out[:, c + k * b:c + k * b + done] = (x @ band).reshape(p, -1, 3).T[:, :done]
+        out /= h ** np.arange(1, 4)[:, None, None]
+    return out.reshape((3,) + y.shape)
 
 
 class SmoothCumulative:

@@ -10,7 +10,9 @@ and the resolved length itself, one panel at a time.  A text-mode
 ``np.loadtxt`` CSV reader, for :func:`whirlcurves.traceio.read_csv`, which
 parses plain bodies with orjson.  The whirl fit by an eigensolver scan and
 bisection, for :func:`whirlcurves.fit_lambda_axis`, which scans in closed
-form and finds the slope's root by regula falsi.
+form and finds the slope's root by regula falsi.  The weight sums of
+:func:`whirlcurves.grid_derivatives`, node by node in long double, for its
+blocked matrix product.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ import numpy as np
 
 from whirlcurves import CurveTrace, Frames
 from whirlcurves.errors import FrameError, QuadratureError
+from whirlcurves.numerics import DEGREE, EPS, diff_weights
 from whirlcurves.whirl import LAMBDA_BRACKET, LAMBDA_FLOOR, TAU_FLOOR, WhirlFit
 
 
@@ -245,3 +248,28 @@ def fit_lambda_bisect(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     elif not is_whirl:
         note = "no axis satisfies the proportionality within tolerance"
     return WhirlFit(lam=float(lam), axis=d, rms=rms, is_whirl=is_whirl, note=note)
+
+
+def weight_sums(y, width):
+    """The weight sums of :func:`whirlcurves.grid_derivatives` at a window of
+    ``width`` nodes, before the division by h**k, and the rounding scale of
+    each, EPS * sum_t |w_t| * max |y| for the column's largest sample: two
+    arrays of shape (3, n, columns).
+
+    A node i < c = width // 2 takes row i of the weights on the first
+    ``width`` samples, a node i > n - width + c row i - n + width on the
+    last, and every other node the centre row on its centred window.  Each
+    sum is one node's own product in long double (80-bit on x86-64), with
+    the same float64 weights.
+    """
+    w = diff_weights(width, min(DEGREE, width - 1), np.arange(width))
+    cols = np.asarray(y, dtype=float).reshape(len(y), -1)
+    n, c, top = len(cols), width // 2, np.max(np.abs(cols), axis=0)
+    sums = np.empty((3, n, cols.shape[1]), dtype=np.longdouble)
+    scale = np.empty(sums.shape)
+    for i in range(n):
+        lo = min(max(i - c, 0), n - width)
+        wi, x = w[i - lo], cols[lo:lo + width]
+        sums[:, i] = wi.astype(np.longdouble) @ x.astype(np.longdouble)
+        scale[:, i] = EPS * np.abs(wi).sum(axis=1)[:, None] * top
+    return sums, scale

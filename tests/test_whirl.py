@@ -209,6 +209,33 @@ def test_fit_survives_position_noise(rng):
     assert abs(fit.lam - (-0.5)) <= 1e-3
 
 
+def _dense_trace(kind, n):
+    """A closed-form whirl trace of ``n`` samples and its lam: a const-kappa
+    synth trace, or the rect trace a, b, lam = 0.8, 0.5, -1.3 on branch +1
+    or -1 (lam negated off the consistent branch)."""
+    if kind == "synth":
+        spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
+                            bound=wc.bound_from_ratio(1.0, -1.0))
+        return wc.synthesize(spec, 0.0, 2.0, n), -1.0
+    spec = wc.RectifyingSpec(a=0.8, b=0.5, lam=-1.3, branch=1 if kind == "rect+" else -1)
+    grid = np.linspace(*sorted((spec.branch * np.array([0.3, 2.2]) - spec.b) / spec.a), n)
+    lam = spec.lam if spec.branch == spec.consistent_branch() else -spec.lam
+    return wc.CurveTrace(grid, wc.curve_point(spec, grid)), lam
+
+
+@pytest.mark.parametrize("n", [4097, 20000])
+@pytest.mark.parametrize("kind", ["synth", "rect+", "rect-"])
+def test_fit_from_dense_trace_frames_recovers_lam(kind, n):
+    # relative lam error: at most 2.8e-10 with the centred blocked product
+    # of grid_derivatives, under OpenBLAS's SkylakeX, Haswell, Sandybridge
+    # and Nehalem kernels; nine np.correlate calls gave 5.1e-10 to 1.7e-9 on
+    # the 20000-sample rect traces
+    tr, lam = _dense_trace(kind, n)
+    fit = wc.fit_lambda_axis(wc.trace_frames(tr))
+    assert fit.is_whirl
+    assert abs(fit.lam - lam) <= 5e-10 * abs(lam)
+
+
 def test_fit_rms_is_stable_under_one_ulp_perturbations():
     # the rms of <n_i, d> - lam <t_i, d> itself: the smallest eigenvalue of the
     # normal matrix is rounding noise here and printed exactly 0.000e+00
@@ -364,12 +391,15 @@ def _exact_helix_frames():
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 0.0), "lam must be nonzero"),
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.nan), "lam must be finite, got nan"),
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.inf), "lam must be finite, got inf"),
+    # finite, but 1 + lam^2 overflows
+    (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 1e200), "1 + lam^2 overflows at lam = 1e+200"),
     (lambda: wc.intrinsic_residual_grid([0.0, 1.0], [1.0, 1.0], [1.0, 2.0], 1.0),
      "need at least 3 grid points"),
     (lambda: wc.intrinsic_residual_grid([0.0, 1.0, 2.0], [1.0, 1.0], [1.0, 2.0], 1.0),
      "need at least 3 grid points"),
     (lambda: wc.whirl_axis(_exact_helix_frames()[0], 0.0), "lam must be nonzero"),
     (lambda: wc.whirl_axis(_exact_helix_frames()[0], np.nan), "lam must be finite, got nan"),
+    (lambda: wc.whirl_axis(_exact_helix_frames(), -1e200), "1 + lam^2 overflows at lam = -1e+200"),
     (lambda: wc.verify_whirl(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 9), lam=np.inf),
      "lam must be finite, got inf"),
     (lambda: wc.verify_whirl(unit_speed_helix(1.0, 1.0), [], lam=1.0), "empty grid"),
