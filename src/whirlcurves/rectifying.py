@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, FrameError
 from .frenet import Frames, frenet_at
 from .numerics import derivative
-from .whirl import LAMBDA_FLOOR
+from .whirl import LAMBDA_FLOOR, check_lam
 
 HALF_PI = 0.5 * np.pi
 # a ratio line that changes by at most this over the frames' s-span, |c1| *
@@ -45,13 +45,12 @@ class RectifyingSpec:
     branch: int = 1
 
     def __post_init__(self):
-        for name in ("a", "b", "lam", "d_shift"):
+        check_lam(self.lam)
+        for name in ("a", "b", "d_shift"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.a) < LAMBDA_FLOOR:
             raise ValueError("a must be nonzero")
-        if abs(self.lam) < LAMBDA_FLOOR:
-            raise ValueError("lam must be nonzero")
         if self.branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
 

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .frenet import trace
 from .numerics import EPS, STENCILS, ScalarFn, SmoothCumulative, as_scalar_fn
 from .traceio import CurveTrace
-from .whirl import LAMBDA_FLOOR, intrinsic_residual
+from .whirl import LAMBDA_FLOOR, check_lam, intrinsic_residual
 
 EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
 
@@ -40,10 +40,11 @@ class WhirlSpec:
     """Parameters defining one synthesized whirl curve.
 
     ``kappa`` must be positive on its domain and is expected to accept numpy
-    arrays.  ``lam``, ``bound`` and ``s0`` must be finite.  ``bound`` caps
-    lam * int kappa; use :func:`bound_from_ratio` to derive it from an initial
-    torsion-to-curvature ratio.  The two sign switches select among the four
-    congruent branches of the construction.
+    arrays.  ``lam`` must pass :func:`~whirlcurves.whirl.check_lam`, and
+    ``bound`` and ``s0`` must be finite.  ``bound`` caps lam * int kappa; use
+    :func:`bound_from_ratio` to derive it from an initial torsion-to-curvature
+    ratio.  The two sign switches select among the four congruent branches of
+    the construction.
     """
 
     kappa: ScalarFn
@@ -54,15 +55,11 @@ class WhirlSpec:
     tau_sign: int = 1
 
     def __post_init__(self):
+        check_lam(self.lam)
         object.__setattr__(self, "kappa", as_scalar_fn(self.kappa))
-        for name, value in (("lam", self.lam), ("exponent offset bound", self.bound),
-                            ("s0", self.s0)):
+        for name, value in (("exponent offset bound", self.bound), ("s0", self.s0)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if abs(self.lam) < LAMBDA_FLOOR:
-            raise ValueError("lam must be nonzero")
-        if not np.isfinite(1.0 + self.lam * self.lam):
-            raise ValueError(f"1 + lam^2 overflows at lam = {self.lam!r}")
         if self.z_sign not in (1, -1) or self.tau_sign not in (1, -1):
             raise ValueError("z_sign and tau_sign must be +1 or -1")
 
@@ -344,11 +341,12 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     from the a*s + b = 0 pole.
     """
     lam, a, b = float(lam), float(a), float(b)
-    for name, value in (("lam", lam), ("a", a), ("b", b)):
+    check_lam(lam)
+    for name, value in (("a", a), ("b", b)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if a == 0.0 or abs(lam) < LAMBDA_FLOOR:
-        raise ValueError("need a != 0 and lam != 0")
+    if abs(a) < LAMBDA_FLOOR:
+        raise ValueError("a must be nonzero")
     lo, hi = _domain_ends(domain)
     if not lo < hi:
         raise ValueError("empty domain")

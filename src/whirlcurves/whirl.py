@@ -29,9 +29,10 @@ TAU_FLOOR = 1e-9   # a fit over frames with |tau| below this is no whirl
 MIN_FIT_FRAMES = 4   # fit_lambda_axis: the fewest frames it fits
 
 
-def _check_lam(lam):
-    """Refuse a ``lam`` (a float or an array) that is not finite, whose
-    1 + lam^2 overflows (|lam| above ~1.3e154), or that is zero."""
+def check_lam(lam):
+    """The one rule for a whirl constant: ValueError for a ``lam`` (a float
+    or an array) that is not finite, whose 1 + lam^2 overflows (|lam| above
+    ~1.3e154), or that is zero, below LAMBDA_FLOOR in magnitude."""
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"lam must be finite, got {lam}")
     with np.errstate(over="ignore"):
@@ -52,7 +53,7 @@ def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa <= 0):
         raise ValueError("kappa must be positive")
-    _check_lam(lam)
+    check_lam(lam)
     ratio = tau / kappa
     out = tau * lam * (1.0 + lam * lam + ratio * ratio) - (1.0 + lam * lam) * ratio_prime
     return out if np.ndim(out) else float(out)
@@ -73,7 +74,7 @@ def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
 
 def whirl_axis(frame: Frames, lam: float) -> np.ndarray:
     """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3)."""
-    _check_lam(lam)
+    check_lam(lam)
     if np.any(frame.tau == 0.0):
         raise FrameError("axis undefined: zero torsion")
     with np.errstate(over="ignore", invalid="ignore"):   # a subnormal tau overflows r

@@ -115,19 +115,18 @@ def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("args, says", [
+@pytest.mark.parametrize("args, code, says", [
     # the ratio-rate check needs the closed forms only: no position panel is
     # built (it built 339,460 for 5 s, then wrote synth.csv)
     (["synth", "--kappa=const:1.7e290", "--lambda=-2", "--B=-3.3e-308",
-      "--range=3.0:9990.0", "--samples=9"],
+      "--range=3.0:9990.0", "--samples=9"], 2,
      "domain error: tau/kappa changes too fast to difference at s=3.001480191959483"),
-    (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9],
+    (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9], 2,
      "domain error: s=1000000000000.0 is too large to difference"),
-    # the second lambda overflows 1 + h^2 + lambda^2 at the grid's ends
-    (["figure1", "--lambdas=-1,1e300"],
-     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = "),
+    # the second lambda's 1 + lambda^2 overflows: its spec is refused before any file
+    (["figure1", "--lambdas=-1,1e300"], 3, "error: 1 + lam^2 overflows at lam = 1e+300"),
 ])
-def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, says):
+def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, code, says):
     built, series = [], wc.SmoothCumulative._series
 
     def counted(self, lattice):
@@ -135,7 +134,7 @@ def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, s
         return series(self, lattice)
 
     monkeypatch.setattr(wc.SmoothCumulative, "_series", counted)
-    assert run(args + ["--out", tmp_path]) == 2
+    assert run(args + ["--out", tmp_path]) == code
     out, err = capsys.readouterr()
     assert (out, err.count("\n")) == ("", 1) and err.startswith(says)
     assert list(tmp_path.iterdir()) == [] and built == []
@@ -312,13 +311,13 @@ def test_samples_below_minimum_exit_3(tmp_path, capsys, args, minimum):
 @pytest.mark.parametrize("lam, h0, code, err", [
     (1, "1e300", 2, "domain error: domain bound lam*int(kappa) < bound violated at s=0.0\n"),
     (-1, "1e160", 2, "domain error: domain bound lam*int(kappa) < bound violated at s=0.0\n"),
-    ("1e300", 1, 3, "error: exponent offset bound must be finite, got inf\n"),
+    ("1e300", 1, 3, "error: 1 + lam^2 overflows at lam = 1e+300\n"),
 ])
 def test_synth_non_finite_bound_fails_fast(tmp_path, capsys, lam, h0, code, err):
     # a huge h0 gives a bound below 1e-300, which the exponent ceiling refuses
-    # at once (exit 2); a huge lam overflows it to inf, refused as not finite
-    # (exit 3), where an exponent of -inf would make every tangent sample NaN,
-    # each NaN panel bisected down to MAX_SPLITS
+    # at once (exit 2); a huge lam, whose 1 + lam^2 overflows the bound to inf,
+    # is refused by the spec (exit 3), where an exponent of -inf would make
+    # every tangent sample NaN, each NaN panel bisected down to MAX_SPLITS
     start = time.perf_counter()
     assert run(["synth", "--lambda", lam, "--h0", h0, "--range", "0:1", "--out", tmp_path]) == code
     assert time.perf_counter() - start < 10.0
@@ -341,6 +340,33 @@ def test_zero_lambda_or_a_exit_3(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert code == 3
     assert f"argument {flag}: must be finite and at least 1e-12 in magnitude" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["1e200", "-3.3e301"])
+@pytest.mark.parametrize("args", [
+    ["synth", "--h0=1", "--range=0:1"],
+    ["synth", "--kappa=linear-ratio", "--a=1", "--b=1", "--h0=1", "--range=0:1"],
+    ["rect", "--a=0.65", "--range=0.2:1.2"],
+    ["extend", "--kind=curve", "--a=0.65", "--range=-0.7:0.7"],
+    ["extend", "--kind=sphere", "--a=0.65", "--range=-0.7:0.7"],
+    ["figure1"],
+], ids=["synth-const", "synth-linear-ratio", "rect", "extend-curve", "extend-sphere",
+        "figure1"])
+def test_an_overflowing_lambda_is_refused_alike_by_every_command(tmp_path, capsys, args, lam):
+    flag = "--lambdas" if args[0] == "figure1" else "--lambda"
+    assert run(args + [f"{flag}={lam}", "--out", tmp_path]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: 1 + lam^2 overflows at lam = {float(lam)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_refuses_a_linear_ratio_slope_below_the_floor(tmp_path, capsys):
+    # the floor of RectifyingSpec and --a of rect: it wrote synth.csv and then
+    # failed on vanishing curvature
+    assert run(["synth", "--kappa=linear-ratio", "--a=1e-13", "--b=1", "--lambda=1", "--h0=1",
+                "--range=0:1", "--out", tmp_path]) == 3
+    assert capsys.readouterr() == ("", "error: a must be nonzero\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -629,12 +655,12 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
      "domain error: tau/kappa changes too fast to difference at s="),
     (["rect", "--a=1e300", "--lambda=-1", "--range=0.2:1.2"], 2,
      "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 2e+299"),
-    (["rect", "--a=0.65", "--lambda=1e300", "--range=0.2:1.2"], 2,
-     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 0.13 with lambda = 1e+300"),
+    # an overflowing lambda is refused by the spec (whirl.check_lam), in every command alike
+    (["rect", "--a=0.65", "--lambda=1e300", "--range=0.2:1.2"], 3,
+     "error: 1 + lam^2 overflows at lam = 1e+300"),
     (["extend", "--kind", "curve", "--a=1e300", "--lambda=-1", "--range=0.2:1.2"], 2,
      "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 2e+299"),
-    (["figure1", "--lambdas=1e300"], 2,
-     "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = "),
+    (["figure1", "--lambdas=1e300"], 3, "error: 1 + lam^2 overflows at lam = 1e+300"),
     # tau/kappa ~ 1e-300: the axis formula's kappa/tau term overflows its norm;
     # ~1e-310, a subnormal torsion, overflows kappa/tau itself
     (["synth", "--kappa", "const:1", "--lambda=-1", "--h0=1e-300", "--range=0:2"], 1,
@@ -654,7 +680,7 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
     (["synth", "--kappa", "linear-ratio", "--a=1e300", "--b=1", "--lambda=1", "--h0=1",
       "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
     (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1", "--lambda=1e300", "--h0=1",
-      "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
+      "--range=0:1"], 3, "error: 1 + lam^2 overflows at lam = 1e+300"),
     (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1e300", "--lambda=1", "--h0=1",
       "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
     (["synth", "--kappa", "poly:1e308,1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 3,

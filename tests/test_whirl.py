@@ -409,6 +409,32 @@ def test_whirl_argument_checks(call, message):
         call()
 
 
+_TAKES_LAM = {
+    "WhirlSpec": lambda lam: wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=lam, bound=1.0),
+    "RectifyingSpec": lambda lam: wc.RectifyingSpec(a=0.65, b=0.1, lam=lam),
+    "kappa_linear_ratio": lambda lam: wc.kappa_linear_ratio(lam, 1.0, 1.0, (0.0, 1.0)),
+    "intrinsic_residual": lambda lam: wc.intrinsic_residual(1.0, 1.0, 0.0, lam),
+    "whirl_axis": lambda lam: wc.whirl_axis(_exact_helix_frames()[0], lam),
+}
+
+
+@pytest.mark.parametrize("lam, message", [
+    (np.nan, "lam must be finite, got nan"),
+    (np.inf, "lam must be finite, got inf"),
+    (-np.inf, "lam must be finite, got -inf"),
+    (0.0, "lam must be nonzero"),
+    (1e-13, "lam must be nonzero"),
+    (-1e-13, "lam must be nonzero"),
+    (1e200, "1 + lam^2 overflows at lam = 1e+200"),
+    (-3.3e301, "1 + lam^2 overflows at lam = -3.3e+301"),
+])
+@pytest.mark.parametrize("take", _TAKES_LAM.values(), ids=_TAKES_LAM.keys())
+def test_every_taker_of_lam_refuses_a_bad_one_alike(take, lam, message):
+    # whirl.check_lam is the one rule for the whirl constant
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take(lam)
+
+
 def test_fit_of_a_lam_zero_helix_is_clamped_to_the_floor():
     # exact frames put the slope's root at lam = 0, inside the floor
     fit = wc.fit_lambda_axis(_exact_helix_frames())
