@@ -120,7 +120,8 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
     node takes its first three derivatives from one seven-point stencil of
     positions or, given the analytic first derivative ``deriv``, from one
     five-point stencil of ``deriv`` (its centre sample and two difference
-    orders); a grid is sampled in one call.
+    orders), and then ``curve`` is never evaluated; a grid is sampled in
+    one call.
     Curvature and torsion come from the general-speed formulas
     |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2.
     ``strict_unit_speed`` rejects curves with | |curve'| - 1 | > 1e-6.

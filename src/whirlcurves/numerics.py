@@ -214,7 +214,9 @@ def grid_derivatives(s, y) -> np.ndarray:
     out = np.empty((3, n, p))
     out[:, :c] = (w[:c] @ cols[:width]).transpose(1, 0, 2)
     out[:, c + m:] = (w[c + 1:] @ cols[-width:]).transpose(1, 0, 2)
-    with np.errstate(over="ignore"):   # samples near the float range: infinite derivatives
+    # samples near the float range give infinite derivatives, and a step whose
+    # cube underflows infinite or NaN ones: the frames refuse or report them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(0, blocks, per):
             v = spans[:, k:k + per]
             x = (v - v[:, :, span // 2, None]).reshape(-1, span)

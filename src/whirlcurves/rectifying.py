@@ -214,11 +214,16 @@ def chen_ratio_fit(frames: Frames, rms_tol: float = 1e-3) -> ChenFit:
     The rectifying-compatible verdict requires the fit to be tight
     (rms < rms_tol) and genuinely nonconstant: the ratio changes by more
     than SLOPE_FLOOR over the frames, |c1| * (s_max - s_min) > SLOPE_FLOOR,
-    so scaling s and positions alike keeps the verdict.
+    so scaling s and positions alike keeps the verdict.  A ratio that is not
+    finite, from a torsion the frames could not resolve, gives nan fields
+    and the note "torsion is not finite".
     """
     if len(frames) < 3:
         raise FrameError("need at least 3 frames for a line fit")
     ratios = frames.tau / frames.kappa
+    if not np.all(np.isfinite(ratios)):   # e.g. a grid step whose cube underflows
+        return ChenFit(c1=np.nan, c2=np.nan, rms=np.nan, is_rectifying=False,
+                       note="torsion is not finite")
     design = np.column_stack([frames.s, np.ones_like(frames.s)])
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     resid = ratios - design @ coef

@@ -169,7 +169,7 @@ class WhirlCurve:
 
     def torsion(self, s):
         """Torsion of the synthesized curve (sign = tau_sign)."""
-        return self.spec.kappa(s) * self._ratio(s)
+        return self._ratio(s) * self.spec.kappa(s)   # the window check speaks first
 
     def cos_polar(self, s):
         """z-component of the unit tangent, z_sign * e^E / sqrt(1+lam^2)."""
@@ -338,7 +338,8 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
 
     kappa(s) = (1+lam^2) a / (lam (a s + b) (1 + lam^2 + (a s + b)^2)); the
     domain must keep it positive (sign(a s + b) = sign(a / lam)) and away
-    from the a*s + b = 0 pole.
+    from the a*s + b = 0 pole.  kappa and its cumulative answer only the
+    domain's side of the pole: DomainError at an s on or past it.
     """
     lam, a, b = float(lam), float(a), float(b)
     check_lam(lam)
@@ -351,13 +352,26 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     if not lo < hi:
         raise ValueError("empty domain")
 
-    def ev(s):
+    # the pole first: kappa at an end on it would divide by zero
+    side = np.sign(a * lo + b)
+    if not side * np.sign(a * hi + b) > 0:   # a product may over- or underflow
+        raise ValueError("domain crosses the a*s + b = 0 pole")
+
+    def ratio(s):
+        """h = a*s + b; DomainError naming the first s where h is 0 or has
+        the other sign than on the domain, whose formulas do not hold there."""
         h = a * np.asarray(s, dtype=float) + b
+        on = side * h > 0
+        if not on.all():
+            off = ~np.atleast_1d(on)
+            raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} lies on or past "
+                              f"the a*s + b = 0 pole of the linear-ratio kappa")
+        return h
+
+    def ev(s):
+        h = ratio(s)
         return (1.0 + lam * lam) * a / (lam * h * (1.0 + lam * lam + h * h))
 
-    # the pole first: kappa at an end on it would divide by zero
-    if not np.sign(a * lo + b) * np.sign(a * hi + b) > 0:   # a product may over- or underflow
-        raise ValueError("domain crosses the a*s + b = 0 pole")
     for edge in (lo, hi):
         if not _kappa_on(ev, edge, (lo, hi)) > 0:
             raise ValueError(
@@ -368,9 +382,10 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     def cumulative(s0):
         # (ln|h/h0| - ln sqrt((c + h^2)/(c + h0^2)))/lam as one log1p of
         # c (h^2 - h0^2) / (h0^2 (c + h^2)), whose factors share one sign
-        h0 = a * s0 + b
+        h0 = ratio(s0)
 
         def integral(s):
+            ratio(s)
             delta = a * (np.asarray(s, dtype=float) - s0)
             h = h0 + delta
             with np.errstate(over="ignore"):

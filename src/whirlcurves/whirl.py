@@ -113,6 +113,9 @@ def verify_whirl(curve: Callable, s_grid, *, lam: float,
                  deriv: Optional[Callable] = None) -> AxisReport:
     """Check axis constancy of the position callable ``curve`` on ``s_grid``
     for a given ``lam``; ``deriv`` is its optional analytic first derivative.
+    Given ``deriv``, the frames come from it alone (see
+    :func:`~whirlcurves.frenet.frenet_at`): ``curve`` is never evaluated,
+    so the check is of ``deriv``, not of the positions.
 
     The curve passes at tolerance tol when ``report.passes(tol)``.
     """

@@ -735,6 +735,22 @@ def test_verify_of_a_trace_whose_derivatives_overflow_is_negative(tmp_path, caps
     assert "whirl verdict:        NEGATIVE  (undefined frame: a derivative overflows at s=" in out
 
 
+@pytest.mark.parametrize("scale", [1e-104, 1e-110])
+def test_verify_of_a_trace_with_a_tiny_step_notes_a_torsion_that_is_not_finite(
+        tmp_path, capsys, scale):
+    # a homothety of a rect trace: h**3 underflows at 1e-110, which warned from
+    # grid_derivatives, and the chen fit read nan but blamed a ratio "not linear"
+    spec = wc.RectifyingSpec(a=0.65, b=0.1, lam=1.3)
+    s = np.linspace(0.2, 2.2, 513)
+    tr = wc.CurveTrace(s * scale, wc.curve_point(spec, s) * scale)
+    traceio.write_csv(tr, tmp_path / "tiny.csv")
+    assert run(["verify", "--in", tmp_path / "tiny.csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _verify_line(out, "rectifying verdict:") == (
+        "rectifying verdict:   NEGATIVE  (torsion is not finite)")
+
+
 @pytest.mark.parametrize("digits, code", [(8, 0), (7, 3)])
 def test_verify_takes_an_s_column_rounded_to_8_digits(tmp_path, capsys, digits, code):
     assert run(["synth", "--kappa", "const:1", "--lambda=-1", "--h0", 1, "--range", "0:2",

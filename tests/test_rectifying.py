@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import whirlcurves as wc
 from whirlcurves.errors import DomainError
@@ -324,6 +325,34 @@ def test_extended_sphere_point_seam_and_interval():
             for k in range(2, 9)]
     assert np.all(np.diff(gaps) < 0)
     assert gaps[-1] < 1e-6
+
+
+def _magnitude(lo, hi):
+    """A float of either sign whose magnitude is log-uniform over [10**lo, 10**hi]."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                     st.floats(lo, hi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_magnitude(-12, 300), b=st.one_of(st.just(0.0), _magnitude(-20, 300)),
+       lam=_magnitude(-12, 154), d=st.floats(-3.0, 3.0), lo=st.floats(-5.0, 5.0),
+       width=_magnitude(-6, 1).map(abs), n=st.integers(1, 600))
+def test_the_extensions_refuse_a_grid_exactly_when_they_refuse_its_ends(a, b, lam, d, lo,
+                                                                       width, n):
+    # figure1 checks only each lambda's two grid ends before writing any file:
+    # |a*s + b| and |tan(d + t)| are largest at an end of the grid, and the
+    # sphere's open interval is too
+    spec = wc.RectifyingSpec(a=a, b=b, lam=lam, d_shift=d)
+    grid = np.linspace(lo, lo + width, n)
+    for extension in (wc.extended_point, wc.extended_sphere_point):
+        refused = []
+        for points in (grid[[0, -1]], grid):
+            try:
+                extension(spec, points)
+                refused.append(False)
+            except DomainError:
+                refused.append(True)
+        assert refused[0] == refused[1]
 
 
 def test_radial_projection_factorization(rng):

@@ -926,6 +926,30 @@ def test_kappa_families_refuse_a_kappa_that_overflows(make, domain):
         make(domain)
 
 
+def test_a_linear_ratio_curve_refuses_the_other_side_of_its_pole():
+    # the pole at s = -1e-4 lies within REACH of the window: a stencil at s = 0
+    # read the other branch, framing kappa 86 where it is 1e4, and verify_whirl
+    # reported an axis deviation of 0.52 for this whirl curve
+    kappa = wc.kappa_linear_ratio(1.0, 1.0, 1e-4, (0.0, 1.0))
+    spec = wc.WhirlSpec(kappa=kappa, lam=1.0, bound=wc.bound_from_ratio(1e-4, 1.0))
+    curve = wc.WhirlCurve(spec, window=(0.0, 1.0))
+    past = r"^s=-\S+ lies on or past the a\*s \+ b = 0 pole of the linear-ratio kappa$"
+    for call in (
+            lambda: wc.frenet_at(curve.position, [0.0, 0.5], deriv=curve.tangent,
+                                 strict_unit_speed=False),
+            lambda: wc.verify_whirl(curve.position, [0.0, 0.25, 0.5], lam=1.0,
+                                    deriv=curve.tangent),
+            lambda: curve.tangent(-2e-4), lambda: curve.exponent(-1e-4),
+            lambda: curve.torsion(-2e-4), lambda: kappa(-1e-4), lambda: kappa([0.5, -2e-4])):
+        with pytest.raises(DomainError, match=past):
+            call()
+    # the window check speaks first for a query beyond REACH
+    with pytest.raises(DomainError, match="outside the curve's window"):
+        curve.torsion(-1.0)
+    assert kappa(0.0) == pytest.approx(2.0 / (1e-4 * (2.0 + 1e-8)), rel=1e-12)
+    assert curve.torsion(0.5) == pytest.approx(0.5001 * kappa(0.5), rel=1e-9)
+
+
 def test_the_pole_check_survives_an_overflowing_end():
     # a*s + b overflows at s = 1e10 and is 0 at s = 0: the product of the two was nan
     with pytest.raises(ValueError, match=r"^domain crosses the a\*s \+ b = 0 pole$"):
