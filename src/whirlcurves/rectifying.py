@@ -32,10 +32,10 @@ class RectifyingSpec:
     """Constants of one whirl-rectifying curve.
 
     ``branch`` selects the half line a*s + b > 0 (+1, the default) or < 0
-    (-1).  ``d_shift`` is the angular offset of the sphere-curve
-    parametrization.  The branch with sign(a*s+b) = sign(a*lam) is the one
-    whose torsion-to-curvature ratio is exactly a*s + b and whose whirl
-    constant is exactly lam.
+    (-1), held by :func:`branch_ratio`.  ``d_shift`` is the angular offset
+    of the sphere-curve parametrization.  The branch with sign(a*s+b) =
+    sign(a*lam) is the one whose torsion-to-curvature ratio is exactly
+    a*s + b and whose whirl constant is exactly lam.
     """
 
     a: float
@@ -86,14 +86,17 @@ def _ratio(spec: RectifyingSpec, s):
         return spec.a * np.asarray(s, dtype=float) + spec.b
 
 
-def _check_branch(spec: RectifyingSpec, h, what: str):
-    h_arr = np.atleast_1d(np.asarray(h, dtype=float))
-    if np.any(h_arr == 0.0):
-        raise DomainError(f"{what} undefined at a*s+b = 0: use omega extension")
-    if np.any(np.sign(h_arr) != spec.branch):
-        bad = h_arr[np.sign(h_arr) != spec.branch][0]
-        raise DomainError(
-            f"branch mismatch: a*s+b = {bad} has the wrong sign for branch {spec.branch:+d}")
+def branch_ratio(spec: RectifyingSpec, s):
+    """h = a*s + b at ``s``; DomainError naming the first s where h is 0 or
+    has the sign opposite to ``spec.branch``, on or past the a*s + b = 0
+    seam, where the branch's formulas do not hold.  An h that overflows
+    does so under the caller's errstate."""
+    h = spec.a * np.asarray(s, dtype=float) + spec.b
+    off = np.atleast_1d(~(spec.branch * h > 0))
+    if off.any():
+        raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} lies on or past "
+                          f"the a*s + b = 0 seam of branch {spec.branch:+d}")
+    return h
 
 
 def _omega(spec: RectifyingSpec, h):
@@ -107,16 +110,18 @@ def _omega(spec: RectifyingSpec, h):
 
 
 def curve_point(spec: RectifyingSpec, s) -> np.ndarray:
-    """Position of the whirl-rectifying curve (unit-speed parameter s)."""
-    h = _ratio(spec, s)
-    _check_branch(spec, h, "curve")
+    """Position of the whirl-rectifying curve (unit-speed parameter s) on
+    ``spec.branch``: DomainError at an s on or past the seam
+    (:func:`branch_ratio`; :func:`extended_point` crosses it)."""
+    with np.errstate(over="ignore"):   # an infinite h is refused by _phase
+        h = branch_ratio(spec, s)
     return _omega(spec, h)
 
 
 def curve_velocity(spec: RectifyingSpec, s) -> np.ndarray:
     """Analytic first derivative of :func:`curve_point` (a unit vector)."""
-    h = _ratio(spec, s)
-    _check_branch(spec, h, "curve")
+    with np.errstate(over="ignore"):
+        h = branch_ratio(spec, s)
     lam = spec.lam
     root, G, A = _phase(h, lam)
     sg = np.sqrt(G)
@@ -135,10 +140,10 @@ def hyperboloid_residual(p, lam: float, a: float):
 
 
 def sphere_point(spec: RectifyingSpec, t) -> np.ndarray:
-    """Unit-speed curve on the unit sphere whose cone carries the curve."""
+    """Unit-speed curve on the unit sphere whose cone carries the curve, on
+    the branch's open interval, whose end t = -d is the seam
+    (:func:`extended_sphere_point` crosses it)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t == -spec.d_shift):
-        raise DomainError("sphere curve undefined at t = -d: use upsilon extension")
     d = spec.d_shift
     lo, hi = (-d, -d + HALF_PI) if spec.branch == 1 else (-d - HALF_PI, -d)
     if np.any(t <= lo) or np.any(t >= hi):

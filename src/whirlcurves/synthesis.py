@@ -18,15 +18,16 @@ Legendre series: a sample costs no tangent evaluation of its own.
 kappa's domain as its window and answers the closed forms only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .frenet import trace
 from .numerics import EPS, STENCILS, ScalarFn, SmoothCumulative, as_scalar_fn
+from .rectifying import RectifyingSpec, branch_ratio
 from .traceio import CurveTrace
-from .whirl import LAMBDA_FLOOR, check_lam, intrinsic_residual
+from .whirl import check_lam, intrinsic_residual
 
 EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
 
@@ -336,18 +337,16 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
                        domain) -> ScalarFn:
     """Curvature whose whirl curve has torsion/curvature = a*s + b.
 
-    kappa(s) = (1+lam^2) a / (lam (a s + b) (1 + lam^2 + (a s + b)^2)); the
-    domain must keep it positive (sign(a s + b) = sign(a / lam)) and away
-    from the a*s + b = 0 pole.  kappa and its cumulative answer only the
-    domain's side of the pole: DomainError at an s on or past it.
+    kappa(s) = (1+lam^2) a / (lam (a s + b) (1 + lam^2 + (a s + b)^2)).
+    (a, b, lam) must make a :class:`~whirlcurves.rectifying.RectifyingSpec`,
+    and the domain must keep kappa positive (sign(a s + b) = sign(a / lam))
+    and away from the a*s + b = 0 pole.  kappa and its cumulative answer
+    only the domain's side of the pole, the spec's branch there: at an s on
+    or past it, :func:`~whirlcurves.rectifying.branch_ratio` raises
+    DomainError.
     """
     lam, a, b = float(lam), float(a), float(b)
-    check_lam(lam)
-    for name, value in (("a", a), ("b", b)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if abs(a) < LAMBDA_FLOOR:
-        raise ValueError("a must be nonzero")
+    spec = RectifyingSpec(a=a, b=b, lam=lam)
     lo, hi = _domain_ends(domain)
     if not lo < hi:
         raise ValueError("empty domain")
@@ -356,20 +355,10 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     side = np.sign(a * lo + b)
     if not side * np.sign(a * hi + b) > 0:   # a product may over- or underflow
         raise ValueError("domain crosses the a*s + b = 0 pole")
-
-    def ratio(s):
-        """h = a*s + b; DomainError naming the first s where h is 0 or has
-        the other sign than on the domain, whose formulas do not hold there."""
-        h = a * np.asarray(s, dtype=float) + b
-        on = side * h > 0
-        if not on.all():
-            off = ~np.atleast_1d(on)
-            raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} lies on or past "
-                              f"the a*s + b = 0 pole of the linear-ratio kappa")
-        return h
+    spec = replace(spec, branch=int(side))
 
     def ev(s):
-        h = ratio(s)
+        h = branch_ratio(spec, s)
         return (1.0 + lam * lam) * a / (lam * h * (1.0 + lam * lam + h * h))
 
     for edge in (lo, hi):
@@ -382,10 +371,10 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     def cumulative(s0):
         # (ln|h/h0| - ln sqrt((c + h^2)/(c + h0^2)))/lam as one log1p of
         # c (h^2 - h0^2) / (h0^2 (c + h^2)), whose factors share one sign
-        h0 = ratio(s0)
+        h0 = branch_ratio(spec, s0)
 
         def integral(s):
-            ratio(s)
+            branch_ratio(spec, s)
             delta = a * (np.asarray(s, dtype=float) - s0)
             h = h0 + delta
             with np.errstate(over="ignore"):

@@ -73,8 +73,11 @@ def intrinsic_residual_grid(s_grid, kappas, taus, lam) -> np.ndarray:
 
 
 def whirl_axis(frame: Frames, lam: float) -> np.ndarray:
-    """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3)."""
+    """Candidate unit whirl axis: (3,) from a row of Frames, else (n, 3);
+    FrameError where a torsion is zero, not finite or too small against kappa."""
     check_lam(lam)
+    if not np.all(np.isfinite(frame.tau)):
+        raise FrameError("axis undefined: torsion is not finite")
     if np.any(frame.tau == 0.0):
         raise FrameError("axis undefined: zero torsion")
     with np.errstate(over="ignore", invalid="ignore"):   # a subnormal tau overflows r
@@ -235,9 +238,11 @@ def fit_lambda_axis(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     At the ends of the scan: a lam within 4e-12 of zero is no whirl (the
     definition needs lam != 0), and a best candidate at +-1e4 whose bracket
     holds no root is no whirl either, since the minimum lies beyond the
-    bound.  The axis sign makes its largest-magnitude component positive,
-    so noise in the small components cannot flip an axis near a coordinate
-    direction; the rms comes from the residuals themselves.
+    bound.  So are frames with a torsion that is not finite or is below
+    TAU_FLOOR in magnitude.  The axis sign makes its largest-magnitude
+    component positive, so noise in the small components cannot flip an
+    axis near a coordinate direction; the rms comes from the residuals
+    themselves.
     """
     if len(frames) < MIN_FIT_FRAMES:
         raise FrameError(f"no stable fit: need at least {MIN_FIT_FRAMES} frames")
@@ -280,7 +285,10 @@ def fit_lambda_axis(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
     note = ""
     is_whirl = rms < rms_tol
-    if np.min(np.abs(frames.tau)) < TAU_FLOOR:
+    if not np.all(np.isfinite(frames.tau)):   # NaN fails every comparison below
+        is_whirl = False
+        note = "not a whirl curve: torsion is not finite on the grid"
+    elif np.min(np.abs(frames.tau)) < TAU_FLOOR:
         is_whirl = False
         note = "not a whirl curve: torsion vanishes on the grid"
     elif abs(lam) <= 4.0 * LAMBDA_FLOOR:

@@ -241,7 +241,9 @@ def fit_lambda_bisect(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
         d = -d
     rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
     is_whirl, note = rms < rms_tol, ""
-    if np.min(np.abs(frames.tau)) < TAU_FLOOR:
+    if not np.all(np.isfinite(frames.tau)):
+        is_whirl, note = False, "not a whirl curve: torsion is not finite on the grid"
+    elif np.min(np.abs(frames.tau)) < TAU_FLOOR:
         is_whirl, note = False, "not a whirl curve: torsion vanishes on the grid"
     elif abs(lam) <= 4.0 * LAMBDA_FLOOR:
         is_whirl, note = False, "not a whirl curve: fitted constant is indistinguishable from zero"

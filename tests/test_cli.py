@@ -739,14 +739,17 @@ def test_verify_of_a_trace_whose_derivatives_overflow_is_negative(tmp_path, caps
 def test_verify_of_a_trace_with_a_tiny_step_notes_a_torsion_that_is_not_finite(
         tmp_path, capsys, scale):
     # a homothety of a rect trace: h**3 underflows at 1e-110, which warned from
-    # grid_derivatives, and the chen fit read nan but blamed a ratio "not linear"
+    # grid_derivatives, and the chen fit read nan but blamed a ratio "not linear";
+    # the lambda fit, which reads only t and n, called it a whirl curve (exit 0)
     spec = wc.RectifyingSpec(a=0.65, b=0.1, lam=1.3)
     s = np.linspace(0.2, 2.2, 513)
     tr = wc.CurveTrace(s * scale, wc.curve_point(spec, s) * scale)
     traceio.write_csv(tr, tmp_path / "tiny.csv")
-    assert run(["verify", "--in", tmp_path / "tiny.csv"]) == 0
+    assert run(["verify", "--in", tmp_path / "tiny.csv"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
+    assert _verify_line(out, "whirl verdict:") == (
+        "whirl verdict:        NEGATIVE  (not a whirl curve: torsion is not finite on the grid)")
     assert _verify_line(out, "rectifying verdict:") == (
         "rectifying verdict:   NEGATIVE  (torsion is not finite)")
 

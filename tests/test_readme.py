@@ -1,9 +1,20 @@
-"""README's python examples run, in order, as one script."""
+"""README's python examples run, in order, as one script; its `whirlcurves`
+command lines run and pass; and its module table names every public
+function and class of each library module."""
 
+import ast
 import re
+import shlex
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import pytest
+
+from whirlcurves import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODULES = sorted(p for p in (ROOT / "src" / "whirlcurves").glob("*.py")
+                 if p.stem not in ("__init__", "cli"))   # the CLI's row names the command
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
@@ -15,3 +26,26 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert (tmp_path / "whirl.csv").is_file()
+
+
+def test_readme_command_lines_pass(tmp_path, monkeypatch, capsys):
+    # so a renamed flag or subcommand fails the suite, not just the docs
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("whirlcurves ")]
+    assert [argv[1] for argv in lines] == ["synth", "rect", "extend", "verify", "figure1"]
+    monkeypatch.chdir(tmp_path)   # the lines write into out/ and fig1/
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr())
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_the_module_table_names_every_public_function_and_class(module):
+    rows = [line for line in README.read_text().splitlines()
+            if line.startswith(f"| `whirlcurves.{module.stem}`")]
+    assert len(rows) == 1
+    public = [node.name for node in ast.parse(module.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    # a name is named as `name` or as a call, `name(...)`
+    assert [n for n in public if not re.search(rf"`{n}[`(]", rows[0])] == []

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import whirlcurves as wc
 from whirlcurves.errors import DomainError
-from conftest import (branch_grid, congruent_distances, random_rectifying_spec,
-                      random_rotation, unit_speed_helix)
+from whirlcurves.rectifying import branch_ratio
+from conftest import branch_grid, random_rectifying_spec, random_rotation, unit_speed_helix
 
 REF = wc.RectifyingSpec(a=0.65, b=0.0, lam=-1.0)           # reference parameters
 REF_MINUS = wc.RectifyingSpec(a=0.65, b=0.0, lam=-1.0, branch=-1)
@@ -29,13 +29,20 @@ def test_curve_point_approaches_apex():
     assert prev < 1e-5
 
 
-def test_curve_point_branch_errors():
-    with pytest.raises(DomainError, match="omega extension"):
-        wc.curve_point(REF, 0.0)
-    with pytest.raises(DomainError, match="branch mismatch"):
-        wc.curve_point(REF, -0.5)
-    with pytest.raises(DomainError, match="branch mismatch"):
-        wc.curve_point(REF_MINUS, 0.5)
+SEAM = r"^s=\S+ lies on or past the a\*s \+ b = 0 seam of branch [+-]1$"
+
+
+@pytest.mark.parametrize("spec, s, says", [
+    (REF, 0.0, "s=0.0 lies on or past the a*s + b = 0 seam of branch +1"),
+    (REF, [0.5, -0.5], "s=-0.5 lies on or past the a*s + b = 0 seam of branch +1"),
+    (REF_MINUS, 0.0, "s=0.0 lies on or past the a*s + b = 0 seam of branch -1"),
+    (REF_MINUS, 0.5, "s=0.5 lies on or past the a*s + b = 0 seam of branch -1")])
+def test_curve_point_branch_errors(spec, s, says):
+    # the one seam rule, branch_ratio, names the first s off the branch
+    for call in (wc.curve_point, wc.curve_velocity, branch_ratio):
+        with pytest.raises(DomainError, match=SEAM) as info:
+            call(spec, s)
+        assert str(info.value) == says
 
 
 def test_curve_is_unit_speed(rng):
@@ -156,8 +163,11 @@ def test_sphere_curve_unit_speed():
 
 
 def test_sphere_point_domain_errors():
-    with pytest.raises(DomainError, match="upsilon extension"):
+    # t = -d, the seam, is an end of either branch's open interval
+    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(-0.0, "):
         wc.sphere_point(REF, 0.0)
+    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(\S+, -0.0\)$"):
+        wc.sphere_point(REF_MINUS, 0.0)
     with pytest.raises(DomainError):
         wc.sphere_point(REF, -0.2)          # wrong side for branch +1
     with pytest.raises(DomainError):
@@ -366,21 +376,32 @@ def test_radial_projection_factorization(rng):
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
+def _kabsch(p, q):
+    """Align the points ``p`` with ``q``: the determinant of the orthogonal
+    map that best takes centred p to centred q, and the largest distance
+    left by the best proper rotation (Kabsch)."""
+    p, q = p - p.mean(axis=0), q - q.mean(axis=0)
+    u, _, vt = np.linalg.svd(p.T @ q)
+    det = float(np.sign(np.linalg.det(u @ vt)))
+    rotation = u @ np.diag([1.0, 1.0, det]) @ vt
+    return det, float(np.max(np.linalg.norm(p @ rotation - q, axis=1)))
+
+
 def test_closed_form_congruent_to_synthesized(rng):
-    # curvature from the linear-ratio family reproduces the closed form up
-    # to a rigid motion (pairwise-distance congruence)
-    a, b, lam = 0.65, 0.0, -1.0
-    spec = wc.RectifyingSpec(a=a, b=b, lam=lam, branch=-1)   # consistent branch
-    lo, hi = -1.3, -0.3
-    s0 = -1.0
-    h0 = a * s0 + b
-    kappa = wc.kappa_linear_ratio(lam, a, b, (lo - 0.1, hi + 0.1))
-    wspec = wc.WhirlSpec(kappa=kappa, lam=lam, bound=wc.bound_from_ratio(h0, lam),
-                         s0=s0, tau_sign=1 if h0 > 0 else -1)
-    grid = np.linspace(lo, hi, 17)
-    synth = wc.synthesize(wspec, lo, hi, 17)
-    closed = wc.curve_point(spec, grid)
-    assert congruent_distances(synth.points, closed, 1e-8)
+    # curvature from the linear-ratio family reproduces the closed form up to a
+    # rotation and a shift; a mirror image, tau_sign flipped, has the same
+    # pairwise distances but no proper rotation onto the closed form
+    for spec in [REF_MINUS] + [random_rectifying_spec(rng) for _ in range(24)]:
+        grid = branch_grid(spec, 65)
+        h0 = spec.a * grid[0] + spec.b
+        kappa = wc.kappa_linear_ratio(spec.lam, spec.a, spec.b, (grid[0], grid[-1]))
+        for tau_sign, det in ((np.sign(h0), 1.0), (-np.sign(h0), -1.0)):
+            wspec = wc.WhirlSpec(kappa=kappa, lam=spec.lam, s0=grid[0], tau_sign=int(tau_sign),
+                                 bound=wc.bound_from_ratio(h0, spec.lam))
+            synth = wc.synthesize(wspec, grid[0], grid[-1], 65)
+            turn, miss = _kabsch(synth.points, wc.curve_point(spec, synth.s))
+            assert turn == det
+            assert miss <= 1e-13 if det > 0 else miss > 1e-3
 
 
 @pytest.mark.parametrize("field, value", [

@@ -933,14 +933,17 @@ def test_a_linear_ratio_curve_refuses_the_other_side_of_its_pole():
     kappa = wc.kappa_linear_ratio(1.0, 1.0, 1e-4, (0.0, 1.0))
     spec = wc.WhirlSpec(kappa=kappa, lam=1.0, bound=wc.bound_from_ratio(1e-4, 1.0))
     curve = wc.WhirlCurve(spec, window=(0.0, 1.0))
-    past = r"^s=-\S+ lies on or past the a\*s \+ b = 0 pole of the linear-ratio kappa$"
+    # the seam rule of the closed forms, rectifying.branch_ratio, on the
+    # branch a*s + b > 0 of the domain
+    past = r"^s=-\S+ lies on or past the a\*s \+ b = 0 seam of branch \+1$"
     for call in (
             lambda: wc.frenet_at(curve.position, [0.0, 0.5], deriv=curve.tangent,
                                  strict_unit_speed=False),
             lambda: wc.verify_whirl(curve.position, [0.0, 0.25, 0.5], lam=1.0,
                                     deriv=curve.tangent),
             lambda: curve.tangent(-2e-4), lambda: curve.exponent(-1e-4),
-            lambda: curve.torsion(-2e-4), lambda: kappa(-1e-4), lambda: kappa([0.5, -2e-4])):
+            lambda: curve.torsion(-2e-4), lambda: kappa(-1e-4), lambda: kappa([0.5, -2e-4]),
+            lambda: kappa.cumulative(0.5)([0.5, -2e-4]), lambda: kappa.cumulative(-1e-4)):
         with pytest.raises(DomainError, match=past):
             call()
     # the window check speaks first for a query beyond REACH
@@ -987,7 +990,18 @@ def test_kappa_families_reject_non_finite_numbers():
 def test_kappa_linear_ratio_rejects_non_finite_numbers(field, value):
     args = {"lam": -1.0, "a": 1.0, "b": -2.0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        wc.kappa_linear_ratio(domain=(0.0, 1.0), **args)
+        _refused_alike(**args)
+
+
+def _refused_alike(lam, a, b):
+    """Re-raise kappa_linear_ratio's refusal of (lam, a, b) on (0, 1) once
+    RectifyingSpec, the constants' one rule, refuses them with its message."""
+    with pytest.raises(ValueError) as by_spec:
+        wc.RectifyingSpec(a=a, b=b, lam=lam)
+    with pytest.raises(ValueError) as by_kappa:
+        wc.kappa_linear_ratio(lam, a, b, (0.0, 1.0))
+    assert str(by_kappa.value) == str(by_spec.value)
+    raise by_kappa.value
 
 
 @pytest.mark.parametrize("make, domain, rule", [
@@ -1004,11 +1018,10 @@ def test_kappa_families_check_their_domain(make, domain, rule):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: wc.kappa_linear_ratio(-1.0, 0.0, 1.0, (0.0, 1.0)), "a must be nonzero"),
-    (lambda: wc.kappa_linear_ratio(1.0, -1e-13, 1.0, (0.0, 1.0)), "a must be nonzero"),
-    (lambda: wc.kappa_linear_ratio(0.0, 1.0, 1.0, (0.0, 1.0)), "lam must be nonzero"),
-    (lambda: wc.kappa_linear_ratio(1e300, 1.0, 1.0, (0.0, 1.0)),
-     "1 + lam^2 overflows at lam = 1e+300"),
+    (lambda: _refused_alike(-1.0, 0.0, 1.0), "a must be nonzero"),
+    (lambda: _refused_alike(1.0, -1e-13, 1.0), "a must be nonzero"),
+    (lambda: _refused_alike(0.0, 1.0, 1.0), "lam must be nonzero"),
+    (lambda: _refused_alike(1e300, 1.0, 1.0), "1 + lam^2 overflows at lam = 1e+300"),
     (lambda: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (1.0, 1.0)), "empty domain"),
     (lambda: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (1.0, 3.0)),
      "domain crosses the a*s + b = 0 pole"),

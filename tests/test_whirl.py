@@ -69,6 +69,30 @@ def test_whirl_axis_zero_torsion():
         wc.whirl_axis(frame, 1.0)
 
 
+def test_the_fit_and_the_axis_refuse_a_torsion_that_is_not_finite():
+    # a homothety by 1e-104 of a rect trace: h**3 underflows in grid_derivatives,
+    # so every frame's torsion is nan; NaN fails the fit's |tau| < TAU_FLOOR test,
+    # and the fit, which reads t and n alone, called it a whirl curve
+    spec = wc.RectifyingSpec(a=0.65, b=0.1, lam=1.3)
+    s = np.linspace(0.2, 2.2, 513)
+    tiny = wc.trace_frames(wc.CurveTrace(s * 1e-104, wc.curve_point(spec, s) * 1e-104))
+    assert np.isnan(tiny.tau).all()
+    # so is one torsion that is not finite among finite ones
+    helix = _exact_helix_frames()
+    cases = [tiny, tiny[0]]
+    for bad in (np.nan, np.inf):
+        tau = helix.tau.copy()
+        tau[7] = bad
+        cases.append(wc.Frames(s=helix.s, t=helix.t, n=helix.n, kappa=helix.kappa, tau=tau))
+    for frames in cases:
+        with pytest.raises(FrameError, match="^axis undefined: torsion is not finite$"):
+            wc.whirl_axis(frames, 1.3)
+        if frames.tau.ndim:   # a fit needs a grid
+            fit = wc.fit_lambda_axis(frames)
+            assert (fit.is_whirl, fit.note) == (
+                False, "not a whirl curve: torsion is not finite on the grid")
+
+
 def test_proportionality_residual_cases(rng):
     e = np.eye(3)
     frame = wc.Frames(0.0, e[0], e[1], kappa=1.0, tau=0.5)
