@@ -164,9 +164,9 @@ def test_sphere_curve_unit_speed():
 
 def test_sphere_point_domain_errors():
     # t = -d, the seam, is an end of either branch's open interval
-    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(-0.0, "):
+    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(-0\.0, "):
         wc.sphere_point(REF, 0.0)
-    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(\S+, -0.0\)$"):
+    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(\S+, -0\.0\)$"):
         wc.sphere_point(REF_MINUS, 0.0)
     with pytest.raises(DomainError):
         wc.sphere_point(REF, -0.2)          # wrong side for branch +1
