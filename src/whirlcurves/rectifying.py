@@ -144,12 +144,20 @@ def sphere_point(spec: RectifyingSpec, t) -> np.ndarray:
     the branch's open interval, whose end t = -d is the seam
     (:func:`extended_sphere_point` crosses it)."""
     t = np.asarray(t, dtype=float)
-    d = spec.d_shift
-    lo, hi = (-d, -d + HALF_PI) if spec.branch == 1 else (-d - HALF_PI, -d)
-    if np.any(t <= lo) or np.any(t >= hi):
-        raise DomainError(
-            f"t outside the open branch interval ({lo}, {hi})")
+    seam = 0.0 - spec.d_shift   # 0.0, not -0.0, when d is 0
+    ends = (seam, seam + HALF_PI) if spec.branch == 1 else (seam - HALF_PI, seam)
+    _check_open(t, ends, "branch interval")
     return _sphere_formula(spec, t)
+
+
+def _check_open(t, ends, name: str) -> None:
+    """DomainError naming the first t not inside the open interval ``ends``
+    (a nan t too), as :func:`branch_ratio` names its s."""
+    lo, hi = ends
+    off = np.atleast_1d(~((t > lo) & (t < hi)))
+    if off.any():
+        raise DomainError(f"t={float(np.atleast_1d(t)[off][0])!r} lies outside "
+                          f"the open {name} ({lo!r}, {hi!r})")
 
 
 def _sphere_formula(spec: RectifyingSpec, t):
@@ -262,14 +270,12 @@ def extended_sphere_point(spec: RectifyingSpec, t) -> np.ndarray:
     """Extension of the sphere curve across t = -d on the open interval
     (-d - pi/2, -d + pi/2); the seam value is (0, 0, sign(a))."""
     t_arr = np.asarray(t, dtype=float)
-    lo = -spec.d_shift - HALF_PI
-    hi = -spec.d_shift + HALF_PI
-    if np.any(t_arr <= lo) or np.any(t_arr >= hi):
-        raise DomainError(f"t outside the open interval ({lo}, {hi})")
+    seam = 0.0 - spec.d_shift
+    _check_open(t_arr, (seam - HALF_PI, seam + HALF_PI), "interval")
     out = np.empty(t_arr.shape + (3,))
-    seam = t_arr == -spec.d_shift
+    at_seam = t_arr == seam
     sa = 1.0 if spec.a > 0 else -1.0
-    out[seam] = np.array([0.0, 0.0, sa])
-    if np.any(~seam):
-        out[~seam] = _sphere_formula(spec, t_arr[~seam])
+    out[at_seam] = np.array([0.0, 0.0, sa])
+    if np.any(~at_seam):
+        out[~at_seam] = _sphere_formula(spec, t_arr[~at_seam])
     return out

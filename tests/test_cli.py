@@ -104,14 +104,19 @@ def test_extend_sphere_outside_interval_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("args", [["--range", "0:3"], ["--range=-0.5:1.5", "--d", 0.5]])
-def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, says", [
+    (["--range", "0:3"],
+     "t=3.0 lies outside the open interval (-1.5707963267948966, 1.5707963267948966)"),
+    (["--range=-0.5:1.5", "--d", 0.5],
+     "t=1.5 lies outside the open interval (-2.0707963267948966, 1.0707963267948966)"),
+])
+def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, args, says):
     # the range is checked against (-d - pi/2, -d + pi/2) before the first
     # file; the first lambda's curve trace used to be written, then exit 2
     code = run(["figure1"] + args + ["--out", tmp_path])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("domain error: t outside the open interval (")
+    assert err == f"domain error: {says}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,7 @@
 """Closed-form whirl-rectifying family: geometry, cone, extensions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,14 +166,23 @@ def test_sphere_curve_unit_speed():
 
 def test_sphere_point_domain_errors():
     # t = -d, the seam, is an end of either branch's open interval
-    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(-0\.0, "):
+    # (REF's d is 0: the end prints as 0.0, not -0.0); each names the first refused t
+    half = re.escape(repr(np.pi / 2))
+    with pytest.raises(DomainError, match=rf"^t=0\.0 lies outside the open branch interval "
+                                          rf"\(0\.0, {half}\)$"):
         wc.sphere_point(REF, 0.0)
-    with pytest.raises(DomainError, match=r"^t outside the open branch interval \(\S+, -0\.0\)$"):
-        wc.sphere_point(REF_MINUS, 0.0)
-    with pytest.raises(DomainError):
-        wc.sphere_point(REF, -0.2)          # wrong side for branch +1
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=rf"^t=0\.0 lies outside the open branch interval "
+                                          rf"\(-{half}, 0\.0\)$"):
+        wc.sphere_point(REF_MINUS, [-0.5, 0.0, 0.5])
+    with pytest.raises(DomainError, match=r"^t=-0\.2 lies "):
+        wc.sphere_point(REF, [0.1, -0.2, -0.3])   # wrong side for branch +1
+    with pytest.raises(DomainError, match=rf"^t={half} lies "):
         wc.sphere_point(REF, np.pi / 2)     # interval end
+    with pytest.raises(DomainError, match=r"^t=nan lies "):
+        wc.sphere_point(REF, np.nan)
+    with pytest.raises(DomainError, match=rf"^t=2\.0 lies outside the open interval "
+                                          rf"\(-{half}, {half}\)$"):
+        wc.extended_sphere_point(REF, [0.0, 2.0, -2.0])
 
 
 def test_sphere_point_seam_limit():

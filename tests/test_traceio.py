@@ -1,5 +1,7 @@
 """CurveTrace container and CSV/JSON wire-format tests."""
 
+import contextlib
+import gc
 import os
 import re
 import tempfile
@@ -364,6 +366,8 @@ def test_read_json_errors_name_the_file(tmp_path, capsys, body):
     b'[0.5, true, 2, 3]',      # a bool among numbers: numpy reads it as 1.0
     b'[true, false, true, false]',
     b'["0.5", "1", "2", "3"]',
+    b'[0.5, 1, 2]',            # a ragged row: numpy's "inhomogeneous shape" message
+    b'[0.5, 1, 2, [3]]',       # a list nested in a row
 ])
 def test_read_json_rejects_samples_that_are_not_numbers(tmp_path, capsys, row):
     bad = tmp_path / "bad.json"
@@ -372,3 +376,79 @@ def test_read_json_rejects_samples_that_are_not_numbers(tmp_path, capsys, row):
         traceio.read_json(bad)
     assert main(["verify", "--in", str(bad)]) == 3
     assert "malformed JSON samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta, kind", [
+    (b'"param"', "str"),     # dict() of a string: "dictionary update sequence element #0 ..."
+    (b'[["param", "s"]]', "list"),   # dict() of pairs: accepted
+    (b'null', "NoneType"),
+])
+def test_read_json_rejects_a_meta_that_is_not_an_object(tmp_path, capsys, meta, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"meta": ' + meta + b', "samples": [[0, 1, 2, 3], [0.5, 1, 2, 3]]}')
+    with pytest.raises(ValueError) as exc:
+        traceio.read_json(bad)
+    assert str(exc.value) == f"malformed JSON trace in {bad}: meta is a {kind}, not an object"
+    assert main(["verify", "--in", str(bad)]) == 3
+    assert "meta is a" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def _collections():
+    """The generations of the collections that start inside the block,
+    counted from a fresh young generation."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(note)
+
+
+def _large_trace():
+    data = np.random.default_rng(3).normal(size=(20000, 4))
+    data[:, 0] = np.linspace(0.0, 1.0, 20000)
+    return wc.CurveTrace(data[:, 0], data[:, 1:], meta={"param": "s", "lam": 0.5})
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_read_json_runs_no_collection(tmp_path, collecting):
+    # orjson builds one list per row: with the collector on, a 20k-row read
+    # ran about 28 collections, some of them full ones
+    tr = _large_trace()
+    traceio.write_json(tr, tmp_path / "t.json")
+    traceio.write_csv(tr, tmp_path / "t.csv")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with _collections() as started:
+            back = traceio.read_json(tmp_path / "t.json")
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert started == []
+    assert back.rows().tobytes() == traceio.read_csv(tmp_path / "t.csv").rows().tobytes()
+    assert back.meta == tr.meta
+
+
+@pytest.mark.parametrize("body", [
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1',                   # a parse error
+    b'[[0, 1, 2, 3], [0.5, 1, 2, 3]]',                       # not an object
+    b'{"samples": [[0, 1, 2, 3], [0.5, 1, 2]]}',             # ragged
+    b'{"meta": "s", "samples": [[0, 1, 2, 3]]}',             # meta not an object
+    b'{"samples": [[0, 1, 2, 3], [0.5, true, 2, 3]]}',       # a bool sample
+    b'{"samples": [[0, 1, 2, 3], [0, 1, 2, 3]]}',            # s not increasing
+])
+def test_read_json_restores_the_collector_when_it_refuses(tmp_path, body):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="bad.json"):
+        traceio.read_json(bad)
+    assert gc.isenabled()
