@@ -6,9 +6,11 @@ ASCII, '.' decimal separator, LF line endings.  JSON schema:
 number (not a string or a bool) and ``meta``, if present, an object.  Every sample is
 written as its shortest round-trip decimal in the layout of ``repr``:
 orjson's Ryu formatter prints 4096 rows at a time as one flat list, and
-``_repr_chunks`` turns every fourth comma into a newline.  One rule picks
-each number's text: orjson's token where orjson and ``repr`` print a float
-alike (0, and 1e-4 <= |v| < 1e16), ``repr`` itself for every other value.
+``_repr_chunks`` turns every fourth comma into a newline.  orjson's digits
+are repr's everywhere; only the layout differs, in three ways that byte rules
+undo: ``0.0000D...`` is ``D.D...e-05`` on [1e-5, 1e-4), ``e-D`` is ``e-0D``
+on [1e-9, 1e-5) and ``eDD`` is ``e+DD`` from 1e16.  A chunk with few such
+values takes ``repr``'s own token for each of them instead.
 orjson parses JSON traces, with the cyclic collector paused while it builds
 one list per row: those lists hold only numbers, so no cycle is missed, and
 a 20k-row read otherwise ran about 28 collections, a full one in about one
@@ -66,27 +68,81 @@ class CurveTrace:
 
 _CHUNK = 4096   # rows per orjson call: few buffers are alive at any time
 _CSV_BYTES = b"0123456789.eE+-,\n"   # the only bytes of a CSV body orjson parses
+# A chunk is relaid by the byte rules, one pass over all its bytes, when at
+# least one value in ``_RELAY`` is one that orjson and repr print apart; with
+# fewer, repr's tokens are spliced in at about 1 us a value.  Measured on a
+# shared 2-core machine (medians of 60-200 writes), splicing wins up to about
+# one such value in 22 on 4096- and 2048-row chunks and one in 18 on 513 rows.
+# Over seeds 1-5 (rounds 0-5 and 0-9), 1 of paper_sweep's 570 chunks is
+# relaid (115 such values in 2052) and 189 spliced; 54 of large_synth's 1950
+# (824 to 4484 in 16384) and 142 spliced (at most 769).
+_RELAY = 20
 
 
 def _repr_chunks(trace: CurveTrace):
-    """The rows of ``trace`` in ``repr``'s CSV layout, one ``uint8`` buffer per 4096:
-    orjson's tokens, but ``repr``'s wherever the two differ, 0 < |v| < 1e-4 or |v| >= 1e16."""
+    """The rows of ``trace`` in ``repr``'s CSV layout, one buffer per 4096:
+    orjson's tokens, in repr's layout where the two print a value apart,
+    1e-9 <= |v| < 1e-4 or |v| >= 1e16."""
     rows = trace.rows()
     for i in range(0, len(rows), _CHUNK):
         flat = rows[i:i + _CHUNK].ravel()
         text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
-        mag = np.abs(flat)
-        apart = np.flatnonzero((mag > 0.0) & (mag < 1e-4) | (mag >= 1e16))
-        if apart.size:
-            tokens = text[1:-1].split(b",")
-            for k in apart.tolist():
-                tokens[k] = b"%r" % flat.item(k)
-            text = b"[%b]" % b",".join(tokens)
-            del tokens   # 16k small objects, freed before the copy below: ~0.6 MB of peak RSS
         buf = np.frombuffer(text, dtype=np.uint8)[1:].copy()   # drop the "["
-        buf[np.flatnonzero(buf == ord(","))[3::4]] = ord("\n")
-        buf[-1] = ord("\n")                                   # the closing "]"
+        buf[-1] = ord(",")   # the closing "]": every token ends at a comma
+        ends = np.flatnonzero(buf == ord(","))
+        buf[ends[3::4]] = ord("\n")
+        mag = np.abs(flat)
+        apart = np.flatnonzero((mag >= 1e-9) & (mag < 1e-4) | (mag >= 1e16))
+        if apart.size * _RELAY >= flat.size:
+            buf = _relaid(buf, ends, flat, mag)
+        elif apart.size:
+            buf = _spliced(buf, ends, flat, apart)
         yield buf
+
+
+def _spliced(buf, ends, flat, apart) -> bytes:
+    """``buf`` with ``repr``'s token for each value at ``apart``."""
+    view = memoryview(buf)
+    cuts = zip(np.append(0, ends[apart]).tolist(),
+               np.append(np.where(apart > 0, ends[apart - 1] + 1, 0), buf.size).tolist())
+    pieces = [None] * (2 * apart.size + 1)
+    pieces[::2] = [view[a:b] for a, b in cuts]   # orjson's bytes around those tokens
+    pieces[1::2] = [b"%r" % v for v in flat[apart].tolist()]
+    return b"".join(pieces)
+
+
+def _relaid(buf, ends, flat, mag) -> np.ndarray:
+    """``buf`` in ``repr``'s layout by orjson's three byte rules: ``0.0000D...``
+    becomes ``D.D...e-05`` on [1e-5, 1e-4), ``e-D`` becomes ``e-0D`` on
+    [1e-9, 1e-5), ``eDD`` becomes ``e+DD`` from 1e16.  Each byte is repeated
+    ``count`` times (0 drops it, 2 makes room for one more) and the new bytes
+    are written after."""
+    count = np.ones(buf.size, dtype=np.intp)
+    grow = np.zeros(flat.size, dtype=np.intp)   # each token's change in length
+    lead = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
+    tiny = np.flatnonzero((mag >= 1e-9) & (mag < 1e-5))   # a one-digit exponent
+    huge = np.flatnonzero(mag >= 1e16)
+    # "0.0000D" -> "D" (delete 6), "0.0000DD..." -> "D.D..." (delete 5, move D);
+    # then "e-05" before the separator
+    start = np.where(lead > 0, ends[lead - 1] + 1, 0) + (flat[lead] < 0)
+    single = ends[lead] - start == 7
+    buf[start + 5] = buf[start + 6]
+    buf[start + 6] = ord(".")
+    count[start[:, None] + np.arange(5)] = 0
+    count[start[single] + 6] = 0
+    count[ends[lead]] = 5
+    grow[lead] = -1 - single
+    count[ends[tiny] - 1] = 2   # the exponent's digit, after a "0"
+    grow[tiny] = 1
+    big = (mag[huge] >= 1e100).astype(np.intp)   # a three-digit exponent
+    count[ends[huge] - 3 - big] = 2   # the "e", before a "+"
+    grow[huge] = 1
+    out = np.repeat(buf, count)
+    sep = ends + np.cumsum(grow)   # each token's separator in ``out``
+    out[sep[lead, None] + np.arange(-4, 0)] = np.frombuffer(b"e-05", dtype=np.uint8)
+    out[sep[tiny] - 2] = ord("0")
+    out[sep[huge] - 3 - big] = ord("+")
+    return out
 
 
 def _validated(data, meta, path) -> CurveTrace:
@@ -176,7 +232,7 @@ def write_json(trace: CurveTrace, path) -> None:
         text = b"["
         for buf in _repr_chunks(trace):
             fh.write(text)
-            text = buf.tobytes().replace(b",", b", ").replace(b"\n", b"], [")
+            text = bytes(buf).replace(b",", b", ").replace(b"\n", b"], [")
         fh.write(text[:-3] + b"]}\n")   # the last row's "], [" ends at "]"
 
 
@@ -192,7 +248,7 @@ def read_json(path) -> CurveTrace:
             raise ValueError(f"malformed JSON trace in {path}: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"malformed JSON trace in {path}: "
-                             f"the top level is a {type(obj).__name__}, not an object")
+                             f"the top level is {_json_kind(obj)}, not an object")
         try:
             data = np.asarray(obj.get("samples"))
         except ValueError:   # ragged rows, or a list nested in a row
@@ -200,7 +256,7 @@ def read_json(path) -> CurveTrace:
         meta = obj.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"malformed JSON trace in {path}: "
-                             f"meta is a {type(meta).__name__}, not an object")
+                             f"meta is {_json_kind(meta)}, not an object")
         # numpy reads a number and a string as strings, and a bool among numbers
         # as 0 or 1; only a file holding "true" or "false" can hold a bool
         if (data.dtype.kind not in "fiu" or data.ndim != 2 or data.shape[1] != 4
@@ -212,6 +268,13 @@ def read_json(path) -> CurveTrace:
         if collecting:
             gc.enable()
     return _validated(data.astype(float, copy=False), meta, path)
+
+
+def _json_kind(value) -> str:
+    """JSON's name for the kind of a parsed value that is not an object."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)   # null, true or false
+    return {list: "an array", str: "a string"}.get(type(value), "a number")
 
 
 def _holds(text: bytes, word: bytes) -> bool:

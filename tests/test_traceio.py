@@ -7,6 +7,7 @@ import re
 import tempfile
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -149,6 +150,34 @@ def test_writers_print_every_float_as_its_repr(rows):
     _assert_written_as_repr(np.array(sorted(rows)).reshape(-1, 4))
 
 
+# orjson's layout that the writer's byte rules assume, by rule: an orjson
+# release that changes one fails here, by name, before any writer test does
+_ORJSON_LAYOUT = [
+    ("0.0000D... on [1e-5, 1e-4)", 1e-5, b"0.00001"),
+    ("0.0000D... on [1e-5, 1e-4)", 1.5e-5, b"0.000015"),
+    ("0.0000D... on [1e-5, 1e-4)", 9.999999999999999e-05, b"0.00009999999999999999"),
+    ("as repr from 1e-4", 1e-4, b"0.0001"),
+    ("e-D on [1e-9, 1e-5)", 9.999999999999999e-06, b"9.999999999999999e-6"),
+    ("e-D on [1e-9, 1e-5)", 1.5e-6, b"1.5e-6"),
+    ("e-D on [1e-9, 1e-5)", 1e-9, b"1e-9"),
+    ("as repr below 1e-9", 9.999999999999999e-10, b"9.999999999999999e-10"),
+    ("as repr below 1e-9", 5e-324, b"5e-324"),
+    ("as repr below 1e16", 9999999999999998.0, b"9999999999999998.0"),
+    ("eDD from 1e16", 1e16, b"1e16"),
+    ("eDD from 1e16", 9.999999999999998e+99, b"9.999999999999998e99"),
+    ("eDDD from 1e100", 1e100, b"1e100"),
+    ("eDDD from 1e100", 1.5e300, b"1.5e300"),
+]
+
+
+@pytest.mark.parametrize("sign", [b"", b"-"])
+@pytest.mark.parametrize("rule, value, token", _ORJSON_LAYOUT, ids=lambda v: repr(v)[:24])
+def test_orjson_prints_the_layout_the_writer_relays(rule, value, sign, token):
+    value = -value if sign else value
+    got = orjson.dumps(np.array([value]), option=orjson.OPT_SERIALIZE_NUMPY)
+    assert got == b"[" + sign + token + b"]", f"orjson's layout rule {rule!r} broke for {value!r}"
+
+
 def test_writers_print_every_float_as_its_repr_across_chunks():
     # more rows than one formatting chunk, with the extremes and the decade
     # [1e-5, 1e-4), which orjson prints positionally, at its seams
@@ -191,6 +220,69 @@ def test_writers_gate_each_chunk_on_its_own_values(value, row, rows):
         data[:, 0] = s
         data[row, col] = v
         _assert_written_as_repr(data)
+
+
+def _sig_digits(rng, size, lo, hi):
+    """``size`` values of either sign, |v| log-uniform on [lo, hi), each
+    rounded to 1 to 17 significant digits."""
+    mag = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size)
+    mag = [float(f"{v:.{d}e}") for v, d in zip(mag.tolist(), rng.integers(0, 17, size).tolist())]
+    return np.clip(mag, lo, np.nextafter(hi, 0.0)) * rng.choice([-1.0, 1.0], size)
+
+
+def _relaid_case(name):
+    """(s, points) of one 4096-row chunk whose every value is in the layout class ``name``."""
+    rng = np.random.default_rng(11)
+    if name == "[1e-5, 1e-4)":
+        s = np.linspace(1e-5, 9e-5, 4096)
+        points = [[1e-5, -1.5e-5, 9.999999999999999e-05, 3e-5, -1.2345678901234567e-05],
+                  _sig_digits(rng, 12288, 1e-5, 1e-4)]
+    elif name == "below 1e-5":
+        s = np.geomspace(1e-300, 9e-6, 4096)
+        points = [[9.999999999999999e-06, 1.5e-6, -1e-9, 9.999999999999999e-10, 1e-99, 1e-100,
+                   5e-324, -2.2250738585072014e-308],
+                  _sig_digits(rng, 4096, 1e-9, 1e-5),      # one-digit exponents
+                  _sig_digits(rng, 2048, 1e-99, 1e-9),     # two-digit exponents
+                  _sig_digits(rng, 2048, 1e-300, 1e-99),   # three-digit exponents
+                  rng.uniform(-1.0, 1.0, 4096) * 2.2250738585072014e-308]   # subnormals
+    else:
+        s = np.geomspace(1e16, 1e300, 4096)
+        points = [[1e16, -1e16, 1e22, 9.999999999999998e+99, 1e100, -1.7976931348623157e308],
+                  _sig_digits(rng, 8192, 1e16, 1e100), _sig_digits(rng, 4096, 1e100, 1e308)]
+    return s, np.concatenate(points)[:3 * s.size].reshape(-1, 3)
+
+
+@pytest.mark.parametrize("name", ["[1e-5, 1e-4)", "below 1e-5", "from 1e16"])
+def test_writers_relay_chunks_full_of_values_printed_apart(monkeypatch, name):
+    s, points = _relaid_case(name)
+    paths = _paths(monkeypatch)
+    _assert_written_as_repr(np.column_stack([s, points]))
+    assert paths == ["_relaid"] * 2   # the CSV writer's chunk, then the JSON writer's
+
+
+@pytest.mark.parametrize("fewer, path", [(0, "_relaid"), (1, "_spliced")])
+def test_writers_relay_a_chunk_from_its_count_of_values_printed_apart(monkeypatch, fewer, path):
+    # the first chunk holds exactly the relaying count of such values, or one
+    # fewer; the second, 100 rows, holds 3 of them and takes the splice
+    rng = np.random.default_rng(12)
+    count = -(-4 * traceio._CHUNK // traceio._RELAY) - fewer
+    data = rng.uniform(0.5, 2.0, size=(traceio._CHUNK + 100, 4))
+    data[:, 0] = np.arange(data.shape[0])
+    cells = np.arange(4 * traceio._CHUNK).reshape(-1, 4)[:, 1:].ravel()
+    data.ravel()[rng.choice(cells, count, replace=False)] = _sig_digits(rng, count, 1e-9, 1e-4)
+    data[-2, 1:] = [1e-5, -1e16, 1.5e-6]
+    paths = _paths(monkeypatch)
+    _assert_written_as_repr(data)
+    assert paths == [path, "_spliced"] * 2   # the CSV writer's chunks, then the JSON writer's
+
+
+def _paths(monkeypatch):
+    """The names of the rewrites that the writers' chunks take, in order."""
+    calls = []
+    for name in ("_relaid", "_spliced"):
+        monkeypatch.setattr(traceio, name, lambda *a, name=name, f=getattr(traceio, name):
+                            calls.append(name) or f(*a))
+    return calls
 
 
 def _assert_written_as_repr(data):
@@ -379,18 +471,40 @@ def test_read_json_rejects_samples_that_are_not_numbers(tmp_path, capsys, row):
 
 
 @pytest.mark.parametrize("meta, kind", [
-    (b'"param"', "str"),     # dict() of a string: "dictionary update sequence element #0 ..."
-    (b'[["param", "s"]]', "list"),   # dict() of pairs: accepted
-    (b'null', "NoneType"),
+    (b'"param"', "a string"),   # dict() of a string: "dictionary update sequence element #0 ..."
+    (b'[["param", "s"]]', "an array"),   # dict() of pairs: accepted
+    (b'null', "null"),
+    (b'5', "a number"),
+    (b'-0.5e3', "a number"),
+    (b'false', "false"),
 ])
 def test_read_json_rejects_a_meta_that_is_not_an_object(tmp_path, capsys, meta, kind):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"meta": ' + meta + b', "samples": [[0, 1, 2, 3], [0.5, 1, 2, 3]]}')
     with pytest.raises(ValueError) as exc:
         traceio.read_json(bad)
-    assert str(exc.value) == f"malformed JSON trace in {bad}: meta is a {kind}, not an object"
+    assert str(exc.value) == f"malformed JSON trace in {bad}: meta is {kind}, not an object"
     assert main(["verify", "--in", str(bad)]) == 3
-    assert "meta is a" in capsys.readouterr().err
+    assert f"meta is {kind}, not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, kind", [
+    (b'null', "null"),
+    (b'5', "a number"),
+    (b'[]', "an array"),
+    (b'[[0, 1, 2, 3], [0.5, 1, 2, 3]]', "an array"),
+    (b'"samples"', "a string"),
+    (b'true', "true"),
+])
+def test_read_json_rejects_a_top_level_that_is_not_an_object(tmp_path, capsys, body, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    with pytest.raises(ValueError) as exc:
+        traceio.read_json(bad)
+    reason = f"the top level is {kind}, not an object"
+    assert str(exc.value) == f"malformed JSON trace in {bad}: {reason}"
+    assert main(["verify", "--in", str(bad)]) == 3
+    assert reason in capsys.readouterr().err
 
 
 @contextlib.contextmanager
