@@ -2,10 +2,10 @@
 curve traces.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
-2 domain error (the exponent bound or a branch/interval constraint), 3 I/O
-or parse error.  Every flag is validated by the parser, so a bad value exits
-3 with one stderr line naming the flag.  Every check runs before the first
-file is written, so a command that exits 2 or 3 writes no file.
+2 DomainError (the exponent bound, a branch or an interval), 3 any other
+ValueError, I/O or parse error.  The parser checks every flag, so a bad
+value exits 3 with one stderr line naming it.  Every check runs before the
+first file is written, so a command that exits 2 or 3 writes no file.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import rectifying, synthesis, traceio, whirl
-from .errors import DomainError, FrameError, QuadratureError
+from .errors import DomainError, FrameError
 from .frenet import FRAME_MARGIN, frenet_at, trace, trace_frames, unit_speed_residual
 from .numerics import derivative
 from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
@@ -193,22 +193,23 @@ def _build_parser():
         sp.add_argument("--a", type=_nonzero, required=True)
         sp.add_argument("--b", type=_finite, default=0.0)
         sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
-        sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
         sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
 
     sp = command("verify", _cmd_verify, "verify the whirl/rectifying properties of a trace file",
                  ("fit_rms", "chen_rms"))
     sp.add_argument("--in", dest="infile", required=True)
 
-    sp = command("figure1", _cmd_figure1, "reproduce the reference parameter sweep (12 traces)",
-                 ("hyperboloid", "sphere"), 1)
-    sp.add_argument("--a", type=_nonzero, default=0.65)
-    sp.add_argument("--b", type=_finite, default=0.0)
-    sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0)
-    sp.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
-                    help="comma-separated overrides for the lambda sweep")
-    sp.add_argument("--range", dest="srange", type=_parse_range,
-                    default=(-np.pi / 4, np.pi / 4))
+    fig = command("figure1", _cmd_figure1, "reproduce the reference parameter sweep (12 traces)",
+                  ("hyperboloid", "sphere"), 1)
+    fig.add_argument("--a", type=_nonzero, default=0.65)
+    fig.add_argument("--b", type=_finite, default=0.0)
+    fig.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
+                     help="comma-separated overrides for the lambda sweep")
+    fig.add_argument("--range", dest="srange", type=_parse_range,
+                     default=(-np.pi / 4, np.pi / 4))
+    for sp in (extend, fig):
+        sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0,
+                        help="angular offset; it moves only the sphere curve (upsilon)")
     return p
 
 
@@ -235,13 +236,18 @@ def _verdict(checks, notes=(), ok=True, one_line=False) -> int:
     return 0 if ok else 1
 
 
+def _unsigned(x):
+    """``x``, or 0.0 where 6 decimals print it as zero, with a sign that rounding decides."""
+    return x if float(np.format_float_positional(x, precision=6)) else 0.0
+
+
 def _make_kappa(args, lo, hi):
     _, kind, values = args.kappa
     lo, hi = min(lo, args.s0), max(hi, args.s0)
     if kind == "const":
         return synthesis.kappa_constant(values[0])
     if kind == "poly":
-        return synthesis.kappa_polynomial(values, (lo - 1.0, hi + 1.0))
+        return synthesis.kappa_polynomial(values, (lo, hi))
     return synthesis.kappa_linear_ratio(args.lam, args.a, args.b, (lo, hi))
 
 
@@ -282,17 +288,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_rect(args) -> int:
     lo, hi = args.srange
-    branch = {"plus": 1, "minus": -1}.get(args.branch)
-    if branch is None:
-        mid_h = args.a * 0.5 * (lo + hi) + args.b
-        branch = 1 if mid_h > 0 else -1
-    spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam,
-                                     d_shift=args.d_shift, branch=branch)
+    mid_h = args.a * 0.5 * (lo + hi) + args.b   # auto: the branch at the range's middle
+    branch = {"plus": 1, "minus": -1}.get(args.branch, 1 if mid_h > 0 else -1)
+    spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam, branch=branch)
     grid = np.linspace(lo, hi, args.samples)
     pts = rectifying.curve_point(spec, grid)
     tr = traceio.CurveTrace(grid, pts, meta={
         "param": "s", "command": "rect", "a": args.a, "b": args.b,
-        "lam": args.lam, "d": args.d_shift, "branch": branch,
+        "lam": args.lam, "d": spec.d_shift, "branch": branch,
         "samples": args.samples, "range": [lo, hi]})
     usr = unit_speed_residual(lambda s: rectifying.curve_point(spec, s), grid)
     hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
@@ -304,8 +307,8 @@ def _cmd_rect(args) -> int:
     return _verdict(
         [("unit-speed residual", usr, args.tol["unit_speed"]),
          ("hyperboloid residual", hres, args.tol["hyperboloid"])],
-        notes=[f"chen fit              c1={chen.c1:.6f} c2={chen.c2:.6f} rms={chen.rms:.3e} "
-               f"({'rectifying' if chen.is_rectifying else 'not rectifying'})"],
+        notes=[f"chen fit              c1={chen.c1:.6f} c2={_unsigned(chen.c2):.6f} "
+               f"rms={chen.rms:.3e} ({'rectifying' if chen.is_rectifying else 'not rectifying'})"],
         ok=chen.is_rectifying)
 
 
@@ -329,8 +332,7 @@ def _extension(args, spec, kind, grid):
 
 
 def _cmd_extend(args) -> int:
-    spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam,
-                                     d_shift=args.d_shift)
+    spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam, d_shift=args.d_shift)
     grid = np.linspace(*args.srange, args.samples)
     path, resid = _extension(args, spec, args.kind, grid)
     name = "hyperboloid" if args.kind == "curve" else "sphere"
@@ -353,10 +355,7 @@ def _cmd_verify(args) -> int:
         print(f"rectifying verdict:   NEGATIVE  ({exc})")
         return 1
     chen = rectifying.chen_ratio_fit(frames, rms_tol=tols["chen_rms"])
-    # a component printed as 0. would flip its sign under 1-ulp changes of the trace
-    unsigned = [c if float(np.format_float_positional(c, precision=6)) else 0.0
-                for c in fit.axis]
-    ax = np.array2string(np.array(unsigned), precision=6, suppress_small=True)
+    ax = np.array2string(np.vectorize(_unsigned)(fit.axis), precision=6, suppress_small=True)
     print(f"samples               {len(tr)} (frames at {len(frames)} interior nodes)")
     print(f"fitted lambda         {fit.lam:.6g}")
     print(f"fitted axis           {ax}")
@@ -405,7 +404,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, FrameError, QuadratureError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

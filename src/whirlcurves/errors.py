@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library; each is a ValueError."""
 
 
 class DomainError(ValueError):
@@ -9,5 +9,5 @@ class FrameError(ValueError):
     """A Frenet frame or frame-derived quantity is undefined or degenerate."""
 
 
-class QuadratureError(ArithmeticError):
-    """An integrand produced non-finite values."""
+class QuadratureError(ValueError):
+    """A sampled function, such as an integrand, produced non-finite values."""

@@ -148,13 +148,14 @@ def unit_speed_residual(curve: Callable, s_grid) -> float:
 
 def trace(curve: Callable, s_lo: float, s_hi: float, n: int,
           meta: Optional[dict] = None) -> CurveTrace:
-    """Sample ``curve`` on a uniform n-point grid inclusive of both endpoints."""
+    """Sample ``curve`` on a uniform n-point grid inclusive of both endpoints;
+    QuadratureError, a ValueError, names the first s with a non-finite position."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not s_lo < s_hi:
         raise ValueError("need s_lo < s_hi")
     grid = np.linspace(s_lo, s_hi, n)
-    return CurveTrace(grid, sample(curve, grid, ValueError), meta=dict(meta or {}))
+    return CurveTrace(grid, sample(curve, grid), meta=dict(meta or {}))
 
 
 def trace_frames(tr: CurveTrace) -> Frames:

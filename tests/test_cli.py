@@ -460,7 +460,6 @@ def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys,
     (SYNTH + ["--h0", 1, "--a", "nan"], "--a"),
     (SYNTH + ["--h0", 1, "--b=-inf"], "--b"),
     (RECT + ["--b", "nan"], "--b"),
-    (RECT + ["--d", "inf"], "--d"),
     (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--b", "nan"], "--b"),
     (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--d", "nan"], "--d"),
     (["figure1", "--b", "nan"], "--b"),
@@ -472,6 +471,42 @@ def test_non_finite_flag_exit_3(tmp_path, capsys, args, flag):
     assert code == 3
     assert f"argument {flag}: must be finite" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rect_takes_no_angular_offset(tmp_path, capsys):
+    # --d moves only the sphere curve, which rect does not draw
+    assert run(RECT + ["--d", 0.3, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err == "whirlcurves: error: unrecognized arguments: --d 0.3\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run(["rect", "--help"]) == 0
+    assert "--d" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coeffs, srange", [("0.1,1", "0:1"), ("1,-1.5", "0:0.5")])
+def test_a_poly_kappa_positive_on_the_range_passes(tmp_path, capsys, coeffs, srange):
+    # kappa is checked where the curve lives, the hull of --range and --s0;
+    # both are negative within 1 of the range, which was refused
+    code = run(["synth", "--kappa", f"poly:{coeffs}", "--lambda", -1, "--h0", 1,
+                "--range", srange, "--out", tmp_path])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+
+
+def test_a_poly_kappa_negative_inside_the_range_exits_3(tmp_path, capsys):
+    code = run(["synth", "--kappa", "poly:1,-3", "--lambda", -1, "--h0", 1,
+                "--range", "0:0.5", "--out", tmp_path])
+    assert code == 3
+    assert capsys.readouterr().err == "error: polynomial curvature is not positive on the domain\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples", [3, 513])
+def test_rect_prints_a_zero_intercept_without_a_sign(tmp_path, capsys, samples):
+    # at 3 samples the fitted c2 is a tiny negative, which printed -0.000000
+    assert run(["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2",
+                "--samples", samples, "--out", tmp_path]) == 0
+    assert " c2=0.000000 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kappa", [
@@ -689,9 +724,9 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
     (["synth", "--kappa", "linear-ratio", "--a=1", "--b=1e300", "--lambda=1", "--h0=1",
       "--range=0:1"], 3, "error: kappa overflows on the requested domain [0.0, 1.0]"),
     (["synth", "--kappa", "poly:1e308,1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 3,
-     "error: kappa overflows on the requested domain [-1.0, 3.0]"),
+     "error: kappa overflows on the requested domain [0.0, 2.0]"),
     (["synth", "--kappa", "poly:1,0,1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 3,
-     "error: kappa overflows on the requested domain [-1.0, 3.0]"),
+     "error: kappa overflows on the requested domain [0.0, 2.0]"),
     # found by the fuzzed command line (test_cli_fuzz.py)
     (["synth", "--kappa", "poly:1e308", "--lambda=-1", "--h0=1", "--range=0:2"], 2,
      "domain error: the exponent E = lam*int(kappa) - bound, over lam, overflows at s=2.0"),

@@ -83,8 +83,7 @@ FLAGS = {
               "--range": ranges()},
     "rect": {**COMMON, "--branch": mostly(st.sampled_from(["plus", "minus", "auto"]),
                                           st.just("up")),
-             "--a": nonzero, "--b": numbers, "--lambda": nonzero, "--d": numbers,
-             "--range": ranges()},
+             "--a": nonzero, "--b": numbers, "--lambda": nonzero, "--range": ranges()},
     "extend": {**COMMON, "--kind": mostly(st.sampled_from(["curve", "sphere"]), st.just("plane")),
                "--a": nonzero, "--b": numbers, "--lambda": nonzero, "--d": numbers,
                "--range": ranges()},

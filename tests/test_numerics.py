@@ -544,6 +544,18 @@ def test_sample_raises_the_library_errors_of_the_batched_call():
         wc.numerics.sample(frame_error, np.linspace(0.0, 1.0, 5))
     assert calls == [5]
 
+    # a QuadratureError is a ValueError too: a position table whose integrand
+    # turns non-finite is refused by its one batched call
+    def refused(s):
+        calls.append(np.size(s))
+        wc.numerics.sample(lambda u: np.where(u > 0.5, np.nan, u), s)
+
+    calls.clear()
+    assert issubclass(QuadratureError, ValueError)
+    with pytest.raises(QuadratureError, match="^non-finite sample at s=0.75$"):
+        wc.numerics.sample(refused, np.linspace(0.0, 1.0, 5))
+    assert calls == [5]
+
     # any other error of the batched call still means "scalars only"
     def scalar_only(s):
         calls.append(np.size(s))
