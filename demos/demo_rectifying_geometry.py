@@ -38,7 +38,7 @@ print("geodesic residuals:",
 cons = wc.RectifyingSpec(a=a, b=b, lam=lam, branch=spec.consistent_branch())
 grid = np.sort((cons.branch * np.linspace(0.3, 2.0, 33) - cons.b) / cons.a)
 frames = wc.frenet_at(lambda s: wc.curve_point(cons, s), grid,
-                      deriv=lambda s: wc.curve_velocity(cons, s), strict_unit_speed=False)
+                      deriv=lambda s: wc.curve_velocity(cons, s))
 fit = wc.chen_ratio_fit(frames)
 print(f"ratio line fit: c1={fit.c1:.6f} (a={a}), c2={fit.c2:.2e} (b={b}), "
       f"rectifying={fit.is_rectifying}")

@@ -42,8 +42,7 @@ print("axis:", np.round(report.d, 8), " max deviation:", report.max_deviation)
 print("max intrinsic residual:", wc.intrinsic_residual_max(curve, 0.0, 2.0))
 
 # 5. inverse problem: recover lam and the axis from positions alone
-fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(0.1, 1.9, 15),
-                                      strict_unit_speed=False))
+fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(0.1, 1.9, 15)))
 print(f"fitted lam = {fit.lam:.6f} (true {lam}), rms = {fit.rms:.2e}")
 
 # Export for plotting elsewhere.

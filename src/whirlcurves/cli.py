@@ -300,7 +300,7 @@ def _cmd_rect(args) -> int:
     usr = unit_speed_residual(lambda s: rectifying.curve_point(spec, s), grid)
     hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
     frames = frenet_at(lambda s: rectifying.curve_point(spec, s), grid,
-                       deriv=lambda s: rectifying.curve_velocity(spec, s), strict_unit_speed=False)
+                       deriv=lambda s: rectifying.curve_velocity(spec, s))
     chen = rectifying.chen_ratio_fit(frames, rms_tol=args.tol["chen_rms"])
     path = _write(tr, args.out, "rect", args.format)
     print(f"wrote {path} ({len(tr)} samples)")

@@ -3,9 +3,9 @@
 ``Frames`` is the one frame type: a grid of rows, or a single row at one
 ``s``.  :func:`frenet_at` frames a callable curve from one stencil per node
 (:func:`whirlcurves.numerics.derivative`); :func:`trace_frames` frames a
-uniform trace (:func:`whirlcurves.numerics.grid_derivatives`).  Strict
-unit-speed mode (the default of ``frenet_at``) refuses curves that are not
-arc-length parametrized, since every closed form here assumes arc length.
+uniform trace (:func:`whirlcurves.numerics.grid_derivatives`).  Both use
+the general-speed formulas, so a curve need not be arc-length parametrized;
+:func:`unit_speed_residual` measures how far it is from that.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ from .traceio import CurveTrace
 
 FRAME_TOL = 1e-9
 KAPPA_FLOOR = 1e-9
-UNIT_SPEED_TOL = 1e-6
 FRAME_MARGIN = 3   # trace_frames: samples skipped at each end of a trace
 
 
@@ -111,9 +110,8 @@ def _frames(s, d1, d2, d3) -> Frames:
     return Frames(s, t, n, kappa, tau)
 
 
-def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
-              strict_unit_speed: bool = True):
-    """Frenet frame, curvature and torsion of ``curve`` at arc length ``s``.
+def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None):
+    """Frenet frame, curvature and torsion of ``curve`` at parameter ``s``.
 
     A scalar ``s`` gives one row of :class:`Frames`, a 1-d grid a whole
     ``Frames``.  ``curve`` maps s -> (3,), ideally (m,) -> (m, 3).  Each
@@ -123,19 +121,13 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None,
     orders), and then ``curve`` is never evaluated; a grid is sampled in
     one call.
     Curvature and torsion come from the general-speed formulas
-    |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2.
-    ``strict_unit_speed`` rejects curves with | |curve'| - 1 | > 1e-6.
+    |a' x a''|/|a'|^3 and (a' x a'' . a''')/|a' x a''|^2, at any speed.
     """
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     if deriv is not None:
         d1, d2, d3 = derivative(deriv, grid, (0, 1, 2))
     else:
         d1, d2, d3 = derivative(curve, grid, (1, 2, 3))
-    dev = np.abs(_norm(d1) - 1.0)
-    if strict_unit_speed and np.any(dev > UNIT_SPEED_TOL):
-        i = int(np.argmax(dev > UNIT_SPEED_TOL))
-        raise FrameError("not arc-length parametrized: | |curve'| - 1 | = "
-                         f"{dev[i]:.3e} at s={grid[i]}")
     frames = _frames(grid, d1, d2, d3)
     return frames if np.ndim(s) else frames[0]
 

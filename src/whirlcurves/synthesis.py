@@ -30,6 +30,7 @@ from .traceio import CurveTrace
 from .whirl import check_lam, intrinsic_residual
 
 EXPONENT_CEIL = -1e-12   # requests with exponent above this are rejected
+INTRINSIC_NODES = 2049   # the grid of intrinsic_residual_max
 
 # How far a verification stencil of a synthesized curve probes from its node:
 # two steps of at most EPS**0.2 (ratio_rate; frenet_at given the tangent).
@@ -295,13 +296,13 @@ def trace_meta(curve: WhirlCurve) -> dict:
 
 # -- curvature families ----------------------------------------------------
 
-def _domain_ends(domain, finite: bool = True):
-    """The ends of ``domain`` as floats; ValueError naming it if an end is NaN
-    or, with ``finite``, infinite."""
+def _domain_ends(domain):
+    """The ends of ``domain`` as floats, finite with lo < hi, else ValueError."""
     lo, hi = float(domain[0]), float(domain[1])
-    if np.isnan(lo) or np.isnan(hi) or (finite and np.isinf([lo, hi]).any()):
-        raise ValueError(f"domain ends must {'be finite' if finite else 'not be NaN'}, "
-                         f"got {tuple(domain)}")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"domain ends must be finite, got {tuple(domain)}")
+    if not lo < hi:
+        raise ValueError("empty domain")
     return lo, hi
 
 
@@ -316,13 +317,12 @@ def _kappa_on(ev, s, domain):
                              f"[{domain[0]!r}, {domain[1]!r}]") from None
 
 
-def kappa_constant(value: float,
-                   domain=(-np.inf, np.inf)) -> ScalarFn:
-    """Constant curvature function."""
+def kappa_constant(value: float) -> ScalarFn:
+    """Constant curvature function on the whole line; a narrower domain is
+    ``dataclasses.replace(kappa_constant(value), domain=(lo, hi))``."""
     value = float(value)
     if not 0 < value < np.inf:
         raise ValueError(f"curvature value must be positive and finite, got {value}")
-    _domain_ends(domain, finite=False)
 
     def ev(s):
         return np.full(np.shape(s), value) if np.ndim(s) else value
@@ -330,7 +330,7 @@ def kappa_constant(value: float,
     def cumulative(s0):
         return lambda s: value * (np.asarray(s, dtype=float) - s0)
 
-    return ScalarFn(ev, domain, cumulative)
+    return ScalarFn(ev, (-np.inf, np.inf), cumulative)
 
 
 def kappa_linear_ratio(lam: float, a: float, b: float,
@@ -348,8 +348,6 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
     lam, a, b = float(lam), float(a), float(b)
     spec = RectifyingSpec(a=a, b=b, lam=lam)
     lo, hi = _domain_ends(domain)
-    if not lo < hi:
-        raise ValueError("empty domain")
 
     # the pole first: kappa at an end on it would divide by zero
     side = np.sign(a * lo + b)
@@ -393,13 +391,15 @@ def kappa_linear_ratio(lam: float, a: float, b: float,
 
 
 def kappa_polynomial(coeffs, domain) -> ScalarFn:
-    """Polynomial curvature sum(coeffs[k] * s^k); checked positive by sampling."""
+    """Polynomial curvature sum(coeffs[k] * s^k), checked positive at 1001
+    evenly spaced points of the domain and at the real part of each finite
+    root of kappa' (scaled by the largest |coeffs[k]|, terms below 1e-300
+    dropped) clipped to it, so at every interior minimum; ValueError names
+    the point where kappa is least."""
     coeffs = [float(c) for c in coeffs]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"coeffs must be finite, got {coeffs}")
     lo, hi = _domain_ends(domain)
-    if not lo < hi:
-        raise ValueError("empty domain")
 
     def ev(s):
         s = np.asarray(s, dtype=float)
@@ -408,9 +408,16 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
             out = out * s + c
         return out if out.ndim else float(out)
 
-    probe = _kappa_on(ev, np.linspace(lo, hi, 1001), (lo, hi))
+    npp = np.polynomial.polynomial
+    with np.errstate(all="ignore"):   # an overflowing root is dropped below
+        crit = npp.polyroots(npp.polytrim(npp.polyder(
+            np.divide(coeffs, np.max(np.abs(coeffs)) or 1.0)), 1e-300)).real
+    points = np.append(np.linspace(lo, hi, 1001), np.clip(crit[np.isfinite(crit)], lo, hi))
+    probe = _kappa_on(ev, points, (lo, hi))
     if np.min(probe) <= 0:
-        raise ValueError("polynomial curvature is not positive on the domain")
+        i = int(np.argmin(probe))
+        raise ValueError(f"polynomial curvature is not positive on the requested domain "
+                         f"[{lo!r}, {hi!r}]: kappa({float(points[i])!r}) = {probe[i]:.3g}")
 
     def cumulative(s0):
         # the antiderivative in powers of u = s - s0 (shifted once per curve),
@@ -431,14 +438,13 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
 
 # -- intrinsic-equation residual ---------------------------------------------
 
-def intrinsic_residual_max(curve: WhirlCurve, s_lo: float, s_hi: float,
-                           n: int = 2049) -> float:
-    """Max |intrinsic residual| of ``curve`` over an n-node grid spanning
-    [s_lo, s_hi].  Nodes are kept REACH clear of the window ends; a
-    ratio-derivative probe reaches REACH from its node, or an ulp more for
-    a rounded step, which the curve's widened window admits.
+def intrinsic_residual_max(curve: WhirlCurve, s_lo: float, s_hi: float) -> float:
+    """Max |intrinsic residual| of ``curve`` over a grid of ``INTRINSIC_NODES``
+    nodes spanning [s_lo, s_hi].  Nodes are kept REACH clear of the window
+    ends; a ratio-derivative probe reaches REACH from its node, or an ulp
+    more for a rounded step, which the curve's widened window admits.
     """
-    grid = np.linspace(s_lo + REACH, s_hi - REACH, n)
+    grid = np.linspace(s_lo + REACH, s_hi - REACH, INTRINSIC_NODES)
     kv = np.asarray(curve.spec.kappa(grid), dtype=float)
     ratio, rate = curve._ratio_and_rate(grid)
     resid = intrinsic_residual(kv, kv * ratio, rate, curve.spec.lam)

@@ -122,7 +122,7 @@ def verify_whirl(curve: Callable, s_grid, *, lam: float,
 
     The curve passes at tolerance tol when ``report.passes(tol)``.
     """
-    frames = frenet_at(curve, np.atleast_1d(s_grid), deriv=deriv, strict_unit_speed=False)
+    frames = frenet_at(curve, np.atleast_1d(s_grid), deriv=deriv)
     if not len(frames):
         raise ValueError("empty grid")
     axes = whirl_axis(frames, lam)

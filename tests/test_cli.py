@@ -493,11 +493,17 @@ def test_a_poly_kappa_positive_on_the_range_passes(tmp_path, capsys, coeffs, sra
     assert capsys.readouterr().out.endswith("verdict: PASS\n")
 
 
-def test_a_poly_kappa_negative_inside_the_range_exits_3(tmp_path, capsys):
-    code = run(["synth", "--kappa", "poly:1,-3", "--lambda", -1, "--h0", 1,
-                "--range", "0:0.5", "--out", tmp_path])
+@pytest.mark.parametrize("coeffs, srange, where", [
+    ("1,-3", "0:0.5", "[0.0, 0.5]: kappa(0.5) = -0.5"),
+    # a dip below zero between two of the 1001 evenly spaced probes
+    ("2.4e-7,-0.001,1", "0:1", "[0.0, 1.0]: kappa(0.0005) = -1e-08"),
+], ids=["at-the-end", "between-probes"])
+def test_a_poly_kappa_negative_inside_the_range_exits_3(tmp_path, capsys, coeffs, srange, where):
+    code = run(["synth", "--kappa", f"poly:{coeffs}", "--lambda", -1, "--h0", 1,
+                "--range", srange, "--out", tmp_path])
     assert code == 3
-    assert capsys.readouterr().err == "error: polynomial curvature is not positive on the domain\n"
+    assert capsys.readouterr().err == (
+        f"error: polynomial curvature is not positive on the requested domain {where}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -45,15 +45,10 @@ def test_rectifying_curve_ratio_value():
     assert abs(f2.tau / f2.kappa + 0.325) <= 1e-5
 
 
-def test_strict_unit_speed_rejects_fast_line():
-    with pytest.raises(FrameError, match="arc-length"):
-        wc.frenet_at(lambda s: np.array([2.0 * s, 0.0, np.sin(2 * s)]), 0.3)
-
-
 def test_general_speed_fallback_matches_helix():
     # raw (not speed-normalized) helix handled by the general formulas
     raw = lambda u: np.array([np.cos(u), np.sin(u), u])
-    f = wc.frenet_at(raw, 0.4, strict_unit_speed=False)
+    f = wc.frenet_at(raw, 0.4)
     assert abs(f.kappa - 0.5) <= 1e-6
     assert abs(f.tau - 0.5) <= 1e-5
 
@@ -68,7 +63,7 @@ def test_frame_invariants_on_random_curve(rng):
         return np.array([np.sin(s), np.cos(0.7 * s), 0.3 * np.sin(2.0 * s) + s])
 
     for s in rng.uniform(-2.0, 2.0, size=5):
-        f = wc.frenet_at(curve, float(s), strict_unit_speed=False)
+        f = wc.frenet_at(curve, float(s))
         for v in (f.t, f.n, f.b):
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
         assert abs(f.t @ f.n) <= 1e-9

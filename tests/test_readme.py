@@ -1,8 +1,11 @@
 """README's python examples run, in order, as one script; its `whirlcurves`
 command lines run and pass; and its module table names every public
-function and class of each library module."""
+function and class of each library module, with the parameters of each
+signature it writes out."""
 
 import ast
+import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -49,3 +52,24 @@ def test_the_module_table_names_every_public_function_and_class(module):
               and not node.name.startswith("_")]
     # a name is named as `name` or as a call, `name(...)`
     assert [n for n in public if not re.search(rf"`{n}[`(]", rows[0])] == []
+
+
+def _parameter_names(fn):
+    """The parameter names of ``fn`` as a signature writes them, with ``*``
+    before the first keyword-only one."""
+    names = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(p.name)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_the_module_table_writes_each_signature_as_the_code_has_it(module):
+    row, = [line for line in README.read_text().splitlines()
+            if line.startswith(f"| `whirlcurves.{module.stem}`")]
+    lib = importlib.import_module(f"whirlcurves.{module.stem}")
+    for name, params in re.findall(r"`(\w+)\(([^`()]*)\)`", row):
+        written = [p.split("=")[0].strip() for p in params.split(",") if p.strip()]
+        assert written == _parameter_names(getattr(lib, name)), name

@@ -77,8 +77,7 @@ def test_chen_fit_recovers_line(rng):
     spec = REF_MINUS
     grid = branch_grid(spec, n=65)
     fit = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid,
-                                         deriv=lambda s: wc.curve_velocity(spec, s),
-                                         strict_unit_speed=False))
+                                         deriv=lambda s: wc.curve_velocity(spec, s)))
     assert fit.is_rectifying
     assert fit.c1 == pytest.approx(0.65, abs=1e-4)
     assert fit.c2 == pytest.approx(0.0, abs=1e-4)
@@ -86,15 +85,13 @@ def test_chen_fit_recovers_line(rng):
         rspec = random_rectifying_spec(rng)
         grid = branch_grid(rspec, n=65)
         fit = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(rspec, s), grid,
-                                             deriv=lambda s: wc.curve_velocity(rspec, s),
-                                             strict_unit_speed=False))
+                                             deriv=lambda s: wc.curve_velocity(rspec, s)))
         assert fit.c1 == pytest.approx(rspec.a, abs=1e-4)
         assert fit.c2 == pytest.approx(rspec.b, abs=1e-4)
 
 
 def test_chen_fit_rejects_helix():
-    fit = wc.chen_ratio_fit(wc.frenet_at(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 33),
-                                         strict_unit_speed=False))
+    fit = wc.chen_ratio_fit(wc.frenet_at(unit_speed_helix(1.0, 1.0), np.linspace(0.0, 2.0, 33)))
     assert abs(fit.c1) <= 1e-6
     assert not fit.is_rectifying
     assert "constant" in fit.note
@@ -105,10 +102,8 @@ def test_chen_fit_rigid_motion_invariant(rng):
     grid = branch_grid(spec, n=33)
     rot = random_rotation(rng)
     shift = rng.normal(size=3)
-    base = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid,
-                                          strict_unit_speed=False))
-    moved = wc.chen_ratio_fit(wc.frenet_at(lambda s: rot @ wc.curve_point(spec, s) + shift,
-                                           grid, strict_unit_speed=False))
+    base = wc.chen_ratio_fit(wc.frenet_at(lambda s: wc.curve_point(spec, s), grid))
+    moved = wc.chen_ratio_fit(wc.frenet_at(lambda s: rot @ wc.curve_point(spec, s) + shift, grid))
     assert moved.c1 == pytest.approx(base.c1, abs=1e-6)
     assert moved.c2 == pytest.approx(base.c2, abs=1e-6)
 
@@ -269,7 +264,7 @@ def test_geodesic_residual_flags_cone_circle():
     normal = np.cross(wp, w)
     normal /= np.linalg.norm(normal)
     circle = lambda q: 2.0 * wc.sphere_point(spec, q)
-    frame = wc.frenet_at(circle, t0, strict_unit_speed=False)
+    frame = wc.frenet_at(circle, t0)
     assert np.linalg.norm(np.cross(normal, frame.n)) > 0.05
 
 
@@ -325,7 +320,7 @@ def test_extended_restrictions_are_whirl_rectifying():
         grid = branch_grid(spec, n=33)
         pos = lambda s: wc.curve_point(spec, s)
         vel = lambda s: wc.curve_velocity(spec, s)
-        frames = wc.frenet_at(pos, grid, deriv=vel, strict_unit_speed=False)
+        frames = wc.frenet_at(pos, grid, deriv=vel)
         fit = wc.fit_lambda_axis(frames)
         assert fit.is_whirl
         assert abs(fit.lam) == pytest.approx(1.0, abs=1e-5)

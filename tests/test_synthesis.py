@@ -252,7 +252,7 @@ def test_synthesize_rejects_bad_requests():
         wc.synthesize(spec, 0.0, 0.2, 1)
     with pytest.raises(ValueError):
         wc.synthesize(spec, 0.2, 0.0, 17)
-    narrow = wc.WhirlSpec(kappa=wc.kappa_constant(1.0, domain=(0.0, 0.1)),
+    narrow = wc.WhirlSpec(kappa=dataclasses.replace(wc.kappa_constant(1.0), domain=(0.0, 0.1)),
                           lam=-1.0, bound=0.5)
     with pytest.raises(ValueError, match="domain"):
         wc.synthesize(narrow, 0.0, 1.0, 17)
@@ -313,7 +313,7 @@ def test_windowed_curve_starts_at_its_window(s0, lo, hi):
 
 
 _FAMILIES = {   # kappa on (0, 1.5), lam and h0; the last is past its pole at s = 2
-    "const": (wc.kappa_constant(1.0, domain=(0.0, 1.5)), -1.0, 1.0),
+    "const": (dataclasses.replace(wc.kappa_constant(1.0), domain=(0.0, 1.5)), -1.0, 1.0),
     "poly": (wc.kappa_polynomial([0.9, 0.05, -0.01], (0.0, 1.5)), -0.7, 1.1),
     "linear-ratio": (wc.kappa_linear_ratio(-0.7, -1.0, 2.0, (0.0, 1.5)), -0.7, 2.0),
 }
@@ -465,8 +465,8 @@ def test_intrinsic_residual_max_evaluates_the_ratio_once():
 
     spec = wc.WhirlSpec(kappa=wc.ScalarFn(counted, base.domain), lam=-0.7,
                         bound=wc.bound_from_ratio(1.1, -0.7))
-    n = 65
-    value = wc.intrinsic_residual_max(wc.WhirlCurve(spec, window=(0.0, 2.0)), 0.0, 2.0, n)
+    n = wc.synthesis.INTRINSIC_NODES
+    value = wc.intrinsic_residual_max(wc.WhirlCurve(spec, window=(0.0, 2.0)), 0.0, 2.0)
     once, points[0] = points[0], 0
     grid = np.linspace(wc.synthesis.REACH, 2.0 - wc.synthesis.REACH, n)
     curve = wc.WhirlCurve(spec, window=(0.0, 2.0))
@@ -594,9 +594,9 @@ def test_closed_form_intrinsic_check_samples_kappa_twice_per_node(base, lo, hi):
     kappa = dataclasses.replace(_counted_kappa(base, points), cumulative=base.cumulative)
     spec = wc.WhirlSpec(kappa=kappa, lam=-0.7, bound=wc.bound_from_ratio(1.1, -0.7))
     curve = wc.WhirlCurve(spec, window=(lo, hi))
-    n = 65
+    n = wc.synthesis.INTRINSIC_NODES
     points[0] = 0
-    wc.intrinsic_residual_max(curve, lo, hi, n)
+    wc.intrinsic_residual_max(curve, lo, hi)
     assert 0 < points[0] <= 2 * n
 
 
@@ -732,7 +732,7 @@ def test_spec_is_released_after_synthesis():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
     wc.synthesize(spec, 0.0, 1.0, 17)
-    wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 1.0, 17)
+    wc.intrinsic_residual_max(wc.WhirlCurve(spec), 0.0, 1.0)
     ref = weakref.ref(spec)
     del spec
     gc.collect()
@@ -937,8 +937,7 @@ def test_a_linear_ratio_curve_refuses_the_other_side_of_its_pole():
     # branch a*s + b > 0 of the domain
     past = r"^s=-\S+ lies on or past the a\*s \+ b = 0 seam of branch \+1$"
     for call in (
-            lambda: wc.frenet_at(curve.position, [0.0, 0.5], deriv=curve.tangent,
-                                 strict_unit_speed=False),
+            lambda: wc.frenet_at(curve.position, [0.0, 0.5], deriv=curve.tangent),
             lambda: wc.verify_whirl(curve.position, [0.0, 0.25, 0.5], lam=1.0,
                                     deriv=curve.tangent),
             lambda: curve.tangent(-2e-4), lambda: curve.exponent(-1e-4),
@@ -1004,16 +1003,14 @@ def _refused_alike(lam, a, b):
     raise by_kappa.value
 
 
-@pytest.mark.parametrize("make, domain, rule", [
-    (lambda d: wc.kappa_constant(1.0, domain=d), (np.nan, 1.0), "not be NaN"),
-    (lambda d: wc.kappa_constant(1.0, domain=d), (0.0, np.nan), "not be NaN"),
-    (lambda d: wc.kappa_polynomial([1.0], d), (0.0, np.inf), "be finite"),
-    (lambda d: wc.kappa_polynomial([1.0], d), (np.nan, 1.0), "be finite"),
-    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (-np.inf, 1.0), "be finite"),
-    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (0.0, np.nan), "be finite"),
+@pytest.mark.parametrize("make, domain", [
+    (lambda d: wc.kappa_polynomial([1.0], d), (0.0, np.inf)),
+    (lambda d: wc.kappa_polynomial([1.0], d), (np.nan, 1.0)),
+    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (-np.inf, 1.0)),
+    (lambda d: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, d), (0.0, np.nan)),
 ])
-def test_kappa_families_check_their_domain(make, domain, rule):
-    with pytest.raises(ValueError, match=rf"^domain ends must {rule}, got \({domain[0]}, {domain[1]}\)$"):
+def test_kappa_families_check_their_domain(make, domain):
+    with pytest.raises(ValueError, match=rf"^domain ends must be finite, got \({domain[0]}, {domain[1]}\)$"):
         make(domain)
 
 
@@ -1032,9 +1029,23 @@ def test_kappa_families_check_their_parameters(make, message):
         make()
 
 
+@pytest.mark.parametrize("lo, hi, c", [(0.0, 1.0, 0.1235), (0.0, 1.0, 0.9995),
+                                      (-3.0, 7.0, 2.005)])
+@pytest.mark.parametrize("eps", [1e-7, 1e-12])
+def test_a_poly_dip_between_the_probes_is_refused(lo, hi, c, eps):
+    # (s - c)^2 - eps dips below zero at c, half a step from the nearest of
+    # the 1001 evenly spaced probes, each of which reads it positive;
+    # (s - c)^2 + eps stays positive
+    probes = np.linspace(lo, hi, 1001)
+    assert np.min((probes - c) ** 2) - eps > 0
+    with pytest.raises(ValueError, match=r"^polynomial curvature is not positive on the "
+                                         rf"requested domain \[{lo}, {hi}\]: kappa\("):
+        wc.kappa_polynomial([c * c - eps, -2.0 * c, 1.0], (lo, hi))
+    assert wc.kappa_polynomial([c * c + eps, -2.0 * c, 1.0], (lo, hi))(c) > 0
+
+
 def test_kappa_constant_keeps_the_whole_line():
     assert wc.kappa_constant(1.0).domain == (-np.inf, np.inf)
-    assert wc.kappa_constant(1.0, domain=(-np.inf, 0.0)).domain == (-np.inf, 0.0)
 
 
 def _shifted(spec, c):
@@ -1066,8 +1077,8 @@ def test_verification_is_shift_invariant(seed, c):
     assert np.max(np.abs(fb.tau / fa.tau - 1.0)) <= 1e-5
     assert abs(wc.unit_speed_residual(a.position, grid)
                - wc.unit_speed_residual(b.position, grid + c)) <= 1e-8
-    assert abs(wc.intrinsic_residual_max(a, lo, hi, 65)
-               - wc.intrinsic_residual_max(b, lo + c, hi + c, 65)) <= 1e-7
+    assert abs(wc.intrinsic_residual_max(a, lo, hi)
+               - wc.intrinsic_residual_max(b, lo + c, hi + c)) <= 1e-7
 
 
 def test_unit_speed_residual_far_along_the_curve():

@@ -179,7 +179,7 @@ def test_axis_report_sign_convention():
 def test_fit_round_trip_lambda():
     spec, curve = _synth_curve(lam=-0.5)
     grid = np.linspace(0.05, 1.4, 15)
-    fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, grid, strict_unit_speed=False))
+    fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, grid))
     assert fit.is_whirl
     assert abs(fit.lam - (-0.5)) <= 1e-4
     assert np.allclose(np.abs(fit.axis), [0.0, 0.0, 1.0], atol=1e-5)
@@ -196,8 +196,7 @@ def test_fit_axis_sign_ignores_tiny_tilts(axis, angle):
            else np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]))
     fit = wc.fit_lambda_axis(wc.frenet_at(lambda u: curve.position(u) @ rot.T,
                                           np.linspace(0.05, 1.4, 15),
-                                          deriv=lambda u: curve.tangent(u) @ rot.T,
-                                          strict_unit_speed=False))
+                                          deriv=lambda u: curve.tangent(u) @ rot.T))
     assert fit.axis[2] > 0
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-6
 
@@ -210,15 +209,14 @@ def test_fit_resolves_lambda_from_closed_form_frames(seed):
     spec, lo, hi, _ = random_whirl_model(np.random.default_rng([seed, 9]))
     curve = wc.WhirlCurve(spec, origin=lo, window=(lo, hi))
     fit = wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(lo, hi, 513)[3:-3],
-                                          deriv=curve.tangent, strict_unit_speed=False))
+                                          deriv=curve.tangent))
     assert abs(fit.lam / spec.lam - 1.0) <= 1e-8
     assert np.linalg.norm(fit.axis - [0.0, 0.0, 1.0]) <= 1e-8
 
 
 def test_fit_flags_planar_circle():
     circle = lambda s: np.array([np.cos(s), np.sin(s), 0.0])
-    fit = wc.fit_lambda_axis(wc.frenet_at(circle, np.linspace(0.0, 3.0, 9),
-                                          strict_unit_speed=False))
+    fit = wc.fit_lambda_axis(wc.frenet_at(circle, np.linspace(0.0, 3.0, 9)))
     assert not fit.is_whirl
     assert "torsion" in fit.note
     assert fit.rms < 1e-6   # the proportionality itself is satisfied trivially
@@ -283,8 +281,7 @@ def test_fit_rms_is_stable_under_one_ulp_perturbations():
 def test_fit_needs_four_frames():
     spec, curve = _synth_curve()
     with pytest.raises(FrameError, match="no stable fit"):
-        wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(0.2, 0.6, 3),
-                                        strict_unit_speed=False))
+        wc.fit_lambda_axis(wc.frenet_at(curve.position, np.linspace(0.2, 0.6, 3)))
 
 
 def _fit_input(kind, seed):
