@@ -16,13 +16,15 @@ import numpy as np
 
 from . import rectifying, synthesis, traceio, whirl
 from .errors import DomainError, FrameError
-from .frenet import FRAME_MARGIN, frenet_at, trace, trace_frames, unit_speed_residual
-from .numerics import derivative
+from .frenet import FRAME_MARGIN, frenet_at, trace_frames, unit_speed_residual
+from .numerics import derivative, sample
 from .synthesis import REACH, WhirlCurve, WhirlSpec, bound_from_ratio
 
+# the paper's Figure 1: a = 0.65, b = d = 0, these lambdas, s and t over FIGURE1_RANGE
 FIGURE1_LAMBDAS = (-20.0, -4.0, -1.8, -1.0, -0.5, -0.26)
+FIGURE1_RANGE = (-np.pi / 4, np.pi / 4)
 
-MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; --lambdas and poly: entries
+MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; poly: entries
 # verify: frames skip FRAME_MARGIN samples at each end, and the fit needs MIN_FIT_FRAMES
 VERIFY_MIN_SAMPLES = 2 * FRAME_MARGIN + whirl.MIN_FIT_FRAMES
 
@@ -65,26 +67,6 @@ def _at_least(minimum):
     return _number(lambda n: n <= MAX_SAMPLES, f"at most {MAX_SAMPLES}", low)
 
 
-def _entries(text, what):
-    """The comma-separated items of ``text``, at most MAX_ENTRIES of them."""
-    items = text.split(",")
-    if len(items) > MAX_ENTRIES:
-        raise argparse.ArgumentTypeError(f"at most {MAX_ENTRIES} {what}, got {len(items)}")
-    return items
-
-
-def _parse_lambdas(text):
-    """--lambdas -> nonzero values, MAX_ENTRIES at most; two distinct values that
-    print alike under :g would write the same figure1 files, so they are refused."""
-    lams, seen = tuple(map(_nonzero, _entries(text, "values"))), {}
-    for lam in lams:
-        first = seen.setdefault(f"{lam:g}", lam)
-        if first != lam:
-            raise argparse.ArgumentTypeError(
-                f"{first} and {lam} both write omega_lambda{lam:g} and upsilon_lambda{lam:g}")
-    return lams
-
-
 def _parse_range(text, inset=0.0):
     try:
         lo, hi = (float(p) for p in text.split(":"))
@@ -115,7 +97,10 @@ def _parse_kappa(text):
     """--kappa -> (text, kind, values): const:V with V finite and > 0,
     poly:c0,c1,... with finite coefficients (MAX_ENTRIES at most), or linear-ratio."""
     kind, _, rest = text.partition(":")
-    items = _entries(rest, "poly: coefficients") if kind == "poly" else rest.split(",")
+    items = rest.split(",")
+    if kind == "poly" and len(items) > MAX_ENTRIES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_ENTRIES} poly: coefficients, "
+                                         f"got {len(items)}")
     try:
         values = tuple(float(c) for c in items)
     except ValueError:
@@ -194,22 +179,15 @@ def _build_parser():
         sp.add_argument("--b", type=_finite, default=0.0)
         sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
         sp.add_argument("--range", dest="srange", type=_parse_range, required=True)
+    extend.add_argument("--d", dest="d_shift", type=_finite, default=0.0,
+                        help="angular offset; it moves only the sphere curve (upsilon)")
 
     sp = command("verify", _cmd_verify, "verify the whirl/rectifying properties of a trace file",
                  ("fit_rms", "chen_rms"))
     sp.add_argument("--in", dest="infile", required=True)
 
-    fig = command("figure1", _cmd_figure1, "reproduce the reference parameter sweep (12 traces)",
-                  ("hyperboloid", "sphere"), 1)
-    fig.add_argument("--a", type=_nonzero, default=0.65)
-    fig.add_argument("--b", type=_finite, default=0.0)
-    fig.add_argument("--lambdas", type=_parse_lambdas, default=FIGURE1_LAMBDAS,
-                     help="comma-separated overrides for the lambda sweep")
-    fig.add_argument("--range", dest="srange", type=_parse_range,
-                     default=(-np.pi / 4, np.pi / 4))
-    for sp in (extend, fig):
-        sp.add_argument("--d", dest="d_shift", type=_finite, default=0.0,
-                        help="angular offset; it moves only the sphere curve (upsilon)")
+    command("figure1", _cmd_figure1, "draw the paper's Figure 1 sweep (12 traces)",
+            ("hyperboloid", "sphere"), 1).set_defaults(srange=FIGURE1_RANGE)
     return p
 
 
@@ -241,6 +219,18 @@ def _unsigned(x):
     return x if float(np.format_float_positional(x, precision=6)) else 0.0
 
 
+def _grid(args):
+    """The --samples grid over --range, refused where two samples are equal:
+    --samples finer than the float spacing of the range."""
+    (lo, hi), n = args.srange, args.samples
+    grid = np.linspace(lo, hi, n)
+    tied = np.flatnonzero(np.diff(grid) <= 0)
+    if tied.size:
+        raise ValueError(f"--samples {n} is finer than the float spacing of --range "
+                         f"{lo!r}:{hi!r}: s={float(grid[tied[0]])!r} repeats")
+    return grid
+
+
 def _make_kappa(args, lo, hi):
     _, kind, values = args.kappa
     lo, hi = min(lo, args.s0), max(hi, args.s0)
@@ -259,12 +249,13 @@ def _cmd_synth(args) -> int:
     bound = args.bound if args.bound is not None else bound_from_ratio(args.h0, args.lam)
     spec = WhirlSpec(kappa=_make_kappa(args, lo, hi), lam=args.lam, bound=float(bound),
                      s0=args.s0, z_sign=args.z_sign, tau_sign=args.tau_sign)
+    grid = _grid(args)
     # one curve: the checks read the written positions off its windowed table
     curve = WhirlCurve(spec, window=(lo, hi))
     # from the closed forms alone, so a ratio it cannot difference is refused
     # before any panel is built
     ires = synthesis.intrinsic_residual_max(curve, lo, hi)
-    tr = trace(curve.position, lo, hi, args.samples, meta={
+    tr = traceio.CurveTrace(grid, sample(curve.position, grid), meta={
         **synthesis.trace_meta(curve), "command": "synth", "kappa": args.kappa[0],
         "samples": args.samples, "range": [lo, hi]})
     # nodes REACH inside the window: tangent and ratio probes reach REACH, or
@@ -291,7 +282,7 @@ def _cmd_rect(args) -> int:
     mid_h = args.a * 0.5 * (lo + hi) + args.b   # auto: the branch at the range's middle
     branch = {"plus": 1, "minus": -1}.get(args.branch, 1 if mid_h > 0 else -1)
     spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam, branch=branch)
-    grid = np.linspace(lo, hi, args.samples)
+    grid = _grid(args)
     pts = rectifying.curve_point(spec, grid)
     tr = traceio.CurveTrace(grid, pts, meta={
         "param": "s", "command": "rect", "a": args.a, "b": args.b,
@@ -333,7 +324,7 @@ def _extension(args, spec, kind, grid):
 
 def _cmd_extend(args) -> int:
     spec = rectifying.RectifyingSpec(a=args.a, b=args.b, lam=args.lam, d_shift=args.d_shift)
-    grid = np.linspace(*args.srange, args.samples)
+    grid = _grid(args)
     path, resid = _extension(args, spec, args.kind, grid)
     name = "hyperboloid" if args.kind == "curve" else "sphere"
     print(f"wrote {path} ({len(grid)} samples)")
@@ -369,17 +360,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    grid = np.linspace(*args.srange, args.samples)
-    specs = [rectifying.RectifyingSpec(a=args.a, b=args.b, lam=lam, d_shift=args.d_shift)
-             for lam in args.lambdas]
-    # a trace refused anywhere is refused at an end of the grid (outside the
-    # sphere's open interval, or where 1 + h^2 + lambda^2 overflows): check
-    # every lambda's ends before the first file is written
-    for spec in specs:
-        rectifying.extended_point(spec, grid[[0, -1]])
-        rectifying.extended_sphere_point(spec, grid[[0, -1]])
+    grid = _grid(args)
     worst_h = worst_s = 0.0
-    for spec in specs:
+    for lam in FIGURE1_LAMBDAS:
+        spec = rectifying.RectifyingSpec(a=0.65, b=0.0, lam=lam)
         path, hres = _extension(args, spec, "curve", grid)
         spath, sres = _extension(args, spec, "sphere", grid)
         worst_h, worst_s = max(worst_h, hres), max(worst_s, sres)

@@ -104,22 +104,6 @@ def test_extend_sphere_outside_interval_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("args, says", [
-    (["--range", "0:3"],
-     "t=3.0 lies outside the open interval (-1.5707963267948966, 1.5707963267948966)"),
-    (["--range=-0.5:1.5", "--d", 0.5],
-     "t=1.5 lies outside the open interval (-2.0707963267948966, 1.0707963267948966)"),
-])
-def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, args, says):
-    # the range is checked against (-d - pi/2, -d + pi/2) before the first
-    # file; the first lambda's curve trace used to be written, then exit 2
-    code = run(["figure1"] + args + ["--out", tmp_path])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"domain error: {says}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("args, code, says", [
     # the ratio-rate check needs the closed forms only: no position panel is
     # built (it built 339,460 for 5 s, then wrote synth.csv)
@@ -128,8 +112,16 @@ def test_figure1_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, ar
      "domain error: tau/kappa changes too fast to difference at s=3.001480191959483"),
     (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9], 2,
      "domain error: s=1000000000000.0 is too large to difference"),
-    # the second lambda's 1 + lambda^2 overflows: its spec is refused before any file
-    (["figure1", "--lambdas=-1,1e300"], 3, "error: 1 + lam^2 overflows at lam = 1e+300"),
+    # --samples finer than the float spacing of --range: a grid that repeats an s
+    (["synth", "--lambda", -1, "--h0", 1, "--s0", 1e8, "--range=1e8:100000000.004",
+      "--samples", 1_000_000], 3, "error: --samples 1000000 is finer than the float spacing of "
+     "--range 100000000.0:100000000.004: s=100000000.0 repeats"),
+    (["rect", "--a", 1, "--lambda", 1, "--range=1:1.0000000000000002", "--samples", 3], 3,
+     "error: --samples 3 is finer than the float spacing of --range 1.0:1.0000000000000002: "
+     "s=1.0 repeats"),
+    (["extend", "--kind", "sphere", "--a", 1, "--lambda", 1, "--range=0.5:0.5000000000001",
+      "--samples", 10_000], 3, "error: --samples 10000 is finer than the float spacing of "
+     "--range 0.5:0.5000000000001: s=0.5 repeats"),
 ])
 def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, code, says):
     built, series = [], wc.SmoothCumulative._series
@@ -143,21 +135,6 @@ def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, c
     out, err = capsys.readouterr()
     assert (out, err.count("\n")) == ("", 1) and err.startswith(says)
     assert list(tmp_path.iterdir()) == [] and built == []
-
-
-def test_figure1_refuses_lambdas_that_share_a_file_name(tmp_path, capsys):
-    # the files are named by f"{lam:g}": two distinct values printing alike
-    # would overwrite each other's traces, while an exact repeat writes the same
-    code = run(["figure1", "--lambdas=-1.0000001,-1.0000002,-1", "--samples", 9,
-                "--out", tmp_path])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert ("argument --lambdas: -1.0000001 and -1.0000002 both write omega_lambda-1 "
-            "and upsilon_lambda-1") in err
-    assert list(tmp_path.iterdir()) == []
-    assert run(["figure1", "--lambdas=-1,-1.0", "--samples", 9, "--out", tmp_path]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["omega_lambda-1.csv",
-                                                          "upsilon_lambda-1.csv"]
 
 
 def test_synth_has_no_form_flag(tmp_path, capsys):
@@ -336,9 +313,6 @@ def test_synth_non_finite_bound_fails_fast(tmp_path, capsys, lam, h0, code, err)
     (["extend", "--a", 0.65, "--lambda", 0, "--range=-0.7:0.7"], "--lambda"),
     (["rect", "--a", 0, "--lambda", -1, "--range", "0.2:1.2"], "--a"),
     (["extend", "--a", 0, "--lambda", -1, "--range=-0.7:0.7"], "--a"),
-    (["figure1", "--a", 0], "--a"),
-    (["figure1", "--lambdas=0,-1"], "--lambdas"),
-    (["figure1", "--lambdas=-1,-4,0"], "--lambdas"),
 ])
 def test_zero_lambda_or_a_exit_3(tmp_path, capsys, args, flag):
     code = run(args + ["--out", tmp_path])
@@ -355,12 +329,9 @@ def test_zero_lambda_or_a_exit_3(tmp_path, capsys, args, flag):
     ["rect", "--a=0.65", "--range=0.2:1.2"],
     ["extend", "--kind=curve", "--a=0.65", "--range=-0.7:0.7"],
     ["extend", "--kind=sphere", "--a=0.65", "--range=-0.7:0.7"],
-    ["figure1"],
-], ids=["synth-const", "synth-linear-ratio", "rect", "extend-curve", "extend-sphere",
-        "figure1"])
+], ids=["synth-const", "synth-linear-ratio", "rect", "extend-curve", "extend-sphere"])
 def test_an_overflowing_lambda_is_refused_alike_by_every_command(tmp_path, capsys, args, lam):
-    flag = "--lambdas" if args[0] == "figure1" else "--lambda"
-    assert run(args + [f"{flag}={lam}", "--out", tmp_path]) == 3
+    assert run(args + [f"--lambda={lam}", "--out", tmp_path]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: 1 + lam^2 overflows at lam = {float(lam)}\n")
     assert list(tmp_path.iterdir()) == []
@@ -409,7 +380,7 @@ def test_bad_tol_exit_3(tmp_path, capsys, args):
 # a command line each subcommand runs
 RUNS = {"synth": SYNTH + ["--h0", 1], "rect": RECT + ["--samples", 33],
         "extend": ["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--samples", 9],
-        "verify": ["verify", "--in"], "figure1": ["figure1", "--lambdas=-1", "--samples", 9]}
+        "verify": ["verify", "--in"], "figure1": ["figure1", "--samples", 9]}
 
 
 def _command_line(command, tmp_path):
@@ -462,8 +433,6 @@ def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys,
     (RECT + ["--b", "nan"], "--b"),
     (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--b", "nan"], "--b"),
     (["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--d", "nan"], "--d"),
-    (["figure1", "--b", "nan"], "--b"),
-    (["figure1", "--d", "nan"], "--d"),
 ])
 def test_non_finite_flag_exit_3(tmp_path, capsys, args, flag):
     code = run(args + ["--out", tmp_path])
@@ -533,7 +502,6 @@ def test_bad_kappa_exit_3(tmp_path, capsys, kappa):
     (RECT + ["--samples", 10 ** 13], "--samples: must be at most 1000000"),
     (SYNTH + ["--h0", 1, "--samples", 10 ** 13], "--samples: must be at most 1000000"),
     (["figure1", "--samples", 10 ** 13], "--samples: must be at most 1000000"),
-    (["figure1", "--lambdas=" + ",".join(["-1"] * 65)], "--lambdas: at most 64 values, got 65"),
     (SYNTH + ["--h0", 1, "--kappa", "poly:" + ",".join(["1"] * 65)],
      "--kappa: at most 64 poly: coefficients, got 65"),
 ])
@@ -547,8 +515,6 @@ def test_oversized_input_exit_3(tmp_path, capsys, args, message):
 
 def test_caps_admit_their_limits(tmp_path):
     assert cli._at_least(2)(str(cli.MAX_SAMPLES)) == 1_000_000   # parsed, not run
-    assert run(["figure1", "--lambdas=" + ",".join(["-1"] * 64), "--samples", 2,
-                "--out", tmp_path]) == 0
     assert run(SYNTH + ["--h0", 1, "--kappa", "poly:1" + ",0" * 63, "--out", tmp_path]) == 0
 
 
@@ -575,15 +541,18 @@ def test_synth_zero_torsion_fails_verification(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_figure1_and_extend_write_the_same_traces(tmp_path, fmt):
-    common = ["--a", 0.8, "--b", 0.1, "--d", 0.05, "--range=-0.6:0.7",
-              "--samples", 41, "--format", fmt]
-    assert run(["figure1", "--lambdas=-1.5"] + common + ["--out", tmp_path / "f"]) == 0
-    for kind in ("curve", "sphere"):
-        assert run(["extend", "--kind", kind, "--lambda", -1.5] + common
-                   + ["--out", tmp_path / "e"]) == 0
+    # every figure1 trace is one that extend writes, so a sweep at other
+    # parameters is one extend per lambda and kind
+    common = ["--samples", 41, "--format", fmt]
+    assert run(["figure1"] + common + ["--out", tmp_path / "f"]) == 0
+    for lam in cli.FIGURE1_LAMBDAS:
+        for kind in ("curve", "sphere"):
+            assert run(["extend", "--kind", kind, "--a", 0.65, "--lambda", lam,
+                        "--range=-0.7853981633974483:0.7853981633974483"] + common
+                       + ["--out", tmp_path / "e"]) == 0
     names = sorted(p.name for p in (tmp_path / "f").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "e").iterdir())
-    assert len(names) == 2
+    assert len(names) == 2 * len(cli.FIGURE1_LAMBDAS)
     for name in names:
         f, e = (tmp_path / "f" / name).read_text(), (tmp_path / "e" / name).read_text()
         if fmt == "json":   # the meta names the command that wrote the file
@@ -591,6 +560,16 @@ def test_figure1_and_extend_write_the_same_traces(tmp_path, fmt):
             assert f["meta"].pop("command") == "figure1"
             assert e["meta"].pop("command") == "extend"
         assert f == e
+
+
+@pytest.mark.parametrize("flag", [["--a", 1], ["--b", 0], ["--d", 0], ["--lambdas=-1"],
+                                  ["--range=-0.5:0.5"]])
+def test_figure1_takes_no_curve_parameters(tmp_path, capsys, flag):
+    # figure1 draws the paper's fixed sweep; extend draws any other trace
+    assert run(["figure1"] + flag + ["--out", tmp_path]) == 3
+    says = " ".join(map(str, flag))
+    assert capsys.readouterr() == ("", f"whirlcurves: error: unrecognized arguments: {says}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_far_from_zero_passes(tmp_path, capsys):
@@ -615,7 +594,6 @@ def test_synth_range_too_narrow_for_the_stencils_exit_3(tmp_path, capsys):
     (["synth", "--lambda", -1, "--h0", 1], "range needs finite LO < HI, more than 0.00296 apart"),
     (["rect", "--a", 0.65, "--lambda", -1], "range needs finite LO < HI"),
     (["extend", "--a", 0.65, "--lambda", -1], "range needs finite LO < HI"),
-    (["figure1"], "range needs finite LO < HI"),
 ])
 def test_reversed_range_names_the_minimum_width_only_where_there_is_one(tmp_path, capsys,
                                                                          args, rule):
@@ -706,7 +684,6 @@ def test_verify_flags_a_lambda_beyond_the_scan_bound(tmp_path, capsys, lam, code
      "error: 1 + lam^2 overflows at lam = 1e+300"),
     (["extend", "--kind", "curve", "--a=1e300", "--lambda=-1", "--range=0.2:1.2"], 2,
      "domain error: 1 + h^2 + lambda^2 overflows at tau/kappa = h = 2e+299"),
-    (["figure1", "--lambdas=1e300"], 3, "error: 1 + lam^2 overflows at lam = 1e+300"),
     # tau/kappa ~ 1e-300: the axis formula's kappa/tau term overflows its norm;
     # ~1e-310, a subnormal torsion, overflows kappa/tau itself
     (["synth", "--kappa", "const:1", "--lambda=-1", "--h0=1e-300", "--range=0:2"], 1,

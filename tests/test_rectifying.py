@@ -355,9 +355,8 @@ def _magnitude(lo, hi):
        width=_magnitude(-6, 1).map(abs), n=st.integers(1, 600))
 def test_the_extensions_refuse_a_grid_exactly_when_they_refuse_its_ends(a, b, lam, d, lo,
                                                                        width, n):
-    # figure1 checks only each lambda's two grid ends before writing any file:
-    # |a*s + b| and |tan(d + t)| are largest at an end of the grid, and the
-    # sphere's open interval is too
+    # a refusal depends on the grid's ends alone: |a*s + b| and |tan(d + t)|
+    # are largest at an end, and the sphere curve's domain is one open interval
     spec = wc.RectifyingSpec(a=a, b=b, lam=lam, d_shift=d)
     grid = np.linspace(lo, lo + width, n)
     for extension in (wc.extended_point, wc.extended_sphere_point):
