@@ -104,6 +104,23 @@ def test_extend_sphere_outside_interval_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, says", [
+    (["--range", "0:3"],
+     "t=1.875 lies outside the open interval (-1.5707963267948966, 1.5707963267948966)"),
+    (["--range=-0.5:1.5", "--d", 0.5],
+     "t=1.25 lies outside the open interval (-2.0707963267948966, 1.0707963267948966)"),
+])
+def test_extend_outside_the_sphere_interval_writes_nothing(tmp_path, capsys, args, says):
+    # the sphere curve lives on (-d - pi/2, -d + pi/2): a range past it names
+    # the first grid t outside and writes no trace
+    code = run(["extend", "--kind", "sphere", "--a", 0.65, "--lambda", -1, "--samples", 9]
+               + args + ["--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"domain error: {says}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, code, says", [
     # the ratio-rate check needs the closed forms only: no position panel is
     # built (it built 339,460 for 5 s, then wrote synth.csv)
@@ -112,6 +129,9 @@ def test_extend_sphere_outside_interval_exit_2(tmp_path, capsys):
      "domain error: tau/kappa changes too fast to difference at s=3.001480191959483"),
     (["rect", "--a=1e-12", "--b=0.5", "--lambda=1", "--range=1e12:1.1e12", "--samples", 9], 2,
      "domain error: s=1000000000000.0 is too large to difference"),
+    # 1 + lambda^2 overflows: the spec is refused before any file or table
+    (["extend", "--kind", "curve", "--a", 0.65, "--lambda=1e300", "--range=0.2:1.2"], 3,
+     "error: 1 + lam^2 overflows at lam = 1e+300"),
     # --samples finer than the float spacing of --range: a grid that repeats an s
     (["synth", "--lambda", -1, "--h0", 1, "--s0", 1e8, "--range=1e8:100000000.004",
       "--samples", 1_000_000], 3, "error: --samples 1000000 is finer than the float spacing of "
