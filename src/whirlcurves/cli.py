@@ -28,15 +28,10 @@ MAX_SAMPLES, MAX_ENTRIES = 1_000_000, 64   # caps: --samples; poly: entries
 # verify: frames skip FRAME_MARGIN samples at each end, and the fit needs MIN_FIT_FRAMES
 VERIFY_MIN_SAMPLES = 2 * FRAME_MARGIN + whirl.MIN_FIT_FRAMES
 
-DEFAULT_TOLS = {
-    "unit_speed": 1e-6,
-    "intrinsic": 1e-6,
-    "axis": 1e-6,
-    "hyperboloid": 1e-8,
-    "sphere": 1e-8,
-    "fit_rms": 1e-3,
-    "chen_rms": 1e-3,
-}
+# what the commands compare their residuals against; the fits compare theirs
+# against whirl.FIT_RMS_TOL and rectifying.CHEN_RMS_TOL
+TOLERANCES = {"unit_speed": 1e-6, "intrinsic": 1e-6, "axis": 1e-6,
+              "hyperboloid": 1e-8, "sphere": 1e-8}
 
 
 def _number(test, want, convert=float):
@@ -54,7 +49,6 @@ def _number(test, want, convert=float):
 
 
 _finite = _number(np.isfinite, "finite")
-_positive = _number(lambda v: v > 0, "positive")
 _nonzero_h0 = _number(lambda v: np.isfinite(v) and v != 0.0, "finite and nonzero")
 # --lambda and --a: nonzero as the library's specs require
 _nonzero = _number(lambda v: np.isfinite(v) and abs(v) >= whirl.LAMBDA_FLOOR,
@@ -76,21 +70,6 @@ def _parse_range(text, inset=0.0):
         apart = f", more than {2 * inset:.3g} apart" if inset else ""
         raise argparse.ArgumentTypeError(f"range needs finite LO < HI{apart}")
     return lo, hi
-
-
-def _parse_tol(names):
-    """argparse type for --tol NAME=VAL: (name, value), the name one of
-    ``names`` (the tolerances the subcommand compares against) and the value
-    positive."""
-    def parse(item):
-        name, eq, val = item.partition("=")
-        if not eq:
-            raise argparse.ArgumentTypeError(f"expected NAME=VAL, got {item!r}")
-        if name not in names:
-            raise argparse.ArgumentTypeError(
-                f"unknown tolerance {name!r}; this command reads {', '.join(names)}")
-        return name, _positive(val)
-    return parse
 
 
 def _parse_kappa(text):
@@ -133,15 +112,11 @@ def _build_parser():
         description="Synthesize, verify and export whirl and whirl-rectifying curves.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about, tols, min_samples=None):
-        """A subcommand run by ``func`` that compares against the ``tols``
-        entries of DEFAULT_TOLS; one that writes a trace takes --samples (at
-        least ``min_samples``), --format and --out."""
+    def command(name, func, about, min_samples=None):
+        """A subcommand run by ``func``; one that writes a trace takes
+        --samples (at least ``min_samples``), --format and --out."""
         sp = sub.add_parser(name, help=about, allow_abbrev=False)
         sp.set_defaults(func=func)
-        sp.add_argument("--tol", type=_parse_tol(tols), action="append", metavar="NAME=VAL",
-                        help="override a verification tolerance: "
-                        + ", ".join(f"{t} (default {DEFAULT_TOLS[t]:g})" for t in tols))
         if min_samples is not None:
             sp.add_argument("--samples", type=_at_least(min_samples), default=513,
                             help=f"grid size, {min_samples} to {MAX_SAMPLES} (default 513)")
@@ -149,8 +124,7 @@ def _build_parser():
             sp.add_argument("--out", default=".", help="output directory")
         return sp
 
-    sp = command("synth", _cmd_synth, "synthesize a whirl curve from a curvature function",
-                 ("unit_speed", "intrinsic", "axis"), 2)
+    sp = command("synth", _cmd_synth, "synthesize a whirl curve from a curvature function", 2)
     sp.add_argument("--kappa", type=_parse_kappa, default="const:1.0",
                     help="const:VALUE | linear-ratio (ratio a*s+b, uses --a/--b) | poly:c0,c1,...")
     sp.add_argument("--lambda", dest="lam", type=_nonzero, required=True)
@@ -167,11 +141,9 @@ def _build_parser():
     # the verification stencils need REACH on both sides of their nodes
     sp.add_argument("--range", dest="srange", type=lambda t: _parse_range(t, REACH), required=True)
 
-    rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve",
-                   ("unit_speed", "hyperboloid", "chen_rms"), 3)
+    rect = command("rect", _cmd_rect, "sample a closed-form whirl-rectifying curve", 3)
     rect.add_argument("--branch", choices=("plus", "minus", "auto"), default="auto")
-    extend = command("extend", _cmd_extend, "sample a continuous extension",
-                     ("hyperboloid", "sphere"), 1)
+    extend = command("extend", _cmd_extend, "sample a continuous extension", 1)
     extend.add_argument("--kind", choices=("curve", "sphere"), default="curve",
                         help="curve: whole-line extension; sphere: radial projection")
     for sp in (rect, extend):
@@ -182,12 +154,11 @@ def _build_parser():
     extend.add_argument("--d", dest="d_shift", type=_finite, default=0.0,
                         help="angular offset; it moves only the sphere curve (upsilon)")
 
-    sp = command("verify", _cmd_verify, "verify the whirl/rectifying properties of a trace file",
-                 ("fit_rms", "chen_rms"))
+    sp = command("verify", _cmd_verify, "verify the whirl/rectifying properties of a trace file")
     sp.add_argument("--in", dest="infile", required=True)
 
     command("figure1", _cmd_figure1, "draw the paper's Figure 1 sweep (12 traces)",
-            ("hyperboloid", "sphere"), 1).set_defaults(srange=FIGURE1_RANGE)
+            1).set_defaults(srange=FIGURE1_RANGE)
     return p
 
 
@@ -271,10 +242,10 @@ def _cmd_synth(args) -> int:
         axis, why = (np.nan, np.nan), [f"axis check failed: {exc}"]
     path = _write(tr, args.out, "synth", args.format)
     print(f"wrote {path} ({len(tr)} samples)")
-    return _verdict([("unit-speed residual", usr, args.tol["unit_speed"]),
-                     ("intrinsic residual", ires, args.tol["intrinsic"]),
-                     ("axis max deviation", axis[0], args.tol["axis"]),
-                     ("proportionality max", axis[1], args.tol["axis"])], why)
+    return _verdict([("unit-speed residual", usr, TOLERANCES["unit_speed"]),
+                     ("intrinsic residual", ires, TOLERANCES["intrinsic"]),
+                     ("axis max deviation", axis[0], TOLERANCES["axis"]),
+                     ("proportionality max", axis[1], TOLERANCES["axis"])], why)
 
 
 def _cmd_rect(args) -> int:
@@ -292,12 +263,12 @@ def _cmd_rect(args) -> int:
     hres = float(np.max(np.abs(rectifying.hyperboloid_residual(pts, spec.lam, spec.a))))
     frames = frenet_at(lambda s: rectifying.curve_point(spec, s), grid,
                        deriv=lambda s: rectifying.curve_velocity(spec, s))
-    chen = rectifying.chen_ratio_fit(frames, rms_tol=args.tol["chen_rms"])
+    chen = rectifying.chen_ratio_fit(frames)
     path = _write(tr, args.out, "rect", args.format)
     print(f"wrote {path} ({len(tr)} samples)")
     return _verdict(
-        [("unit-speed residual", usr, args.tol["unit_speed"]),
-         ("hyperboloid residual", hres, args.tol["hyperboloid"])],
+        [("unit-speed residual", usr, TOLERANCES["unit_speed"]),
+         ("hyperboloid residual", hres, TOLERANCES["hyperboloid"])],
         notes=[f"chen fit              c1={chen.c1:.6f} c2={_unsigned(chen.c2):.6f} "
                f"rms={chen.rms:.3e} ({'rectifying' if chen.is_rectifying else 'not rectifying'})"],
         ok=chen.is_rectifying)
@@ -328,29 +299,28 @@ def _cmd_extend(args) -> int:
     path, resid = _extension(args, spec, args.kind, grid)
     name = "hyperboloid" if args.kind == "curve" else "sphere"
     print(f"wrote {path} ({len(grid)} samples)")
-    return _verdict([(f"{name} residual", resid, args.tol[name])])
+    return _verdict([(f"{name} residual", resid, TOLERANCES[name])])
 
 
 def _cmd_verify(args) -> int:
-    tols = args.tol
     tr = traceio.read_trace(args.infile)
     if len(tr) < VERIFY_MIN_SAMPLES:
         raise ValueError(f"insufficient samples: need at least {VERIFY_MIN_SAMPLES} samples, "
                          f"got {len(tr)} in {args.infile}")
     try:
         frames = trace_frames(tr)
-        fit = whirl.fit_lambda_axis(frames, rms_tol=tols["fit_rms"])
+        fit = whirl.fit_lambda_axis(frames)
     except FrameError as exc:   # e.g. a straight stretch: no frame, so neither kind of curve
         print(f"samples               {len(tr)}")
         print(f"whirl verdict:        NEGATIVE  ({exc})")
         print(f"rectifying verdict:   NEGATIVE  ({exc})")
         return 1
-    chen = rectifying.chen_ratio_fit(frames, rms_tol=tols["chen_rms"])
+    chen = rectifying.chen_ratio_fit(frames)
     ax = np.array2string(np.vectorize(_unsigned)(fit.axis), precision=6, suppress_small=True)
     print(f"samples               {len(tr)} (frames at {len(frames)} interior nodes)")
     print(f"fitted lambda         {fit.lam:.6g}")
     print(f"fitted axis           {ax}")
-    print(f"fit rms residual      {fit.rms:.3e}  (tol {tols['fit_rms']:g})")
+    print(f"fit rms residual      {fit.rms:.3e}  (tol {whirl.FIT_RMS_TOL:g})")
     print(f"chen fit              c1={chen.c1:.6g} c2={chen.c2:.6g} rms={chen.rms:.3e}")
     print(f"whirl verdict:        {'POSITIVE' if fit.is_whirl else 'NEGATIVE'}"
           + (f"  ({fit.note})" if fit.note else ""))
@@ -369,8 +339,8 @@ def _cmd_figure1(args) -> int:
         worst_h, worst_s = max(worst_h, hres), max(worst_s, sres)
         print(f"lambda={spec.lam:<6g} {os.path.basename(path)} (hyperboloid {hres:.2e})  "
               f"{os.path.basename(spath)} (sphere {sres:.2e})")
-    return _verdict([("worst hyperboloid residual", worst_h, args.tol["hyperboloid"]),
-                     ("worst sphere residual", worst_s, args.tol["sphere"])],
+    return _verdict([("worst hyperboloid residual", worst_h, TOLERANCES["hyperboloid"]),
+                     ("worst sphere residual", worst_s, TOLERANCES["sphere"])],
                     one_line=True)
 
 
@@ -382,7 +352,6 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    args.tol = {**DEFAULT_TOLS, **dict(args.tol or ())}
     try:
         return args.func(args)
     except DomainError as exc:

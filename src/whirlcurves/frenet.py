@@ -133,20 +133,29 @@ def frenet_at(curve: Callable, s, deriv: Optional[Callable] = None):
 
 
 def unit_speed_residual(curve: Callable, s_grid) -> float:
-    """max over the grid of | |curve'(s)| - 1 |."""
-    d1 = derivative(curve, np.atleast_1d(np.asarray(s_grid, dtype=float)), 1)
+    """max over the grid of | |curve'(s)| - 1 |; ValueError on an empty grid."""
+    grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    if not grid.size:
+        raise ValueError("empty grid")
+    d1 = derivative(curve, grid, 1)
     return float(np.max(np.abs(_norm(d1) - 1.0)))
 
 
 def trace(curve: Callable, s_lo: float, s_hi: float, n: int,
           meta: Optional[dict] = None) -> CurveTrace:
     """Sample ``curve`` on a uniform n-point grid inclusive of both endpoints;
-    QuadratureError, a ValueError, names the first s with a non-finite position."""
+    QuadratureError, a ValueError, names the first s with a non-finite position.
+    An n finer than the float spacing of the range, which repeats an s, is
+    refused before ``curve`` is sampled."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not s_lo < s_hi:
         raise ValueError("need s_lo < s_hi")
     grid = np.linspace(s_lo, s_hi, n)
+    tied = np.flatnonzero(np.diff(grid) <= 0)
+    if tied.size:
+        raise ValueError(f"{n} samples are finer than the float spacing of [{float(s_lo)!r}, "
+                         f"{float(s_hi)!r}]: s={float(grid[tied[0]])!r} repeats")
     return CurveTrace(grid, sample(curve, grid), meta=dict(meta or {}))
 
 

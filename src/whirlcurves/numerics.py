@@ -184,9 +184,12 @@ def grid_derivatives(s, y) -> np.ndarray:
 
     The spacing may spread by ``S_DIGITS`` of max |s|, the rounding of an s
     column printed with 8 significant digits, or by 1e-9 of the step, but
-    never by more than ``MAX_SPREAD`` of the step (else ValueError).
+    never by more than ``MAX_SPREAD`` of the step (else ValueError), and it
+    needs at least 2 samples.
     """
     s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+    if s.size < 2:
+        raise ValueError(f"derivatives of samples need at least 2 samples, got {s.size}")
     dx = np.diff(s)
     step, spread = np.max(np.abs(dx)), np.ptp(dx)
     if spread > min(max(1e-9 * step, S_DIGITS * np.max(np.abs(s))), MAX_SPREAD * step):

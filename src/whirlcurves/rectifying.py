@@ -25,6 +25,7 @@ HALF_PI = 0.5 * np.pi
 # a ratio line that changes by at most this over the frames' s-span, |c1| *
 # span, is constant, not rectifying: a bound free of the unit of length
 SLOPE_FLOOR = 1e-3
+CHEN_RMS_TOL = 1e-3   # chen_ratio_fit: a rectifying ratio line's rms is below this
 
 
 @dataclass(frozen=True)
@@ -221,11 +222,11 @@ class ChenFit:
     note: str = ""
 
 
-def chen_ratio_fit(frames: Frames, rms_tol: float = 1e-3) -> ChenFit:
+def chen_ratio_fit(frames: Frames) -> ChenFit:
     """Fit tau/kappa = c1*s + c2 over the rows of ``frames``.
 
     The rectifying-compatible verdict requires the fit to be tight
-    (rms < rms_tol) and genuinely nonconstant: the ratio changes by more
+    (rms < CHEN_RMS_TOL) and genuinely nonconstant: the ratio changes by more
     than SLOPE_FLOOR over the frames, |c1| * (s_max - s_min) > SLOPE_FLOOR,
     so scaling s and positions alike keeps the verdict.  A ratio that is not
     finite, from a torsion the frames could not resolve, gives nan fields
@@ -243,7 +244,7 @@ def chen_ratio_fit(frames: Frames, rms_tol: float = 1e-3) -> ChenFit:
     rms = float(np.sqrt(np.mean(resid ** 2)))
     c1, c2 = float(coef[0]), float(coef[1])
     change = abs(c1) * np.ptp(frames.s)
-    ok = rms < rms_tol and change > SLOPE_FLOOR
+    ok = rms < CHEN_RMS_TOL and change > SLOPE_FLOOR
     note = "" if ok else (
         "ratio is constant" if change <= SLOPE_FLOOR else "ratio is not linear")
     return ChenFit(c1=c1, c2=c2, rms=rms, is_rectifying=ok, note=note)

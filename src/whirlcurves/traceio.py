@@ -35,7 +35,8 @@ class CurveTrace:
 
     The parameter column is strictly increasing and every point is finite.
     The name of the parameter column ("s" unless stated otherwise) lives in
-    ``meta["param"]``.
+    ``meta["param"]``, a string that a CSV header carries back unchanged: no
+    comma, CR or LF, and no leading or trailing whitespace.
     """
 
     s: np.ndarray
@@ -53,6 +54,11 @@ class CurveTrace:
             raise ValueError("trace contains non-finite samples")
         if np.any(np.diff(self.s) <= 0):
             raise ValueError("parameter column must be strictly increasing")
+        param = self.param
+        if not isinstance(param, str) or param != param.strip() or any(
+                c in param for c in ",\r\n"):
+            raise ValueError(f"parameter name {param!r} must be a string without commas, "
+                             "line breaks or surrounding whitespace")
 
     def __len__(self) -> int:
         return self.s.size

@@ -27,6 +27,7 @@ LAMBDA_FLOOR = 1e-12
 LAMBDA_BRACKET = 1e4
 TAU_FLOOR = 1e-9   # a fit over frames with |tau| below this is no whirl
 MIN_FIT_FRAMES = 4   # fit_lambda_axis: the fewest frames it fits
+FIT_RMS_TOL = 1e-3   # fit_lambda_axis: a whirl curve's fit rms is below this
 
 
 def check_lam(lam):
@@ -222,7 +223,7 @@ def _illinois_root(f, lo, hi, f_lo, f_hi) -> float:
     return x
 
 
-def fit_lambda_axis(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
+def fit_lambda_axis(frames: Frames) -> WhirlFit:
     """Fit ``lam`` and a unit axis minimizing sum(<n_i,d> - lam <t_i,d>)^2.
 
     The normal matrix is quadratic in lam, M(lam) = A - lam*B + lam^2*C with
@@ -284,7 +285,7 @@ def fit_lambda_axis(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     # of O(n) terms, so near zero it is rounding noise, often clamped to 0
     rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
     note = ""
-    is_whirl = rms < rms_tol
+    is_whirl = rms < FIT_RMS_TOL
     if not np.all(np.isfinite(frames.tau)):   # NaN fails every comparison below
         is_whirl = False
         note = "not a whirl curve: torsion is not finite on the grid"

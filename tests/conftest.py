@@ -126,7 +126,8 @@ def congruent_distances(points_a, points_b, atol):
     return float(np.max(np.abs(da - db))) <= atol
 
 
-# the tolerances each subcommand compares against: what its --tol accepts
+# the tolerances each subcommand compares against: the keys of cli.TOLERANCES,
+# and fit_rms and chen_rms for whirl.FIT_RMS_TOL and rectifying.CHEN_RMS_TOL
 TOLERANCES_READ = {"synth": ("unit_speed", "intrinsic", "axis"),
                    "rect": ("unit_speed", "hyperboloid", "chen_rms"),
                    "extend": ("hyperboloid", "sphere"),

@@ -1,5 +1,6 @@
 """Command-line interface tests: files, formats, exit codes, determinism."""
 
+import argparse
 import json
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import whirlcurves as wc
-from whirlcurves import cli
+from whirlcurves import cli, rectifying, whirl
 from whirlcurves.cli import main
 from whirlcurves import traceio
 from conftest import TOLERANCES_READ, unit_speed_helix
@@ -267,26 +268,6 @@ def test_bad_arguments_exit_3(capsys):
     assert run(["frobnicate"]) == 3
 
 
-def test_tol_override_can_fail_verdict(tmp_path, capsys):
-    code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1",
-                "--samples", 51, "--out", tmp_path, "--tol", "unit_speed=1e-15"])
-    assert code == 1
-    assert "verdict: FAIL" in capsys.readouterr().out
-
-
-def test_consecutive_runs_do_not_share_tolerances(tmp_path, capsys):
-    # one parser serves every call of main; a --tol must not outlive its run
-    argv = ["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2",
-            "--samples", 33, "--out", tmp_path]
-    assert run(argv + ["--tol", "unit_speed=1e-30"]) == 1
-    assert "(tol 1e-30)" in capsys.readouterr().out
-    assert run(argv) == 0
-    out = capsys.readouterr().out
-    assert "unit-speed residual" in out and "(tol 1e-06)" in out and "1e-30" not in out
-    assert run(argv + ["--tol", "hyperboloid=1e-30"]) == 1
-    assert "(tol 1e-06)" in capsys.readouterr().out
-
-
 def test_infinite_range_exit_3(tmp_path, capsys):
     code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:inf",
                 "--out", tmp_path])
@@ -380,23 +361,6 @@ RECT = ["rect", "--a", 0.65, "--lambda", -1, "--range", "0.2:1.2"]
 SYNTH = ["synth", "--lambda", -1, "--range", "0:1", "--samples", 5]
 
 
-@pytest.mark.parametrize("args", [
-    RECT + ["--tol", "foo"],
-    RECT + ["--tol", "bogus=1"],
-    RECT + ["--tol", "hyperboloid=abc"],
-    RECT + ["--tol", "hyperboloid=nan"],
-    RECT + ["--tol", "hyperboloid=0"],
-    RECT + ["--tol", "hyperboloid=-1"],
-    ["verify", "--in", "missing.csv", "--tol", "fit_rms=0"],
-])
-def test_bad_tol_exit_3(tmp_path, capsys, args):
-    code = run(args + ([] if args[0] == "verify" else ["--out", tmp_path]))
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "argument --tol:" in err and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-
-
 # a command line each subcommand runs
 RUNS = {"synth": SYNTH + ["--h0", 1], "rect": RECT + ["--samples", 33],
         "extend": ["extend", "--a", 0.65, "--lambda", -1, "--range=-0.7:0.7", "--samples", 9],
@@ -410,37 +374,44 @@ def _command_line(command, tmp_path):
     return RUNS[command] + ["--out", tmp_path]
 
 
-@pytest.mark.parametrize("command, name", [(c, n) for c, reads in TOLERANCES_READ.items()
-                                           for n in cli.DEFAULT_TOLS if n not in reads])
-def test_a_tolerance_the_subcommand_does_not_read_exit_3(tmp_path, capsys, command, name):
-    code = run(_command_line(command, tmp_path) + ["--tol", f"{name}=1e-300"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert list(tmp_path.iterdir()) == []
-    assert err == (f"whirlcurves {command}: error: argument --tol: unknown tolerance "
-                   f"{name!r}; this command reads {', '.join(TOLERANCES_READ[command])}\n")
-
-
-@pytest.mark.parametrize("command", TOLERANCES_READ)
-def test_tol_help_lists_the_subcommand_tolerances(capsys, command):
+@pytest.mark.parametrize("command", RUNS)
+def test_no_subcommand_takes_a_tolerance(tmp_path, capsys, command):
+    # every tolerance is a constant of the module that decides the verdict
     assert run([command, "-h"]) == 0
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "override a verification tolerance: " + ", ".join(
-        f"{n} (default {cli.DEFAULT_TOLS[n]:g})" for n in TOLERANCES_READ[command]) in help_text
+    assert "--tol" not in capsys.readouterr().out
+    assert run(_command_line(command, tmp_path) + ["--tol", "unit_speed=1"]) == 3
+    assert capsys.readouterr() == (
+        "", "whirlcurves: error: unrecognized arguments: --tol unit_speed=1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# the fits' tolerances, by the names TOLERANCES_READ gives them
+FIT_TOLERANCES = {"fit_rms": (whirl, "FIT_RMS_TOL"), "chen_rms": (rectifying, "CHEN_RMS_TOL")}
 
 
 @pytest.mark.parametrize("command, name, extra", [
     (c, n, []) for c, reads in TOLERANCES_READ.items() if c != "extend" for n in reads] + [
     ("extend", "hyperboloid", ["--kind", "curve"]), ("extend", "sphere", ["--kind", "sphere"])])
-def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys, command, name,
-                                                               extra):
+def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys, monkeypatch,
+                                                               command, name, extra):
     if command == "verify":   # a rectifying trace, whose chen fit passes by default
         assert run(RECT + ["--out", tmp_path]) == 0
     argv = _command_line(command, tmp_path) + extra
-    run(argv)
+    assert run(argv) == 0
     default = capsys.readouterr().out
-    run(argv + ["--tol", f"{name}=1e-300"])
-    assert capsys.readouterr().out != default
+    if command != "verify":
+        for path in tmp_path.iterdir():
+            path.unlink()
+    if name in FIT_TOLERANCES:
+        monkeypatch.setattr(*FIT_TOLERANCES[name], 1e-300)
+    else:
+        monkeypatch.setitem(cli.TOLERANCES, name, 1e-300)
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert out != default
+    if command != "verify":   # a finite residual fails, and the trace is still written
+        assert code == 1 and out.endswith("verdict: FAIL\n")
+        assert list(tmp_path.iterdir()) != []
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -590,6 +561,42 @@ def test_figure1_takes_no_curve_parameters(tmp_path, capsys, flag):
     says = " ".join(map(str, flag))
     assert capsys.readouterr() == ("", f"whirlcurves: error: unrecognized arguments: {says}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# one command line per subcommand that sets every flag it takes (synth's --B
+# excludes --h0); --kappa linear-ratio makes synth read --a and --b
+EVERY_FLAG = {
+    "synth": ["--kappa", "linear-ratio", "--a", 0.5, "--b", 1, "--lambda", 1, "--h0", 1,
+              "--s0", 0, "--sign-z", -1, "--sign-tau", -1, "--range", "0:1"],
+    "rect": ["--branch", "plus", "--a", 0.65, "--b", 0.1, "--lambda", -1, "--range", "0.2:1.2"],
+    "extend": ["--kind", "sphere", "--a", 0.65, "--b", 0.1, "--lambda", -1, "--d", 0.2,
+               "--range=-0.7:0.7"],
+    "figure1": [],
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_every_flag_a_subcommand_takes_is_read(tmp_path, capsys, command):
+    # a flag that nothing reads is an option without an effect
+    if command == "verify":
+        assert run(RECT + ["--out", tmp_path]) == 0
+        argv = ["verify", "--in", tmp_path / "rect.csv"]
+    else:
+        argv = [command] + EVERY_FLAG[command] + ["--samples", 9, "--format", "json",
+                                                  "--out", tmp_path]
+    reads = set()
+
+    class Recorded(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli._build_parser()
+    args = parser.parse_args([str(a) for a in argv], namespace=Recorded())
+    reads.clear()   # argparse reads the namespace as it fills it
+    assert args.func(args) == 0
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    assert {a.dest for a in sub._actions} - {"help"} - reads == set()
 
 
 def test_synth_far_from_zero_passes(tmp_path, capsys):
@@ -758,7 +765,7 @@ def test_overflowing_inputs_exit_with_one_line_and_no_warning(tmp_path, capsys, 
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--a", "--range", "--tol", "--samples"])
+@pytest.mark.parametrize("flag", ["--a", "--range", "--samples"])
 def test_a_flag_given_as_its_own_end_marker_exit_3(tmp_path, capsys, flag):
     # argparse drops the "--" of --a=-- and would hand the command an empty list
     assert run(RECT + [f"{flag}=--", "--out", tmp_path]) == 3

@@ -1,9 +1,8 @@
 """Fuzzed command-line boundary: ``main`` is called in-process (no process is
-spawned) on argv built from the documented flags, each subcommand's ``--tol``
-names, junk tokens and numbers near 1e+-300 and 1e12-1e15, and ``verify`` reads
-mutated trace files.  Whatever the input, the exit code is 0-3, an exit of 2 or
-3 prints exactly one stderr line and writes no file into ``--out``, and no
-traceback or RuntimeWarning escapes."""
+spawned) on argv built from the documented flags, junk tokens and numbers near
+1e+-300 and 1e12-1e15, and ``verify`` reads mutated trace files.  Whatever the
+input, the exit code is 0-3, an exit of 2 or 3 prints exactly one stderr line
+and writes no file into ``--out``, and no traceback or RuntimeWarning escapes."""
 
 import contextlib
 import io
@@ -13,10 +12,8 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from whirlcurves.cli import DEFAULT_TOLS, _build_parser, main
-from conftest import TOLERANCES_READ
+from whirlcurves.cli import _build_parser, main
 
-SUBCOMMANDS = tuple(TOLERANCES_READ)
 JUNK = ("", "junk", "=", ":", "--", "-", "--tol", "--samp", "1:2:3", "nan:1", "\x00", "é")
 
 
@@ -62,13 +59,6 @@ kappas = mostly(
     st.sampled_from(["const", "poly", "poly:", "cubic:1"]))
 
 
-def tols(command):
-    """NAME=VAL: mostly a name ``command`` reads, else any name or junk."""
-    return mostly(st.builds("{}={}".format, st.sampled_from(TOLERANCES_READ[command]), numbers),
-                  st.builds("{}={}".format, st.sampled_from(sorted(DEFAULT_TOLS) + ["bogus"]),
-                            numbers) | st.sampled_from(JUNK))
-
-
 # the flags each subcommand documents, with a strategy for each one's value;
 # --samples stays small so every example runs in milliseconds, or is so
 # large that the parser refuses it before anything is allocated
@@ -90,6 +80,7 @@ FLAGS = {
     "verify": {},
     "figure1": COMMON,
 }
+SUBCOMMANDS = tuple(FLAGS)
 # the flags a run needs to get past the parser, given nine times in ten
 REQUIRED = {"synth": ("--lambda", "--h0", "--range"), "rect": ("--a", "--lambda", "--range"),
             "extend": ("--a", "--lambda", "--range"), "verify": (), "figure1": ()}
@@ -97,10 +88,10 @@ REQUIRED = {"synth": ("--lambda", "--h0", "--range"), "rect": ("--a", "--lambda"
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_the_fuzzed_flags_are_the_flags_each_subcommand_takes(command):
-    # --out and --in are given their paths and --tol has its own strategy
+    # --out and --in are given their paths
     sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
     flags = {f for f in sub._option_string_actions if f.startswith("--")}
-    assert flags - {"--out", "--in", "--tol", "--help"} == set(FLAGS[command])
+    assert flags - {"--out", "--in", "--help"} == set(FLAGS[command])
 
 
 @st.composite
@@ -110,7 +101,6 @@ def command_lines(draw, trace_path):
     chosen = [f for f in REQUIRED[command] if draw(st.integers(0, 9)) < 9]
     chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else []
     argv = [command] + [f"{flag}={draw(flags[flag])}" for flag in chosen]
-    argv += [f"--tol={draw(tols(command))}" for _ in range(draw(st.integers(0, 2)))]
     if command == "verify":
         argv.append(f"--in={trace_path}")
     if draw(st.integers(0, 9)) == 9:

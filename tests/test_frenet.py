@@ -141,6 +141,11 @@ def test_unit_speed_residual_speed_two():
     assert abs(r - 1.0) <= 1e-9
 
 
+def test_unit_speed_residual_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="^empty grid$"):
+        wc.unit_speed_residual(lambda s: np.array([s, 0.0, 0.0]), [])
+
+
 def test_unit_speed_residual_synthesized():
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=-1.0,
                         bound=wc.bound_from_ratio(1.0, -1.0))
@@ -158,6 +163,20 @@ def test_trace_line_two_points():
 def test_trace_needs_an_increasing_range(lo, hi):
     with pytest.raises(ValueError, match="^need s_lo < s_hi$"):
         wc.trace(lambda s: np.array([s, 0.0, 0.0]), lo, hi, 3)
+
+
+def test_trace_refuses_a_grid_finer_than_the_float_spacing():
+    calls = []
+
+    def line(s):
+        calls.append(s)
+        return np.stack([s, 0 * s, 0 * s], -1)
+
+    with pytest.raises(ValueError, match=r"^3 samples are finer than the float spacing of "
+                       r"\[1\.0, 1\.0000000000000002\]: s=1\.0 repeats$"):
+        wc.trace(line, 1.0, 1.0000000000000002, 3)
+    assert calls == []
+    assert len(wc.trace(line, 1.0, 1.0000000000000002, 2)) == 2
 
 
 def test_trace_midpoint():

@@ -258,6 +258,23 @@ def test_synthesize_rejects_bad_requests():
         wc.synthesize(narrow, 0.0, 1.0, 17)
 
 
+def test_synthesize_refuses_a_grid_finer_than_the_float_spacing(monkeypatch):
+    # refused by trace before any position panel is built, in the library's terms
+    built, series = [], wc.SmoothCumulative._series
+
+    def counted(self, lattice):
+        built.append(lattice.size - 1)
+        return series(self, lattice)
+
+    monkeypatch.setattr(wc.SmoothCumulative, "_series", counted)
+    spec = wc.WhirlSpec(kappa=wc.kappa_constant(1e-9), lam=-1.0,
+                        bound=wc.bound_from_ratio(1.0, -1.0), s0=1e8)
+    with pytest.raises(ValueError, match=r"^1000000 samples are finer than the float spacing "
+                       r"of \[100000000\.0, 100000000\.004\]: s=100000000\.0 repeats$"):
+        wc.synthesize(spec, 1e8, 1e8 + 0.004, 1_000_000)
+    assert built == []
+
+
 def _counted_kappa(base, points):
     """``base`` as a ScalarFn with the same domain that counts its samples."""
     def counted(s):

@@ -58,6 +58,23 @@ def test_csv_header_carries_param_name(tmp_path):
     assert traceio.read_csv(path).param == "t"
 
 
+@pytest.mark.parametrize("param", ['"a,b"', '"t\\n"', '"t\\r"', '" s"', '5', 'null'])
+def test_a_parameter_name_a_csv_header_cannot_carry_is_refused(tmp_path, capsys, param):
+    # each was read from JSON and written as CSV, which read_csv then refused or
+    # read back as another name: "a,b" and "t\n" refused, " s" read as "s", 5 as "5"
+    value = orjson.loads(param)
+    with pytest.raises(ValueError, match=re.escape(f"parameter name {value!r} must be a string")):
+        wc.CurveTrace([0.0, 1.0], np.zeros((2, 3)), meta={"param": value})
+    rows = ", ".join(f"[{i / 11!r}, {i}, 0, 0]" for i in range(12))
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"meta": {{"param": {param}}}, "samples": [{rows}]}}')
+    with pytest.raises(ValueError, match=re.escape(f"parameter name {value!r}")) as exc:
+        traceio.read_json(bad)
+    assert str(exc.value).endswith(f" in {bad}")
+    assert main(["verify", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 def test_csv_uses_shortest_roundtrip_decimals(tmp_path):
     tr = wc.CurveTrace([0.1, 0.2], [[0.1, 0.0, 0.0], [1e-17, -3.5, 2.0]])
     path = tmp_path / "w.csv"
