@@ -205,7 +205,7 @@ def _flat_csv(raw: bytes):
 def _loadtxt_csv(path):
     """(param, (n, 4) rows) of any CSV trace, through ``np.loadtxt`` in text mode."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:   # as write_csv encodes
             lines = [ln for ln in fh if ln.strip()]
     except UnicodeDecodeError as exc:   # a ValueError that would not name the file
         raise ValueError(f"malformed CSV trace in {path}: {exc}") from None

@@ -158,6 +158,30 @@ def test_a_refused_command_writes_no_file(tmp_path, capsys, monkeypatch, args, c
     assert list(tmp_path.iterdir()) == [] and built == []
 
 
+@pytest.mark.parametrize("lo, hi, n, refused", [
+    (1.0, 1.0000000000000004, 3, False), (1.0, 1.0000000000000004, 4, True),
+    (-1.0000000000000004, -1.0, 3, False), (-1.0000000000000004, -1.0, 4, True),
+    (1e8, 100000000.004, 1000, False), (1e8, 100000000.004, 1_000_000, True),
+])
+def test_trace_and_the_command_grid_refuse_the_same_grids(lo, hi, n, refused):
+    # frenet.trace and cli._grid each refuse a repeated s, in their own terms
+    args = argparse.Namespace(srange=(lo, hi), samples=n)
+
+    def line(s):
+        return np.stack([s, 0 * s, 0 * s], -1)
+
+    if not refused:
+        assert np.array_equal(wc.trace(line, lo, hi, n).s, cli._grid(args))
+        return
+    with pytest.raises(ValueError, match=f"^{n} samples are finer than the float spacing of "
+                       r"\[") as library:
+        wc.trace(line, lo, hi, n)
+    with pytest.raises(ValueError, match=f"^--samples {n} is finer than the float spacing of "
+                       "--range ") as command:
+        cli._grid(args)
+    assert str(library.value).rsplit(": ", 1)[1] == str(command.value).rsplit(": ", 1)[1]
+
+
 def test_synth_has_no_form_flag(tmp_path, capsys):
     code = run(["synth", "--lambda", -1, "--h0", 1, "--range", "0:1", "--form", "spherical",
                 "--out", tmp_path])
@@ -412,6 +436,24 @@ def test_every_tolerance_a_subcommand_takes_changes_its_output(tmp_path, capsys,
     if command != "verify":   # a finite residual fails, and the trace is still written
         assert code == 1 and out.endswith("verdict: FAIL\n")
         assert list(tmp_path.iterdir()) != []
+
+
+def test_every_tolerance_is_one_a_subcommand_reads():
+    # with the test above, no entry of TOLERANCES goes unread by every verdict
+    read = {name for names in TOLERANCES_READ.values() for name in names}
+    assert read == set(cli.TOLERANCES) | set(FIT_TOLERANCES)
+
+
+def test_consecutive_runs_do_not_share_tolerances(tmp_path, capsys):
+    # one parser and one TOLERANCES table serve every call of main; a run
+    # leaves both as it found them, so a second round prints what the first did
+    before = dict(cli.TOLERANCES), whirl.FIT_RMS_TOL, rectifying.CHEN_RMS_TOL
+    rounds = []
+    for _ in range(2):
+        codes = [run(_command_line(command, tmp_path)) for command in RUNS]
+        rounds.append((codes, capsys.readouterr()))
+    assert rounds[0] == rounds[1] and rounds[0][0] == [0] * len(RUNS)
+    assert (dict(cli.TOLERANCES), whirl.FIT_RMS_TOL, rectifying.CHEN_RMS_TOL) == before
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -197,13 +197,17 @@ def test_grid_derivatives_matches_long_double_weight_sums(case):
     assert float(np.max(err)) <= WEIGHT_SUM_BOUND
 
 
-@pytest.mark.parametrize("s, y, match", [
-    ([0.0, 0.1, 0.3, 0.4], np.zeros(4), "uniform grid"),
-    ([0.0], [[1.0, 2.0, 3.0]], "^derivatives of samples need at least 2 samples, got 1$"),
-])
-def test_grid_derivatives_rejects_a_grid_it_cannot_difference(s, y, match):
-    with pytest.raises(ValueError, match=match):
-        wc.grid_derivatives(s, y)
+def test_grid_derivatives_rejects_non_uniform_grid():
+    with pytest.raises(ValueError, match="uniform grid"):
+        wc.grid_derivatives([0.0, 0.1, 0.3, 0.4], np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_grid_derivatives_needs_at_least_2_samples(n):
+    # numpy's "zero-size array to reduction operation" message leaked here
+    with pytest.raises(ValueError, match=f"^derivatives of samples need at least 2 samples, "
+                       f"got {n}$"):
+        wc.grid_derivatives(np.arange(n, dtype=float), np.ones((n, 3)))
 
 
 def test_grid_derivatives_takes_a_grid_printed_with_8_digits():

@@ -1,5 +1,6 @@
 """Closed-form whirl-rectifying family: geometry, cone, extensions."""
 
+import inspect
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import whirlcurves as wc
+from whirlcurves import rectifying
 from whirlcurves.errors import DomainError
 from whirlcurves.rectifying import branch_ratio
 from conftest import branch_grid, random_rectifying_spec, random_rotation, unit_speed_helix
@@ -88,6 +90,20 @@ def test_chen_fit_recovers_line(rng):
                                              deriv=lambda s: wc.curve_velocity(rspec, s)))
         assert fit.c1 == pytest.approx(rspec.a, abs=1e-4)
         assert fit.c2 == pytest.approx(rspec.b, abs=1e-4)
+
+
+def test_chen_fit_passes_exactly_when_its_rms_is_below_chen_rms_tol(monkeypatch):
+    # the threshold is the module constant, read at each call: no parameter
+    assert list(inspect.signature(wc.chen_ratio_fit).parameters) == ["frames"]
+    spec = REF_MINUS
+    frames = wc.frenet_at(lambda s: wc.curve_point(spec, s), branch_grid(spec, n=65),
+                          deriv=lambda s: wc.curve_velocity(spec, s))
+    rms = wc.chen_ratio_fit(frames).rms
+    monkeypatch.setattr(rectifying, "CHEN_RMS_TOL", np.nextafter(rms, np.inf))
+    assert wc.chen_ratio_fit(frames).is_rectifying
+    monkeypatch.setattr(rectifying, "CHEN_RMS_TOL", rms)
+    fit = wc.chen_ratio_fit(frames)
+    assert not fit.is_rectifying and fit.note == "ratio is not linear"
 
 
 def test_chen_fit_rejects_helix():

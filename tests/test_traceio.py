@@ -75,6 +75,21 @@ def test_a_parameter_name_a_csv_header_cannot_carry_is_refused(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
+@pytest.mark.parametrize("param", ["", "θ", "arc length", "a\tb", "#s", '"s"'])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_parameter_name_a_csv_header_can_carry_round_trips(tmp_path, param, fmt):
+    # what the rule above lets through is written, read back and written
+    # again unchanged; a non-ASCII header takes read_csv's text parse
+    write, read = getattr(traceio, f"write_{fmt}"), getattr(traceio, f"read_{fmt}")
+    tr = wc.CurveTrace([0.0, 0.5, 1.0], np.zeros((3, 3)), meta={"param": param})
+    first, again = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    write(tr, first)
+    back = read(first)
+    write(back, again)
+    assert back.param == param
+    assert first.read_bytes() == again.read_bytes()
+
+
 def test_csv_uses_shortest_roundtrip_decimals(tmp_path):
     tr = wc.CurveTrace([0.1, 0.2], [[0.1, 0.0, 0.0], [1e-17, -3.5, 2.0]])
     path = tmp_path / "w.csv"

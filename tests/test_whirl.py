@@ -1,6 +1,7 @@
 """Whirl-property primitive tests: intrinsic equation, axis, verification, fit."""
 
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import whirlcurves as wc
+from whirlcurves import whirl
 from whirlcurves.errors import FrameError
 from conftest import (branch_grid, random_frame, random_rectifying_spec, random_rotation,
                       random_whirl_model, unit_speed_helix)
@@ -183,6 +185,18 @@ def test_fit_round_trip_lambda():
     assert fit.is_whirl
     assert abs(fit.lam - (-0.5)) <= 1e-4
     assert np.allclose(np.abs(fit.axis), [0.0, 0.0, 1.0], atol=1e-5)
+
+
+def test_fit_passes_exactly_when_its_rms_is_below_fit_rms_tol(monkeypatch):
+    # the threshold is the module constant, read at each call: no parameter
+    assert list(inspect.signature(wc.fit_lambda_axis).parameters) == ["frames"]
+    spec, curve = _synth_curve(lam=-0.5)
+    frames = wc.frenet_at(curve.position, np.linspace(0.05, 1.4, 15))
+    rms = wc.fit_lambda_axis(frames).rms
+    monkeypatch.setattr(whirl, "FIT_RMS_TOL", np.nextafter(rms, np.inf))
+    assert wc.fit_lambda_axis(frames).is_whirl
+    monkeypatch.setattr(whirl, "FIT_RMS_TOL", rms)
+    assert not wc.fit_lambda_axis(frames).is_whirl
 
 
 @pytest.mark.parametrize("axis", [0, 1])
