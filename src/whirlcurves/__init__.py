@@ -10,8 +10,8 @@ hyperboloid/cone/sphere geometry and continuous extensions.
 """
 
 from .errors import DomainError, FrameError, QuadratureError
-from .numerics import (EPS, ScalarFn, SmoothCumulative, as_scalar_fn, derivative,
-                       diff_weights, grid_derivatives)
+from .numerics import (EPS, ScalarFn, SmoothCumulative, derivative, diff_weights,
+                       grid_derivatives)
 from .traceio import CurveTrace, read_csv, read_json, read_trace, write_csv, write_json
 from .frenet import Frames, frenet_at, trace, trace_frames, unit_speed_residual
 from .whirl import (AxisReport, WhirlFit, fit_lambda_axis, intrinsic_residual,

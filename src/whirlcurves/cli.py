@@ -169,15 +169,11 @@ def _write(tr, out_dir, stem, fmt):
     return path
 
 
-def _verdict(checks, notes=(), ok=True, one_line=False) -> int:
+def _verdict(checks, notes=(), ok=True) -> int:
     """Print the (label, value, tol) checks, the ``notes`` lines and the verdict;
-    return the exit code, 0 when ``ok`` and every value < tol (a nan fails).
-    With ``one_line`` the checks share one line and omit their tolerances."""
-    if one_line:
-        print(", ".join(f"{label} {value:.3e}" for label, value, _ in checks))
-    else:
-        for label, value, tol in checks:
-            print(f"{label:<21} {value:.3e}  (tol {tol:g})")
+    return the exit code, 0 when ``ok`` and every value < tol (a nan fails)."""
+    for label, value, tol in checks:
+        print(f"{label:<21} {value:.3e}  (tol {tol:g})")
     for line in notes:
         print(line)
     ok = ok and all(value < tol for _, value, tol in checks)
@@ -268,9 +264,11 @@ def _cmd_rect(args) -> int:
     print(f"wrote {path} ({len(tr)} samples)")
     return _verdict(
         [("unit-speed residual", usr, TOLERANCES["unit_speed"]),
-         ("hyperboloid residual", hres, TOLERANCES["hyperboloid"])],
+         ("hyperboloid residual", hres, TOLERANCES["hyperboloid"]),
+         ("chen fit rms", chen.rms, rectifying.CHEN_RMS_TOL)],
         notes=[f"chen fit              c1={chen.c1:.6f} c2={_unsigned(chen.c2):.6f} "
-               f"rms={chen.rms:.3e} ({'rectifying' if chen.is_rectifying else 'not rectifying'})"],
+               f"change={chen.change:.3e}  (floor {rectifying.SLOPE_FLOOR:g}) "
+               f"({'rectifying' if chen.is_rectifying else 'not rectifying: ' + chen.note})"],
         ok=chen.is_rectifying)
 
 
@@ -340,8 +338,7 @@ def _cmd_figure1(args) -> int:
         print(f"lambda={spec.lam:<6g} {os.path.basename(path)} (hyperboloid {hres:.2e})  "
               f"{os.path.basename(spath)} (sphere {sres:.2e})")
     return _verdict([("worst hyperboloid residual", worst_h, TOLERANCES["hyperboloid"]),
-                     ("worst sphere residual", worst_s, TOLERANCES["sphere"])],
-                    one_line=True)
+                     ("worst sphere residual", worst_s, TOLERANCES["sphere"])])
 
 
 _PARSER = _build_parser()   # built once per process, at import

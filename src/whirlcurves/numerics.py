@@ -78,13 +78,6 @@ class ScalarFn:
         return self.domain[0] <= lo and hi <= self.domain[1]
 
 
-def as_scalar_fn(f) -> ScalarFn:
-    """Wrap a bare callable; pass ScalarFn instances through unchanged."""
-    if isinstance(f, ScalarFn):
-        return f
-    return ScalarFn(f)
-
-
 def sample(f, s) -> np.ndarray:
     """``f`` at each point of the 1-d array ``s``, one row per point.
 

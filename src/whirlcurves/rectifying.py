@@ -218,6 +218,7 @@ class ChenFit:
     c1: float
     c2: float
     rms: float
+    change: float   # |c1| times the frames' s-span, against SLOPE_FLOOR
     is_rectifying: bool
     note: str = ""
 
@@ -236,18 +237,18 @@ def chen_ratio_fit(frames: Frames) -> ChenFit:
         raise FrameError("need at least 3 frames for a line fit")
     ratios = frames.tau / frames.kappa
     if not np.all(np.isfinite(ratios)):   # e.g. a grid step whose cube underflows
-        return ChenFit(c1=np.nan, c2=np.nan, rms=np.nan, is_rectifying=False,
+        return ChenFit(c1=np.nan, c2=np.nan, rms=np.nan, change=np.nan, is_rectifying=False,
                        note="torsion is not finite")
     design = np.column_stack([frames.s, np.ones_like(frames.s)])
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     resid = ratios - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     c1, c2 = float(coef[0]), float(coef[1])
-    change = abs(c1) * np.ptp(frames.s)
+    change = float(abs(c1) * np.ptp(frames.s))
     ok = rms < CHEN_RMS_TOL and change > SLOPE_FLOOR
     note = "" if ok else (
         "ratio is constant" if change <= SLOPE_FLOOR else "ratio is not linear")
-    return ChenFit(c1=c1, c2=c2, rms=rms, is_rectifying=ok, note=note)
+    return ChenFit(c1=c1, c2=c2, rms=rms, change=change, is_rectifying=ok, note=note)
 
 
 # -- continuous extensions --------------------------------------------------
@@ -256,8 +257,12 @@ def extended_point(spec: RectifyingSpec, s) -> np.ndarray:
     """Whole-line continuous extension of the curve (branch auto-selected).
 
     Off the seam it equals curve_point on the corresponding branch; at
-    s = -b/a it takes the value (0, 0, 1/a).
+    s = -b/a it takes the value (0, 0, 1/a).  DomainError names the first s
+    that is not finite.
     """
+    off = np.atleast_1d(~np.isfinite(s))
+    if off.any():
+        raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} is not finite")
     h = _ratio(spec, s)
     out = np.empty(h.shape + (3,))
     seam = h == 0.0

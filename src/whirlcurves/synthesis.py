@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .frenet import trace
-from .numerics import EPS, STENCILS, ScalarFn, SmoothCumulative, as_scalar_fn
+from .numerics import EPS, STENCILS, ScalarFn, SmoothCumulative
 from .rectifying import RectifyingSpec, branch_ratio
 from .traceio import CurveTrace
 from .whirl import check_lam, intrinsic_residual
@@ -58,7 +58,8 @@ class WhirlSpec:
 
     def __post_init__(self):
         check_lam(self.lam)
-        object.__setattr__(self, "kappa", as_scalar_fn(self.kappa))
+        if not isinstance(self.kappa, ScalarFn):   # a bare callable: on the whole line
+            object.__setattr__(self, "kappa", ScalarFn(self.kappa))
         for name, value in (("exponent offset bound", self.bound), ("s0", self.s0)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -174,15 +175,11 @@ class WhirlCurve:
         return self._ratio(s) * self.spec.kappa(s)   # the window check speaks first
 
     def cos_polar(self, s):
-        """z-component of the unit tangent, z_sign * e^E / sqrt(1+lam^2)."""
+        """<t, d>, the tangent's component along the axis d = (0, 0, 1):
+        z_sign * e^E / sqrt(1+lam^2), that is z_sign * e^(lam*int kappa - C)
+        with C = axis_bound(bound, lam)."""
         _, q, _ = self._qw(self.exponent(s))
         return self.spec.z_sign * q / np.sqrt(1.0 + self.spec.lam ** 2)
-
-    def axis_component(self, s):
-        """Inner product of the tangent with the axis, +-e^(lam*int kappa - C)."""
-        lam = self.spec.lam
-        c = axis_bound(self.spec.bound, lam)
-        return self.spec.z_sign * np.exp(lam * self._kcum(s) - c)
 
     def azimuth(self, s):
         """Closed azimuth form arctan(w/lam) - arctanh(w)/lam, w = sqrt(1-e^{2E}).
@@ -397,6 +394,8 @@ def kappa_polynomial(coeffs, domain) -> ScalarFn:
     dropped) clipped to it, so at every interior minimum; ValueError names
     the point where kappa is least."""
     coeffs = [float(c) for c in coeffs]
+    if not coeffs:
+        raise ValueError("a polynomial curvature needs at least one coefficient")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"coeffs must be finite, got {coeffs}")
     lo, hi = _domain_ends(domain)

@@ -109,9 +109,6 @@ class AxisReport:
     max_deviation: float   # max_i |d_i - d_0|
     max_residual: float    # max_i |<n_i, d> - lam <t_i, d>|
 
-    def passes(self, tol: float) -> bool:
-        return self.max_deviation < tol and self.max_residual < tol
-
 
 def verify_whirl(curve: Callable, s_grid, *, lam: float,
                  deriv: Optional[Callable] = None) -> AxisReport:
@@ -120,8 +117,6 @@ def verify_whirl(curve: Callable, s_grid, *, lam: float,
     Given ``deriv``, the frames come from it alone (see
     :func:`~whirlcurves.frenet.frenet_at`): ``curve`` is never evaluated,
     so the check is of ``deriv``, not of the positions.
-
-    The curve passes at tolerance tol when ``report.passes(tol)``.
     """
     frames = frenet_at(curve, np.atleast_1d(s_grid), deriv=deriv)
     if not len(frames):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import time
 
 import numpy as np
@@ -454,6 +455,50 @@ def test_consecutive_runs_do_not_share_tolerances(tmp_path, capsys):
         rounds.append((codes, capsys.readouterr()))
     assert rounds[0] == rounds[1] and rounds[0][0] == [0] * len(RUNS)
     assert (dict(cli.TOLERANCES), whirl.FIT_RMS_TOL, rectifying.CHEN_RMS_TOL) == before
+
+
+# the check rows each command prints, in order, with the constant each is compared against
+CHECK_ROWS = {
+    "synth": [("unit-speed residual", cli.TOLERANCES["unit_speed"]),
+              ("intrinsic residual", cli.TOLERANCES["intrinsic"]),
+              ("axis max deviation", cli.TOLERANCES["axis"]),
+              ("proportionality max", cli.TOLERANCES["axis"])],
+    "rect": [("unit-speed residual", cli.TOLERANCES["unit_speed"]),
+             ("hyperboloid residual", cli.TOLERANCES["hyperboloid"]),
+             ("chen fit rms", rectifying.CHEN_RMS_TOL)],
+    "extend": [("hyperboloid residual", cli.TOLERANCES["hyperboloid"])],
+    "extend-sphere": [("sphere residual", cli.TOLERANCES["sphere"])],
+    "figure1": [("worst hyperboloid residual", cli.TOLERANCES["hyperboloid"]),
+                ("worst sphere residual", cli.TOLERANCES["sphere"])],
+}
+
+
+@pytest.mark.parametrize("name", CHECK_ROWS)
+def test_every_residual_line_names_its_tolerance(tmp_path, capsys, name):
+    # figure1 printed both residuals on one line without their tolerances,
+    # and rect printed the chen fit's rms on its note line without one
+    command, _, kind = name.partition("-")
+    argv = _command_line(command, tmp_path) + (["--kind", kind] if kind else [])
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if not line.startswith("wrote ")   # a path
+            and re.search("residual|rms|deviation|proportionality", line)]
+    assert len(rows) == len(CHECK_ROWS[name]), out
+    for line, (label, tol) in zip(rows, CHECK_ROWS[name]):
+        pattern = rf"{re.escape(label)} +\d\.\d{{3}}e[+-]\d\d  \(tol {re.escape(f'{tol:g}')}\)"
+        assert re.fullmatch(pattern, line), line
+
+
+def test_rect_says_why_a_tight_chen_fit_fails(tmp_path, capsys):
+    # the fit is tight, but over this range the ratio changes by |c1| * span
+    # ~ 6.5e-5, below SLOPE_FLOOR: every number printed looked fine
+    code = run(["rect", "--a", 0.65, "--b", 0.1, "--lambda", 1.3, "--range", "0.2:0.2001",
+                "--samples", 9, "--out", tmp_path])
+    out = capsys.readouterr().out
+    assert code == 1 and out.endswith("\nverdict: FAIL\n")
+    assert re.search(r"^chen fit rms +\d\.\d{3}e-\d\d  \(tol 0\.001\)$", out, re.M)
+    assert ("\nchen fit              c1=0.650000 c2=0.100000 change=6.500e-05  (floor 0.001) "
+            "(not rectifying: ratio is constant)\n") in out
 
 
 @pytest.mark.parametrize("args, flag", [

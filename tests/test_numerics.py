@@ -112,15 +112,6 @@ def test_derivative_refuses_a_step_that_rounds_to_zero():
     assert np.isfinite(wc.derivative(np.sin, np.array([0.0, 1e10]), 1)).all()
 
 
-def test_as_scalar_fn_wraps_a_bare_callable():
-    f = lambda s: 2.0 * s
-    wrapped = wc.as_scalar_fn(f)
-    assert isinstance(wrapped, wc.ScalarFn)
-    assert wrapped.evaluator is f and wrapped.domain == (-np.inf, np.inf)
-    assert wrapped.cumulative is None
-    assert wc.as_scalar_fn(wrapped) is wrapped
-
-
 def test_grid_derivatives_exact_on_polynomial_at_every_node():
     # a degree-6 fit (the 7-node minimum window) is exact on sextics,
     # including the off-centre windows at both ends

@@ -134,11 +134,13 @@ def test_chen_verdict_is_free_of_the_unit_of_length(rng, scale):
         (spec, branch_grid(spec, n=513)) for spec in randoms]
     for spec, s in cases:
         tr = wc.CurveTrace(scale * s, scale * wc.curve_point(spec, s))
-        fit = wc.chen_ratio_fit(wc.trace_frames(tr))
+        frames = wc.trace_frames(tr)
+        fit = wc.chen_ratio_fit(frames)
         assert fit.is_rectifying, (spec, fit)
+        assert fit.change == pytest.approx(abs(spec.a) * np.ptp(frames.s) / scale, rel=1e-3)
     helix = wc.CurveTrace(scale * grid, scale * unit_speed_helix(1.0, 1.0)(grid))
     fit = wc.chen_ratio_fit(wc.trace_frames(helix))
-    assert not fit.is_rectifying
+    assert not fit.is_rectifying and fit.change <= rectifying.SLOPE_FLOOR
     assert fit.note == "ratio is constant"
 
 
@@ -317,6 +319,14 @@ def test_closed_forms_hold_where_h_squared_underflows():
         assert p[2] == pytest.approx(1.0 / REF.a, rel=1e-15) and q[2] == pytest.approx(1.0)
     p = wc.curve_point(REF, 1e-250)
     assert np.all(np.abs(p[:2]) <= 1e-249) and p[2] == pytest.approx(1.0 / REF.a, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extended_point_refuses_an_s_that_is_not_finite(bad):
+    # as curve_point and extended_sphere_point do; a nan gave [nan, nan, nan]
+    for s in (bad, [0.0, bad, 1.0]):
+        with pytest.raises(DomainError, match=rf"^s={bad!r} is not finite$"):
+            wc.extended_point(REF, s)
 
 
 def test_extended_point_vectorized_matches_branches():

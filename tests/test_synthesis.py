@@ -172,33 +172,39 @@ def test_azimuth_closed_form_vs_quadrature(rng):
         assert abs(got - ref) <= 1e-8
 
 
-def test_axis_component_matches_cos_polar(rng):
+def test_cos_polar_matches_the_companion_constant_form(rng):
+    # <t, d> = z_sign * e^(lam*int kappa - C), C = axis_bound(bound, lam)
     for _ in range(5):
         spec, lo, hi, fam = random_whirl_model(rng)
         grid = np.linspace(lo, hi, 9)
-        curve = wc.WhirlCurve(spec)
-        assert np.allclose(curve.axis_component(grid),
-                           curve.cos_polar(grid), rtol=1e-12, atol=1e-15)
+        companion = spec.z_sign * np.exp(spec.lam * spec.kappa.cumulative(spec.s0)(grid)
+                                         - wc.axis_bound(spec.bound, spec.lam))
+        assert np.allclose(wc.WhirlCurve(spec).cos_polar(grid), companion,
+                           rtol=1e-12, atol=1e-15)
 
 
-def test_axis_component_base_value_and_bound():
+def test_cos_polar_base_value_and_bound():
     lam = -1.0
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(1.0), lam=lam, bound=0.4)
     curve = wc.WhirlCurve(spec)
-    xi0 = curve.axis_component(0.0)
+    xi0 = curve.cos_polar(0.0)
     assert xi0 == pytest.approx(np.exp(-0.4) / np.sqrt(2.0), rel=1e-13)
     grid = np.linspace(0.0, 3.0, 31)
-    assert np.all(np.abs(curve.axis_component(grid)) < 1.0 / np.sqrt(1 + lam * lam))
+    assert np.all(np.abs(curve.cos_polar(grid)) < 1.0 / np.sqrt(1 + lam * lam))
+    # past the bound there is no curve: the companion form read 1.288 there
+    with pytest.raises(DomainError, match=r"^domain bound lam\*int\(kappa\) < bound "
+                                          r"violated at s=-1\.0$"):
+        curve.cos_polar(-1.0)
 
 
-def test_axis_component_linear_growth_law():
+def test_cos_polar_linear_growth_law():
     # (1/kappa) d(xi)/ds = lam * xi
     spec = wc.WhirlSpec(kappa=wc.kappa_constant(0.7), lam=-0.9,
                         bound=wc.bound_from_ratio(1.2, -0.9))
     curve = wc.WhirlCurve(spec)
     for s in (0.2, 0.8, 1.5):
-        lhs = wc.derivative(curve.axis_component, s, 1) / 0.7
-        assert abs(float(lhs) - spec.lam * curve.axis_component(s)) <= 1e-7
+        lhs = wc.derivative(curve.cos_polar, s, 1) / 0.7
+        assert abs(float(lhs) - spec.lam * curve.cos_polar(s)) <= 1e-7
 
 
 def test_domain_guard_on_grid(rng):
@@ -334,8 +340,8 @@ _FAMILIES = {   # kappa on (0, 1.5), lam and h0; the last is past its pole at s 
     "poly": (wc.kappa_polynomial([0.9, 0.05, -0.01], (0.0, 1.5)), -0.7, 1.1),
     "linear-ratio": (wc.kappa_linear_ratio(-0.7, -1.0, 2.0, (0.0, 1.5)), -0.7, 2.0),
 }
-_CLOSED_FORMS = ("exponent", "torsion", "cos_polar", "axis_component", "azimuth",
-                 "azimuth_rate", "tangent", "spherical_tangent", "ratio_rate")
+_CLOSED_FORMS = ("exponent", "torsion", "cos_polar", "azimuth", "azimuth_rate", "tangent",
+                 "spherical_tangent", "ratio_rate")
 
 
 @pytest.mark.parametrize("method", _CLOSED_FORMS)
@@ -406,7 +412,7 @@ def test_a_kappa_without_a_closed_form_is_sampled_only_on_its_domain(s0, lam):
     reach = wc.synthesis.REACH
     report = wc.verify_whirl(curve.position, np.linspace(reach, 2.0 - reach, 33), lam=lam,
                              deriv=curve.tangent)
-    assert report.passes(1e-8)
+    assert report.max_deviation < 1e-8 and report.max_residual < 1e-8
     s = np.concatenate(seen)
     assert 0.0 <= s.min() and s.max() <= 2.0
 
@@ -994,6 +1000,16 @@ def test_whirlspec_rejects_non_finite_numbers(field, value):
         wc.WhirlSpec(**args)
 
 
+def test_whirlspec_wraps_a_bare_callable_kappa():
+    f = lambda s: 2.0 + 0.0 * s
+    kappa = wc.WhirlSpec(kappa=f, lam=-1.0, bound=0.5).kappa
+    assert isinstance(kappa, wc.ScalarFn)
+    assert kappa.evaluator is f and kappa.domain == (-np.inf, np.inf)
+    assert kappa.cumulative is None
+    closed = wc.kappa_constant(2.0)
+    assert wc.WhirlSpec(kappa=closed, lam=-1.0, bound=0.5).kappa is closed
+
+
 def test_kappa_families_reject_non_finite_numbers():
     with pytest.raises(ValueError, match="value must be positive and finite, got inf"):
         wc.kappa_constant(np.inf)
@@ -1040,6 +1056,9 @@ def test_kappa_families_check_their_domain(make, domain):
     (lambda: wc.kappa_linear_ratio(-1.0, 1.0, -2.0, (1.0, 3.0)),
      "domain crosses the a*s + b = 0 pole"),
     (lambda: wc.kappa_polynomial([1.0], (2.0, 1.0)), "empty domain"),
+    # numpy's "zero-size array to reduction operation maximum" leaked
+    (lambda: wc.kappa_polynomial([], (0.0, 1.0)),
+     "a polynomial curvature needs at least one coefficient"),
 ])
 def test_kappa_families_check_their_parameters(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

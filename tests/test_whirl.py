@@ -129,7 +129,8 @@ def test_verify_whirl_synthesized():
     report = wc.verify_whirl(curve.position, grid, lam=spec.lam, deriv=curve.tangent)
     assert report.max_deviation < 1e-6
     assert report.max_residual < 1e-6
-    assert report.passes(1e-6)
+    # the report holds the figures; a caller compares them with its own tolerance
+    assert [f.name for f in dataclasses.fields(report)] == ["d", "max_deviation", "max_residual"]
     # the construction pins the axis to the vertical direction
     assert np.allclose(report.d, [0.0, 0.0, 1.0], atol=1e-6)
 
