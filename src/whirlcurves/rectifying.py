@@ -87,11 +87,19 @@ def _ratio(spec: RectifyingSpec, s):
         return spec.a * np.asarray(s, dtype=float) + spec.b
 
 
+def _check_finite(s) -> None:
+    """DomainError naming the first ``s`` that is not finite."""
+    off = np.atleast_1d(~np.isfinite(s))
+    if off.any():
+        raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} is not finite")
+
+
 def branch_ratio(spec: RectifyingSpec, s):
-    """h = a*s + b at ``s``; DomainError naming the first s where h is 0 or
-    has the sign opposite to ``spec.branch``, on or past the a*s + b = 0
-    seam, where the branch's formulas do not hold.  An h that overflows
-    does so under the caller's errstate."""
+    """h = a*s + b at ``s``; DomainError naming the first s that is not
+    finite, or where h is 0 or has the sign opposite to ``spec.branch``, on
+    or past the a*s + b = 0 seam, where the branch's formulas do not hold.
+    An h that overflows does so under the caller's errstate."""
+    _check_finite(s)
     h = spec.a * np.asarray(s, dtype=float) + spec.b
     off = np.atleast_1d(~(spec.branch * h > 0))
     if off.any():
@@ -174,7 +182,8 @@ def _sphere_formula(spec: RectifyingSpec, t):
 
 def cone_coords(spec: RectifyingSpec, s):
     """Change of variables s -> (t, u) with u * w(t) = curve_point(s): two
-    arrays shaped like ``s`` (u > 0 always)."""
+    arrays shaped like ``s`` (u > 0 always); DomainError at a non-finite s."""
+    _check_finite(s)
     h = _ratio(spec, s)
     return -spec.d_shift + np.arctan(h), np.sqrt(1.0 + h * h) / abs(spec.a)
 
@@ -182,8 +191,8 @@ def cone_coords(spec: RectifyingSpec, s):
 def cone_point(spec: RectifyingSpec, t, u) -> np.ndarray:
     """Points u * w(t) of the cone surface, ``t`` and ``u`` broadcast together."""
     u = np.asarray(u, dtype=float)
-    if not np.all(u > 0):
-        raise ValueError("u must be positive")
+    if not np.all((u > 0) & np.isfinite(u)):
+        raise ValueError("u must be positive and finite")
     return u[..., None] * sphere_point(spec, t)
 
 
@@ -260,9 +269,7 @@ def extended_point(spec: RectifyingSpec, s) -> np.ndarray:
     s = -b/a it takes the value (0, 0, 1/a).  DomainError names the first s
     that is not finite.
     """
-    off = np.atleast_1d(~np.isfinite(s))
-    if off.any():
-        raise DomainError(f"s={float(np.atleast_1d(s)[off][0])!r} is not finite")
+    _check_finite(s)
     h = _ratio(spec, s)
     out = np.empty(h.shape + (3,))
     seam = h == 0.0

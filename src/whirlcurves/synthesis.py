@@ -72,7 +72,10 @@ def bound_from_ratio(h0: float, lam: float) -> float:
 
     Equals 0.5*log1p((1+lam^2)/h0^2), > 0 until it underflows, or, where that
     ratio overflows (|h0| < ~1e-154), the equal 0.5*ln(1+lam^2+h0^2) - ln|h0|.
+    ValueError for an h0 that is not finite or is zero.
     """
+    if not np.isfinite(h0):
+        raise ValueError(f"initial ratio h0 must be finite, got {h0}")
     if h0 == 0.0:
         raise ValueError("initial ratio h0 must be nonzero")
     c = 1.0 + lam * lam

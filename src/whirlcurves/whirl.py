@@ -52,7 +52,7 @@ def intrinsic_residual(kappa, tau, ratio_prime, lam) -> float:
     (lam, ratio_prime) -> (-lam, -ratio_prime).
     """
     kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0):
+    if not np.all(kappa > 0):
         raise ValueError("kappa must be positive")
     check_lam(lam)
     ratio = tau / kappa
@@ -151,22 +151,21 @@ _CANDIDATES = np.concatenate([-np.geomspace(LAMBDA_FLOOR, LAMBDA_BRACKET, 513)[:
 _TINY = np.finfo(float).tiny
 
 
-def _smallest_eigenvalues(N, T, lams) -> np.ndarray:
-    """Smallest eigenvalue of M(lam) = A - lam*B + lam^2*C for each lam, in
-    one vectorized pass with no eigensolver.
+def _smallest_eigenvalues(R, lams) -> np.ndarray:
+    """Smallest eigenvalue of W(lam)'W(lam), W(lam) = R[:, :3] - lam*R[:, 3:]
+    with R the triangular factor of [N T], for each lam, in one vectorized
+    pass with no eigensolver.
 
-    M(lam) is the Gram matrix of N - lam*T, whose singular values are those
-    of W = R[:, :3] - lam*R[:, 3:], R the triangular factor of [N T].
-    Modified Gram-Schmidt splits W's columns into orthogonal parts of
-    squared norms a2, d2 and f2 (coefficients b1, b2 and g), which give the
-    characteristic cubic x^3 - F*x^2 + G*x - P of W'W, P = a2*d2*f2.  Its
-    largest root comes from the trigonometric form (Smith 1961), the
-    smallest as a quotient of the quadratic left.  So the smallest is
-    accurate relative to itself; M formed in floating point loses all below
-    EPS times its largest eigenvalue, which on a nearly straight trace hides
-    the minimum.  A planar trace gives exactly 0.
+    W has the singular values of N - lam*T, so this is the residual sum of
+    squares at lam's best axis.  Modified Gram-Schmidt splits W's columns
+    into orthogonal parts of squared norms a2, d2 and f2 (coefficients b1,
+    b2 and g), which give the characteristic cubic x^3 - F*x^2 + G*x - P of
+    W'W, P = a2*d2*f2.  Its largest root comes from the trigonometric form
+    (Smith 1961), the smallest as a quotient of the quadratic left.  So the
+    smallest is accurate relative to itself; W'W formed in floating point
+    loses all below EPS times its largest eigenvalue, which on a nearly
+    straight trace hides the minimum.  A planar trace gives exactly 0.
     """
-    R = np.linalg.qr(np.hstack([N, T]), mode="r")
     w0, w1, w2 = (R[:, k, None] - lams * R[:, k + 3, None] for k in range(3))
     a2 = np.maximum(np.einsum("jk,jk->k", w0, w0), _TINY)
     b1, b2 = np.einsum("jk,jk->k", w0, w1) / a2, np.einsum("jk,jk->k", w0, w2) / a2
@@ -221,41 +220,41 @@ def _illinois_root(f, lo, hi, f_lo, f_hi) -> float:
 def fit_lambda_axis(frames: Frames) -> WhirlFit:
     """Fit ``lam`` and a unit axis minimizing sum(<n_i,d> - lam <t_i,d>)^2.
 
-    The normal matrix is quadratic in lam, M(lam) = A - lam*B + lam^2*C with
-    fixed 3x3 blocks, and d is its bottom eigenvector.  A scan evaluates the
-    smallest eigenvalue of M at 1026 candidates, 513 geometric magnitudes
+    One QR of [N T] gives its triangular factor R, and every step works on
+    W(lam) = R[:, :3] - lam*R[:, 3:], whose residual |W d| is that of
+    N d - lam T d: d is the bottom eigenvector of W'W.  A scan evaluates
+    the smallest eigenvalue at 1026 candidates, 513 geometric magnitudes
     over [1e-12, 1e4] with both signs, in one vectorized closed form (no
     eigensolver call per candidate); ties break toward the smallest |lam|,
     then the positive sign.  The best candidate's two neighbours bracket
-    the root of the eigenvalue's slope d'(2*lam*C - B)d (Hellmann-Feynman),
-    which resolves lam where the flat eigenvalue cannot; Illinois regula
-    falsi narrows that bracket to 4 ulps with one 3x3 eigensolve per step.
-    A bracket the slope does not change sign across keeps the scan's best.
-    At the ends of the scan: a lam within 4e-12 of zero is no whirl (the
-    definition needs lam != 0), and a best candidate at +-1e4 whose bracket
-    holds no root is no whirl either, since the minimum lies beyond the
-    bound.  So are frames with a torsion that is not finite or is below
-    TAU_FLOOR in magnitude.  The axis sign makes its largest-magnitude
-    component positive, so noise in the small components cannot flip an
-    axis near a coordinate direction; the rms comes from the residuals
-    themselves.
+    the root of the eigenvalue's slope -2 (W d).(R[:, 3:] d)
+    (Hellmann-Feynman), which resolves lam where the flat eigenvalue cannot;
+    Illinois regula falsi narrows that bracket to 4 ulps with one 3x3
+    eigensolve per step.  A bracket the slope does not change sign across
+    keeps the scan's best.  At the ends of the scan: a lam within 4e-12 of
+    zero is no whirl (the definition needs lam != 0), and a best candidate
+    at +-1e4 whose bracket holds no root is no whirl either, since the
+    minimum lies beyond the bound.  So are frames with a torsion that is not
+    finite or is below TAU_FLOOR in magnitude.  The axis sign makes its
+    largest-magnitude component positive, so noise in the small components
+    cannot flip an axis near a coordinate direction; the rms is |W d| over
+    sqrt(n), the residuals' own norm, not an eigenvalue.
     """
     if len(frames) < MIN_FIT_FRAMES:
         raise FrameError(f"no stable fit: need at least {MIN_FIT_FRAMES} frames")
-    T, N = frames.t, frames.n
-    A = N.T @ N
-    B = N.T @ T + T.T @ N
-    C = T.T @ T
+    R = np.linalg.qr(np.hstack([frames.n, frames.t]), mode="r")
 
-    def _fit_objective(lam):
-        return np.linalg.eigh(A - lam * B + lam * lam * C)
+    def solve(lam):
+        W = R[:, :3] - lam * R[:, 3:]
+        return W, *np.linalg.eigh(W.T @ W)
 
     def slope(lam):
-        d = _fit_objective(lam)[1][:, 0]
-        return d @ (2.0 * lam * C - B) @ d
+        W, _, vecs = solve(lam)
+        d = vecs[:, 0]
+        return -2.0 * (W @ d) @ (R[:, 3:] @ d)
 
     cands = _CANDIDATES
-    vals = _smallest_eigenvalues(N, T, cands)
+    vals = _smallest_eigenvalues(R, cands)
     floor = vals.min()
     # deterministic tie-breaking: smallest |lam|, then positive lam
     near = np.nonzero(vals <= floor + 1e-18 + 1e-12 * abs(floor))[0]
@@ -269,16 +268,14 @@ def fit_lambda_axis(frames: Frames) -> WhirlFit:
         lam = _illinois_root(slope, lo, hi, slope_lo, slope_hi)
     if abs(lam) < LAMBDA_FLOOR:
         lam = LAMBDA_FLOOR if lam >= 0 else -LAMBDA_FLOOR
-    vals3, vecs = _fit_objective(lam)
+    W, vals3, vecs = solve(lam)
     scale = max(float(vals3[-1]), 1.0)
     if vals3[1] <= 1e-12 * scale:
         raise FrameError("no stable fit: degenerate normal system")
     d = vecs[:, 0]
     if d[np.argmax(np.abs(d))] < 0:
         d = -d
-    # from the residuals themselves: the smallest eigenvalue is a difference
-    # of O(n) terms, so near zero it is rounding noise, often clamped to 0
-    rms = float(np.sqrt(np.mean((N @ d - lam * (T @ d)) ** 2)))
+    rms = float(np.linalg.norm(W @ d) / np.sqrt(len(frames)))
     note = ""
     is_whirl = rms < FIT_RMS_TOL
     if not np.all(np.isfinite(frames.tau)):   # NaN fails every comparison below

@@ -201,11 +201,12 @@ def fit_lambda_bisect(frames: Frames, rms_tol: float = 1e-3) -> WhirlFit:
     d'(2*lam*C - B)d inside the best candidate's bracket down to one ulp (one
     ``eigh`` per halving).  The axis, rms, verdict and notes follow as in
     :func:`whirlcurves.fit_lambda_axis`, without its note for a lam beyond the
-    scan's bound."""
+    scan's bound.  A, B and C are the blocks of R'R, R the triangular factor
+    of [N T], as the library's fit reads its frames only through R."""
     T, N = frames.t, frames.n
-    A = N.T @ N
-    B = N.T @ T + T.T @ N
-    C = T.T @ T
+    R = np.linalg.qr(np.hstack([N, T]), mode="r")
+    G = R.T @ R
+    A, B, C = G[:3, :3], G[:3, 3:] + G[3:, :3], G[3:, 3:]
 
     def slope(lam):
         d = np.linalg.eigh(A - lam * B + lam * lam * C)[1][:, 0]

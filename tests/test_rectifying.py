@@ -329,6 +329,33 @@ def test_extended_point_refuses_an_s_that_is_not_finite(bad):
             wc.extended_point(REF, s)
 
 
+_TAKES_S = {
+    "branch_ratio": branch_ratio,
+    "curve_point": wc.curve_point,
+    "curve_velocity": wc.curve_velocity,
+    "cone_coords": wc.cone_coords,
+    "geodesic_residual": wc.geodesic_residual,
+}
+
+
+@pytest.mark.parametrize("spec", [REF, REF_MINUS], ids=["branch+", "branch-"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("take", _TAKES_S.values(), ids=_TAKES_S.keys())
+def test_every_taker_of_s_refuses_one_that_is_not_finite(take, bad, spec):
+    # as extended_point does: cone_coords returned (nan, nan) for a nan and
+    # (pi/2, inf) for an inf, and the others blamed the seam or named a t
+    for s in (bad, [0.5 * spec.branch, bad]):
+        with pytest.raises(DomainError, match=rf"^s={bad!r} is not finite$"):
+            take(spec, s)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nan, np.inf])
+def test_cone_point_refuses_a_radius_that_is_not_positive_and_finite(u):
+    # an inf gave [inf, -inf, inf]
+    with pytest.raises(ValueError, match=r"^u must be positive and finite$"):
+        wc.cone_point(REF, 0.3, u)
+
+
 def test_extended_point_vectorized_matches_branches():
     grid = np.linspace(-1.0, 1.0, 21)   # includes the seam at 0
     pts = wc.extended_point(REF, grid)

@@ -39,6 +39,13 @@ def test_bound_rejects_zero_ratio():
         wc.bound_from_ratio(0.0, 1.0)
 
 
+@pytest.mark.parametrize("h0", [np.nan, np.inf, -np.inf])
+def test_bound_rejects_a_ratio_that_is_not_finite(h0):
+    # a nan gave nan and an inf gave 0.0, though the bound is > 0
+    with pytest.raises(ValueError, match=f"^initial ratio h0 must be finite, got {h0}$"):
+        wc.bound_from_ratio(h0, 1.0)
+
+
 def _bound_reference(h0, lam):
     """0.5*ln(1 + x), x = (1+lam^2)/h0^2, at 50 digits from the floats' exact
     values; below x = 1e-20, where 1 + x keeps too few of x's digits, from
@@ -146,6 +153,18 @@ def test_ratio_rate_matches_the_intrinsic_equation_solved_for_it(seed):
     h, lam2 = curve.torsion(grid) / kappa, spec.lam ** 2
     oracle = h * spec.lam * kappa * (1.0 + lam2 + h * h) / (1.0 + lam2)
     assert np.max(np.abs(curve.ratio_rate(grid) / oracle - 1.0)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_flipping_z_sign_turns_the_trace_by_pi_about_x(seed):
+    # z_sign flips the tangent's y and z components and nothing else, so the
+    # trace from the origin is turned by diag(1, -1, -1), bit for bit
+    spec, lo, hi, _ = random_whirl_model(np.random.default_rng(seed))
+    tr = wc.synthesize(spec, lo, hi, 129)
+    flipped = wc.synthesize(dataclasses.replace(spec, z_sign=-spec.z_sign), lo, hi, 129)
+    assert np.array_equal(flipped.s, tr.s)
+    assert np.array_equal(flipped.points, tr.points * [1.0, -1.0, -1.0])
 
 
 def test_cos_polar_decays():

@@ -326,6 +326,7 @@ def _fit_input(kind, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 @example(kind="circle", seed=0)
 @example(kind="helix", seed=0)
+@example(kind="whirl", seed=363)
 def test_fit_agrees_with_the_bisection_oracle(kind, seed):
     # the closed-form scan and the regula falsi root against the eigensolver
     # scan and bisection of the slope: the same verdict and note, lam to
@@ -334,12 +335,34 @@ def test_fit_agrees_with_the_bisection_oracle(kind, seed):
     # lam about 1e-9 wide, and each method stops at its own point in it
     # (worst seen over 40 traces: 9.2e-10), so lam is held to 1e-8 there.
     # Minimizing the flat eigenvalue instead of finding the slope's root
-    # moves lam by 1e-8 to 1e-6.
+    # moves lam by 1e-8 to 1e-6.  The oracle's blocks come from the fit's R:
+    # summed over the frames instead, they put lam 1.6e-10 from the fit's at
+    # seed 363 (1.80e-10 from the true lam, the fit 1.67e-11).
     frames = _fit_input(kind, seed)
     fit, ref = wc.fit_lambda_axis(frames), fit_lambda_bisect(frames)
     assert (fit.is_whirl, fit.note) == (ref.is_whirl, ref.note)
     assert abs(fit.lam / ref.lam - 1.0) <= (1e-8 if kind == "noisy" else 1e-10)
     assert np.linalg.norm(fit.axis - ref.axis) <= 1e-9
+
+
+def test_fit_resolves_lam_where_the_normal_blocks_lost_it():
+    # W(lam) is formed from R before it is squared; blocks A, B and C summed
+    # over the frames and then combined fitted lam 1.89e-10 from the true one
+    spec, _, _, _ = random_whirl_model(np.random.default_rng(363))
+    fit = wc.fit_lambda_axis(_fit_input("whirl", 363))
+    assert fit.is_whirl
+    assert abs(fit.lam / spec.lam - 1.0) <= 5e-11
+
+
+@pytest.mark.parametrize("kind, seed", [("noisy", 0), ("noisy", 1), ("noisy", 2), ("helix", 0)])
+def test_fit_rms_is_the_norm_of_the_residuals(kind, seed):
+    # |W d| / sqrt(n) against the residuals formed from the frames: worst seen
+    # 2.1e-13 relative over 40 noisy seeds (rms ~2e-4) and 2.2e-16 on the helix
+    frames = _fit_input(kind, seed)
+    fit = wc.fit_lambda_axis(frames)
+    d = fit.axis
+    direct = np.sqrt(np.mean((frames.n @ d - fit.lam * (frames.t @ d)) ** 2))
+    assert fit.rms == pytest.approx(direct, rel=1e-12)
 
 
 def test_fit_makes_a_few_dozen_single_3x3_solves(monkeypatch):
@@ -425,6 +448,8 @@ def _exact_helix_frames():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, 0.0), "lam must be nonzero"),
+    # a nan compares false both ways, so the rule is kappa > 0; it returned nan
+    (lambda: wc.intrinsic_residual(np.nan, 1.0, 0.0, 1.0), "kappa must be positive"),
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.nan), "lam must be finite, got nan"),
     (lambda: wc.intrinsic_residual(1.0, 1.0, 0.0, np.inf), "lam must be finite, got inf"),
     # finite, but 1 + lam^2 overflows
